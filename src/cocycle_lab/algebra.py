@@ -11,7 +11,7 @@ eigenvalue of its Hermitian part.  All functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,6 +35,12 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def as_pairs(a) -> list:
+    """JSON form of complex data: each entry becomes a ``[re, im]`` pair,
+    nested like the array (a scalar gives one pair)."""
+    return np.stack([np.real(a), np.imag(a)], -1).tolist()
 
 
 def identity_like(n: int) -> np.ndarray:
@@ -90,17 +96,24 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a), 2))
 
 
-def log_norm(a) -> float:
+def log_norm(a):
     """Logarithmic norm for the spectral norm: the right-most eigenvalue of
     the Hermitian part ``(a + a*) / 2``.
 
     This equals the one-sided derivative lim_{t->0+} (||I + t a|| - 1) / t
     and controls growth bounds exp(integral of log_norm) for linear
-    evolution problems.
+    evolution problems.  ``a`` is one matrix (gives a float) or a stack of
+    shape ``(m, n, n)`` (gives an array of m values).
     """
-    m = as_matrix(a)
-    herm = (m + m.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(herm)[-1])
+    m = np.asarray(a, dtype=complex)
+    single = m.ndim != 3
+    if single:
+        m = as_matrix(m)[None]
+    elif m.shape[1] != m.shape[2] or not np.all(np.isfinite(m)):
+        raise ValueError(f"expected a stack of finite square matrices, got shape {m.shape}")
+    herm = (m + m.conj().transpose(0, 2, 1)) / 2.0
+    top = np.linalg.eigvalsh(herm)[:, -1]
+    return float(top[0]) if single else top
 
 
 def eigenvalues(a, max_dim: int = MAX_EIG_DIM) -> np.ndarray:
@@ -133,6 +146,37 @@ def ad_matrix(b0) -> np.ndarray:
     n = m.shape[0]
     ident = identity_like(n)
     return np.kron(m.T, ident) - np.kron(ident, m)
+
+
+class _Resolvent(NamedTuple):
+    """``k*lam*I - ad_matrix(b0)`` with its SVD and resonance cutoff.
+
+    Fields are stacked along the leading axes of the orders they were built
+    for.  ``scale`` is |k lam| + ||ad_B0||; order k is resonant when the
+    smallest singular value is at most ``cutoff = resonance_rtol * scale``.
+    """
+
+    lhs: np.ndarray
+    u: np.ndarray
+    sv: np.ndarray
+    vh: np.ndarray
+    scale: np.ndarray
+    cutoff: np.ndarray
+
+    @property
+    def resonant(self):
+        return self.sv[..., -1] <= self.cutoff
+
+
+def _resolvent(orders, lam: complex, b0, resonance_rtol: float) -> _Resolvent:
+    """Build and factor the resolvent matrix of the linearization recursion
+    at each order in ``orders`` (an int or an array of ints)."""
+    ad = ad_matrix(b0)
+    kl = np.asarray(orders) * complex(lam)
+    lhs = kl[..., None, None] * np.eye(ad.shape[0]) - ad
+    u, sv, vh = np.linalg.svd(lhs)
+    scale = np.abs(kl) + float(np.linalg.norm(ad, 2))
+    return _Resolvent(lhs, u, sv, vh, scale, resonance_rtol * np.maximum(scale, 1e-300))
 
 
 @dataclass(frozen=True)
@@ -173,22 +217,19 @@ def sylvester_resolve(
     b = as_matrix(b0)
     r = as_matrix(rhs)
     n = b.shape[0]
-    ad = ad_matrix(b)
-    lhs = k * lam * np.eye(n * n, dtype=complex) - ad
-    scale = abs(k * lam) + float(np.linalg.norm(ad, 2))
-    u, sv, vh = np.linalg.svd(lhs)
-    sigma_min = float(sv[-1])
+    res = _resolvent(k, lam, b, resonance_rtol)
+    sigma_min = float(res.sv[-1])
     rv = vec(r)
 
-    if sigma_min > resonance_rtol * max(scale, 1e-300):
-        m = unvec(np.linalg.solve(lhs, rv), n)
+    if not res.resonant:
+        m = unvec(np.linalg.solve(res.lhs, rv), n)
         residual = operator_norm(k * lam * m - (m @ b - b @ m) - r)
         return SylvesterOutcome("unique", m, residual, sigma_min)
 
     # singular system: pseudo-inverse solve with the same cutoff
-    cutoff = resonance_rtol * max(scale, 1e-300)
-    inv_sv = np.where(sv > cutoff, 1.0 / np.where(sv > cutoff, sv, 1.0), 0.0)
-    x = vh.conj().T @ (inv_sv * (u.conj().T @ rv))
+    keep = res.sv > res.cutoff
+    inv_sv = np.where(keep, 1.0 / np.where(keep, res.sv, 1.0), 0.0)
+    x = res.vh.conj().T @ (inv_sv * (res.u.conj().T @ rv))
     m = unvec(x, n)
     residual = operator_norm(k * lam * m - (m @ b - b @ m) - r)
     rhs_scale = max(1.0, operator_norm(r))

@@ -17,12 +17,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import operator_norm
+from .algebra import as_pairs, operator_norm
 from .cocycle import (
     CocycleGenerator,
     boundedness_classify,
@@ -43,11 +44,23 @@ from .linearize import (
 )
 
 
+def _default(value, default):
+    """An option's value, or ``default`` when it was not given (0 is a value)."""
+    return default if value is None else value
+
+
+def _as_real(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ScenarioParseError(f"non-finite number {value!r}")
+    return x
+
+
 def _as_complex(value) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_as_real(value))
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_as_real(value[0]), _as_real(value[1]))
     raise ScenarioParseError(f"expected a number or [re, im] pair, got {value!r}")
 
 
@@ -84,29 +97,33 @@ class Scenario:
             self.generator = CocycleGenerator(num, den)
 
             self.order = int(data.get("truncation_order", 24))
+            if self.order < 1:
+                raise ScenarioParseError("truncation_order must be a positive integer")
             grid = data.get("grid", {})
-            self.t_values = [float(t) for t in grid.get("t_values", [0.5, 1.0, 2.0])]
+            self.t_values = [_as_real(t) for t in grid.get("t_values", [0.5, 1.0, 2.0])]
+            if any(t < 0 for t in self.t_values):
+                raise ScenarioParseError("t_values must be non-negative")
             if "z_values" in grid:
                 self.z_values = _complex_list(grid["z_values"])
             else:
-                radius = float(grid.get("disk_radius", 0.4))
+                radius = _as_real(grid.get("disk_radius", 0.4))
                 nodes = int(grid.get("nodes", 8))
                 angles = 2.0 * np.pi * np.arange(nodes) / nodes
                 self.z_values = radius * np.exp(1j * angles)
             tols = data.get("tolerances", {})
-            self.ode_tol = float(tols.get("ode", 1e-11))
-            self.sylvester_tol = float(tols.get("sylvester", 1e-10))
-            self.resonance_tol = float(tols.get("resonance", 1e-8))
+            self.ode_tol = _as_real(tols.get("ode", 1e-11))
+            self.sylvester_tol = _as_real(tols.get("sylvester", 1e-10))
+            self.resonance_tol = _as_real(tols.get("resonance", 1e-8))
         except ScenarioParseError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioParseError(f"bad scenario field: {exc}") from exc
 
     def model(self, order=None):
         if self.boundary:
             return build_boundary_model(self.f)
         try:
-            return build_model(self.f, hint=self.hint, order=order or self.order)
+            return build_model(self.f, hint=self.hint, order=_default(order, self.order))
         except NoInteriorFixedPointError:
             return build_boundary_model(self.f)
 
@@ -130,10 +147,6 @@ def _emit(report: dict, out_path) -> None:
         print(text)
 
 
-def _matrix_nested(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
-
-
 def _cmd_evolve(scn: Scenario, args) -> tuple[dict, int]:
     model = scn.model()
     ts = sorted(scn.t_values)
@@ -144,8 +157,8 @@ def _cmd_evolve(scn: Scenario, args) -> tuple[dict, int]:
             samples.append(
                 {
                     "t": t,
-                    "z": [z.real, z.imag],
-                    "gamma": _matrix_nested(vals[i, j]),
+                    "z": as_pairs(z),
+                    "gamma": as_pairs(vals[i, j]),
                     "gamma_norm": operator_norm(vals[i, j]),
                 }
             )
@@ -162,17 +175,18 @@ def _cmd_check(scn: Scenario, args) -> tuple[dict, int]:
     model = scn.model()
     gamma = make_evolve_oracle(model, scn.generator, tol=scn.ode_tol)
     report = check_axioms(
-        model, gamma, scn.t_values, scn.z_values, tol=args.tol or 1e-7
+        model, gamma, scn.t_values, scn.z_values, tol=_default(args.tol, 1e-7)
     )
     return {"command": "check", **report.as_dict()}, 0 if report.passed else 1
 
 
 def _cmd_linearize(scn: Scenario, args) -> tuple[dict, int]:
-    model = scn.model(order=args.order or scn.order)
+    order = _default(args.order, scn.order)
+    model = scn.model(order=order)
     outcome = run_linearize(
         model,
         scn.generator,
-        order=args.order or scn.order,
+        order=order,
         sylvester_tol=scn.sylvester_tol,
         resonance_rtol=scn.resonance_tol,
     )
@@ -192,15 +206,15 @@ def _cmd_spectrum(scn: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_growth(scn: Scenario, args) -> tuple[dict, int]:
     model = scn.model()
-    radius = args.radius if args.radius is not None else 0.5
-    tmax = args.tmax if args.tmax is not None else 3.0
+    radius = _default(args.radius, 0.5)
+    tmax = _default(args.tmax, 3.0)
     ts = [t for t in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0) if t <= tmax] or [tmax]
     report = growth_report(
         model, scn.generator, radius, t_values=ts, ode_tol=scn.ode_tol
     )
     if args.csv:
         report.write_csv(args.csv)
-    tol = args.tol or 1e-9
+    tol = _default(args.tol, 1e-9)
     status = 0 if report.max_violation <= tol else 1
     return {"command": "growth", **report.as_dict()}, status
 
@@ -208,7 +222,7 @@ def _cmd_growth(scn: Scenario, args) -> tuple[dict, int]:
 def _cmd_extract(scn: Scenario, args) -> tuple[dict, int]:
     model = scn.model()
     gamma = make_evolve_oracle(model, scn.generator, tol=scn.ode_tol)
-    tol = args.tol or 1e-6
+    tol = _default(args.tol, 1e-6)
     rows = []
     worst = 0.0
     for z in scn.z_values:
@@ -218,8 +232,8 @@ def _cmd_extract(scn: Scenario, args) -> tuple[dict, int]:
         worst = max(worst, err)
         rows.append(
             {
-                "z": [z.real, z.imag],
-                "generator": _matrix_nested(recovered),
+                "z": as_pairs(z),
+                "generator": as_pairs(recovered),
                 "error_vs_scenario": err,
             }
         )
@@ -409,6 +423,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.order is not None and args.order < 1:
+        print("error: --order must be a positive integer", file=sys.stderr)
+        return 2
     try:
         if args.command == "demo":
             if args.list or args.name is None:
@@ -423,7 +440,7 @@ def main(argv=None) -> int:
                 return 0
             try:
                 report, passed = run_demo(
-                    args.name, order=args.order or 24
+                    args.name, order=_default(args.order, 24)
                 )
             except KeyError as exc:
                 print(f"error: {exc}", file=sys.stderr)

@@ -17,46 +17,22 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import integrate as _int
-from .algebra import as_matrix, identity_like, log_norm, mat_inv, operator_norm
-from .dynamics import RationalMap, SemigroupModel, _shift_poly
+from .algebra import as_matrix, as_pairs, identity_like, log_norm, mat_inv, operator_norm
+from .dynamics import RationalMap, SemigroupModel
 from .errors import (
     DomainEscapeError,
     NotInvariantError,
+    OutOfDomainError,
     SamplePointIsFixedPointError,
     VNotInvertibleError,
 )
-from .series import MatrixSeries, ScalarSeries, reciprocal
-
-#: env var capping the thread pool used for independent grid evaluations
-THREADS_ENV = "COCYCLE_LAB_THREADS"
-
-
-def _pool_size() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def grid_map(fn, items):
-    """Map over independent grid items, threaded when COCYCLE_LAB_THREADS > 1.
-
-    Results keep the input order, so reports are deterministic either way.
-    """
-    size = _pool_size()
-    items = list(items)
-    if size <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, items))
+from .series import MatrixSeries, _rational_taylor, horner
 
 
 @dataclass
@@ -92,33 +68,12 @@ class CocycleGenerator:
         return cls(n[:, None, None], den)
 
     def __call__(self, z):
-        zs = np.asarray(z, dtype=complex)
-        scalar_in = zs.shape == ()
-        u = np.atleast_1d(zs)[:, None, None]
-        acc = np.broadcast_to(self.num[-1], u.shape[:1] + self.num.shape[1:]).copy()
-        for k in range(self.num.shape[0] - 2, -1, -1):
-            acc = acc * u + self.num[k]
-        den = np.full(u.shape[0], self.den[-1], dtype=complex)
-        for k in range(self.den.shape[0] - 2, -1, -1):
-            den = den * np.atleast_1d(zs) + self.den[k]
-        acc = acc / den[:, None, None]
-        return acc[0] if scalar_in else acc
+        return horner(self.num, z) / horner(self.den, z)[..., None, None]
 
     def taylor(self, center: complex, order: int) -> MatrixSeries:
-        """Matrix Taylor series about ``center``."""
-        n = self.dim
-        num_c = np.zeros((order + 1, n, n), dtype=complex)
-        d = self.num.shape[0]
-        for j in range(min(order + 1, d)):
-            acc = np.zeros((n, n), dtype=complex)
-            for k in range(d - 1, j - 1, -1):
-                acc = acc * center + math.comb(k, j) * self.num[k]
-            num_c[j] = acc
-        den_shift = _shift_poly(self.den, center)
-        den_c = np.zeros(order + 1, dtype=complex)
-        den_c[: min(order + 1, den_shift.shape[0])] = den_shift[: order + 1]
-        num_s = MatrixSeries(center, num_c)
-        return num_s * reciprocal(ScalarSeries(center, den_c))
+        """Matrix Taylor series about ``center`` (the denominator must not
+        vanish there)."""
+        return _rational_taylor(self.num, self.den, center, order)
 
 
 def _generator_dim(B, probe: complex) -> int:
@@ -200,10 +155,7 @@ def gamma_grid(gamma, t_values, z_values) -> np.ndarray:
     """Sample any Gamma(t, z) evaluator on a (t, z) grid."""
     if hasattr(gamma, "grid"):
         return gamma.grid(t_values, z_values)
-    rows = grid_map(
-        lambda t: np.stack([as_matrix(gamma(t, z)) for z in z_values]), t_values
-    )
-    return np.stack(rows)
+    return np.array([[as_matrix(gamma(t, z)) for z in z_values] for t in t_values])
 
 
 @dataclass
@@ -406,7 +358,7 @@ class GrowthReport:
             "samples": [
                 {
                     "t": t,
-                    "z": [z.real, z.imag],
+                    "z": as_pairs(z),
                     "gamma_norm": g,
                     "bound": b,
                     "violation": v,
@@ -449,11 +401,11 @@ def growth_report(
     thetas = 2.0 * np.pi * np.arange(boundary_nodes) / boundary_nodes
     ring = z0 + r * np.exp(1j * thetas)
     if np.any(np.abs(ring) >= 1.0):
-        raise ValueError("disk is not contained in the unit disk")
+        raise OutOfDomainError("disk is not contained in the unit disk")
 
     n = _generator_dim(B, complex(ring[0]))
     b_ring = _generator_batch(B, ring, n)
-    k_mu = max(grid_map(log_norm, b_ring))
+    k_mu = float(np.max(log_norm(b_ring)))
     k_used = float(K) if K is not None else float(k_mu)
 
     step = max(1, boundary_nodes // sample_nodes)

@@ -22,33 +22,13 @@ from .errors import (
     OutOfDomainError,
     ZeroRateError,
 )
-from .series import ScalarSeries, reciprocal, revert
+from .series import ScalarSeries, _rational_taylor, horner, revert
 
 #: safety factor applied to the ratio-test estimate of a series radius
 RADIUS_SAFETY = 0.8
 
 #: how close to the unit circle a "fixed point" stops counting as interior
 BOUNDARY_MARGIN = 1e-9
-
-
-def _shift_poly(coeffs: np.ndarray, center: complex) -> np.ndarray:
-    """Coefficients of p(center + u) in powers of u (exact binomial shift)."""
-    c = np.asarray(coeffs, dtype=complex)
-    d = c.shape[0]
-    out = np.zeros(d, dtype=complex)
-    for j in range(d):
-        acc = 0.0 + 0.0j
-        for k in range(d - 1, j - 1, -1):
-            acc = acc * center + math.comb(k, j) * c[k]
-        out[j] = acc
-    return out
-
-
-def _polyval(coeffs: np.ndarray, z):
-    acc = np.full_like(np.asarray(z, dtype=complex), coeffs[-1])
-    for k in range(coeffs.shape[0] - 2, -1, -1):
-        acc = acc * z + coeffs[k]
-    return acc
 
 
 @dataclass
@@ -66,7 +46,7 @@ class RationalMap:
             raise ValueError("denominator is identically zero")
 
     def __call__(self, z):
-        return _polyval(self.num, z) / _polyval(self.den, z)
+        return horner(self.num, z) / horner(self.den, z)
 
     def derivative(self) -> "RationalMap":
         def dpoly(c):
@@ -84,17 +64,7 @@ class RationalMap:
     def taylor(self, center: complex, order: int) -> ScalarSeries:
         """Taylor series about ``center`` (the denominator must not vanish
         there)."""
-        den_shift = _shift_poly(self.den, center)
-        if abs(den_shift[0]) < 1e-14 * max(1.0, float(np.max(np.abs(self.den)))):
-            raise ZeroDivisionError("denominator vanishes at the expansion center")
-        num_c = np.zeros(order + 1, dtype=complex)
-        den_c = np.zeros(order + 1, dtype=complex)
-        ns = _shift_poly(self.num, center)
-        num_c[: min(order + 1, ns.shape[0])] = ns[: order + 1]
-        den_c[: min(order + 1, den_shift.shape[0])] = den_shift[: order + 1]
-        num_s = ScalarSeries(center, num_c)
-        den_s = ScalarSeries(center, den_c)
-        return num_s * reciprocal(den_s)
+        return _rational_taylor(self.num, self.den, center, order)
 
 
 def _ratio_radius(coeffs: np.ndarray) -> float:
@@ -129,11 +99,6 @@ class SemigroupModel:
     @property
     def is_interior(self) -> bool:
         return self.z0 is not None
-
-    def koenigs_value(self, z) -> complex:
-        if not self.is_interior:
-            raise OutOfDomainError("boundary model has no Koenigs series")
-        return self.koenigs.evaluate(z)
 
     def flow(self, t: float, z, *, tol: float = 1e-12):
         """F_t(z); Koenigs route inside the validated region, ODE fallback.

@@ -21,10 +21,6 @@ class NotInvertibleError(CocycleLabError):
     """Series reversion needs a nonzero linear coefficient."""
 
 
-class NonzeroConstantTermError(CocycleLabError):
-    """Series exponential requires a vanishing constant term."""
-
-
 class NoInteriorFixedPointError(CocycleLabError):
     """Fixed-point search failed or landed on/outside the unit circle."""
 
@@ -33,7 +29,7 @@ class ZeroRateError(CocycleLabError):
     """The attraction rate -f'(z0) is numerically zero."""
 
 
-class OutOfDomainError(CocycleLabError):
+class OutOfDomainError(CocycleLabError, ValueError):
     """Evaluation point lies outside the open unit disk."""
 
 

@@ -28,8 +28,10 @@ import numpy as np
 
 from .algebra import (
     RESONANCE_RTOL,
+    _resolvent,
     ad_matrix,
     as_matrix,
+    as_pairs,
     eigenvalues,
     identity_like,
     mat_exp,
@@ -50,14 +52,6 @@ from .series import MatrixSeries, compose
 
 #: scaled singular-value band that is solved but flagged as ill-conditioned
 NEAR_RESONANCE_RTOL = 1e-3
-
-
-def _c2p(x: complex) -> list:
-    return [float(np.real(x)), float(np.imag(x))]
-
-
-def _m2n(m: np.ndarray) -> list:
-    return [[_c2p(x) for x in row] for row in np.asarray(m)]
 
 
 @dataclass
@@ -86,9 +80,9 @@ class ConditionReport:
 
     def as_dict(self) -> dict:
         return {
-            "lambda": _c2p(self.lam),
-            "spectrum_b0": [_c2p(x) for x in self.spectrum_b0],
-            "difference_set": [_c2p(x) for x in self.difference_set],
+            "lambda": as_pairs(self.lam),
+            "spectrum_b0": as_pairs(self.spectrum_b0),
+            "difference_set": as_pairs(self.difference_set),
             "violated_k": list(self.violated_k),
             "k_bound": self.k_bound,
             "rank_route_agrees": self.rank_route_agrees,
@@ -115,25 +109,18 @@ def condition_check(
     b = as_matrix(b0)
     spectrum = eigenvalues(b)
     diffs = (spectrum[:, None] - spectrum[None, :]).ravel()
-    ad = ad_matrix(b)
-    ad_norm = float(np.linalg.norm(ad, 2))
-    k_bound = int(math.ceil(ad_norm / abs(lam)))
-
+    k_bound = int(math.ceil(float(np.linalg.norm(ad_matrix(b), 2)) / abs(lam)))
+    res = _resolvent(np.arange(1, k_bound + 1), lam, b, resonance_rtol)
+    sigma_mins = res.sv[:, -1].tolist()
     violated_eig = []
     violated_rank = []
     near = []
-    sigma_mins = []
-    ident = np.eye(ad.shape[0], dtype=complex)
-    for k in range(1, k_bound + 1):
-        scale = abs(k * lam) + ad_norm
-        eig_hit = bool(np.min(np.abs(k * lam - diffs)) <= resonance_rtol * scale)
-        sv = np.linalg.svd(k * lam * ident - ad, compute_uv=False)
-        sigma = float(sv[-1])
-        sigma_mins.append(sigma)
-        rank_hit = sigma <= resonance_rtol * scale
-        if eig_hit:
+    for k, hit, sigma, scale, cutoff in zip(
+        range(1, k_bound + 1), res.resonant, sigma_mins, res.scale, res.cutoff
+    ):
+        if np.min(np.abs(k * lam - diffs)) <= cutoff:
             violated_eig.append(k)
-        if rank_hit:
+        if hit:
             violated_rank.append(k)
         elif sigma <= near_rtol * scale:
             near.append(k)
@@ -186,8 +173,8 @@ class LinearizationOutcome:
         return {
             "status": self.status,
             "obstructed_at": self.obstructed_at,
-            "b0": _m2n(self.b0),
-            "m_coefficients": [_m2n(c) for c in self.m.coeffs],
+            "b0": as_pairs(self.b0),
+            "m_coefficients": as_pairs(self.m.coeffs),
             "radius_estimate": self.radius_estimate,
             "diagnostics": self.diagnostics,
             "violated_k": list(self.violated_k),
@@ -250,9 +237,7 @@ def linearize(
     obstructed_at: Optional[int] = None
     inv_norms = []
     for k in range(1, order + 1):
-        rhs = np.zeros((n, n), dtype=complex)
-        for l in range(k):
-            rhs += m_coeffs[l] @ b.coeffs[k - l]
+        rhs = np.matmul(m_coeffs[:k], b.coeffs[k:0:-1]).sum(axis=0)
         out = sylvester_resolve(
             k, lam, b0, rhs, tol=sylvester_tol, resonance_rtol=resonance_rtol
         )
@@ -483,15 +468,11 @@ def sharpness_witness(
     if k < 1:
         raise ValueError("order k must be a positive integer")
     b = as_matrix(b0)
-    lam = complex(lam)
-    ad = ad_matrix(b)
+    res = _resolvent(k, lam, b, resonance_rtol)
+    if not res.resonant:
+        raise NotResonantError(f"k*lam = {k * complex(lam)} is not in the spectrum of ad_B0")
     n = b.shape[0]
-    lhs = k * lam * np.eye(n * n, dtype=complex) - ad
-    scale = abs(k * lam) + float(np.linalg.norm(ad, 2))
-    u, sv, _vh = np.linalg.svd(lhs)
-    if sv[-1] > resonance_rtol * max(scale, 1e-300):
-        raise NotResonantError(f"k*lam = {k * lam} is not in the spectrum of ad_B0")
-    a = unvec(u[:, -1], n)
+    a = unvec(res.u[:, -1], n)
     num = np.zeros((k + 1, n, n), dtype=complex)
     num[0] = b
     num[k] = a

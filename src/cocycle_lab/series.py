@@ -2,19 +2,19 @@
 
 A series is a center plus coefficients ``c_0 ... c_N`` of the expansion in
 ``(z - center)``.  Arithmetic truncates to the lower operand order; matrix
-coefficients multiply in the order written (nothing here assumes
-commutativity except the exponential, see ``series_exp``).
+coefficients multiply in the order written, so nothing here assumes that
+they commute.  The coefficient-array kernels below (Horner evaluation,
+Cauchy product, Horner composition, binomial shift) are the only copies of
+those jobs in the package.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import (
-    CenterMismatchError,
-    NonzeroConstantTermError,
-    NotInvertibleError,
-)
+from .errors import CenterMismatchError, NotInvertibleError
 
 _CENTER_ATOL = 1e-12
 
@@ -24,11 +24,64 @@ def _check_centers(a, b):
         raise CenterMismatchError(f"centers differ: {a.center} vs {b.center}")
 
 
-def _coeff_mul(x, y):
-    # matrix @ matrix keeps the written order; scalar factors broadcast
-    if getattr(x, "ndim", 0) == 2 and getattr(y, "ndim", 0) == 2:
-        return x @ y
-    return x * y
+def horner(coeffs: np.ndarray, u):
+    """sum_k coeffs[k] u^k by Horner's rule.
+
+    ``u`` is a point or an ndarray of points; coefficients of shape
+    ``(N+1,) + tail`` give a result of shape ``u.shape + tail``.
+    """
+    tail = coeffs.shape[1:]
+    u = np.asarray(u, dtype=complex)
+    acc = np.full(u.shape + tail, coeffs[-1], dtype=complex)
+    u = u.reshape(u.shape + (1,) * len(tail))
+    for k in range(coeffs.shape[0] - 2, -1, -1):
+        acc = acc * u + coeffs[k]
+    return acc
+
+
+def _mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy product of coefficient arrays, truncated to the shorter one.
+
+    Each operand holds scalar ``(N+1,)`` or matrix ``(N+1, n, n)``
+    coefficients; matrix factors multiply in the written order.
+    """
+    n = min(a.shape[0], b.shape[0])
+    a, b = a[:n], b[:n]
+    if a.ndim == 3 and b.ndim == 3:
+        return np.stack([np.matmul(a[: k + 1], b[k::-1]).sum(axis=0) for k in range(n)])
+    # a scalar factor commutes: apply its lower-triangular Toeplitz matrix
+    s, other = (a, b) if a.ndim == 1 else (b, a)
+    k, l = np.indices((n, n))
+    toeplitz = np.where(l <= k, s[k - l], 0.0)
+    return (toeplitz @ other.reshape(n, -1)).reshape(other.shape)
+
+
+def _compose_coeffs(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Horner composition outer(inner) on coefficient arrays, inner[0] taken
+    as 0; ``outer`` has scalar or matrix coefficients, ``inner`` scalar."""
+    n = min(outer.shape[0], inner.shape[0])
+    t = inner[:n].copy()
+    t[0] = 0.0
+    acc = np.zeros((n,) + outer.shape[1:], dtype=complex)
+    acc[0] = outer[n - 1]
+    for k in range(n - 2, -1, -1):
+        acc = _mul_coeffs(acc, t)
+        acc[0] += outer[k]
+    return acc
+
+
+def _shift_poly(coeffs: np.ndarray, center: complex) -> np.ndarray:
+    """Coefficients of p(center + u) in powers of u (exact binomial shift);
+    the coefficients of p may be scalars or matrices."""
+    c = np.asarray(coeffs, dtype=complex)
+    d = c.shape[0]
+    out = np.zeros_like(c)
+    for j in range(d):
+        acc = np.zeros_like(c[0])
+        for k in range(d - 1, j - 1, -1):
+            acc = acc * center + math.comb(k, j) * c[k]
+        out[j] = acc
+    return out
 
 
 class _Series:
@@ -71,19 +124,14 @@ class _Series:
 
     def __mul__(self, other):
         if isinstance(other, _Series):
-            return _cauchy(self, other)
+            _check_centers(self, other)
+            out = _mul_coeffs(self.coeffs, other.coeffs)
+            return (MatrixSeries if out.ndim == 3 else ScalarSeries)(self.center, out)
         return self._wrap(self.coeffs * other)
 
     def __rmul__(self, other):
         # scalar prefactor only; series * series goes through __mul__
         return self._wrap(other * self.coeffs)
-
-    def differentiate(self):
-        if self.order == 0:
-            return self._wrap(np.zeros_like(self.coeffs))
-        powers = np.arange(1, self.order + 1)
-        shape = (-1,) + (1,) * (self.coeffs.ndim - 1)
-        return self._wrap(self.coeffs[1:] * powers.reshape(shape))
 
 
 class ScalarSeries(_Series):
@@ -105,10 +153,7 @@ class ScalarSeries(_Series):
 
     def evaluate(self, z):
         """Horner evaluation; accepts a point or an ndarray of points."""
-        u = np.asarray(z, dtype=complex) - self.center
-        acc = np.full_like(u, self.coeffs[-1])
-        for k in range(self.order - 1, -1, -1):
-            acc = acc * u + self.coeffs[k]
+        acc = horner(self.coeffs, np.asarray(z, dtype=complex) - self.center)
         return complex(acc) if acc.shape == () else acc
 
     __call__ = evaluate
@@ -126,42 +171,11 @@ class MatrixSeries(_Series):
     def dim(self) -> int:
         return self.coeffs.shape[1]
 
-    @classmethod
-    def constant(cls, matrix, order: int, center=0.0) -> "MatrixSeries":
-        m = np.asarray(matrix, dtype=complex)
-        c = np.zeros((order + 1,) + m.shape, dtype=complex)
-        c[0] = m
-        return cls(center, c)
-
     def evaluate(self, z):
         """Horner evaluation; for an array of m points returns (m, n, n)."""
-        u = np.asarray(z, dtype=complex) - self.center
-        scalar_in = u.shape == ()
-        u = np.atleast_1d(u)[:, None, None]
-        acc = np.broadcast_to(self.coeffs[-1], u.shape[:1] + self.coeffs.shape[1:]).copy()
-        for k in range(self.order - 1, -1, -1):
-            acc = acc * u + self.coeffs[k]
-        return acc[0] if scalar_in else acc
+        return horner(self.coeffs, np.asarray(z, dtype=complex) - self.center)
 
     __call__ = evaluate
-
-
-def _cauchy(a: _Series, b: _Series) -> _Series:
-    _check_centers(a, b)
-    n = min(a.order, b.order)
-    matrix = isinstance(a, MatrixSeries) or isinstance(b, MatrixSeries)
-    if matrix:
-        dim = a.dim if isinstance(a, MatrixSeries) else b.dim
-        out = np.zeros((n + 1, dim, dim), dtype=complex)
-    else:
-        out = np.zeros(n + 1, dtype=complex)
-    for k in range(n + 1):
-        acc = out[k]
-        for l in range(k + 1):
-            acc = acc + _coeff_mul(a.coeffs[l], b.coeffs[k - l])
-        out[k] = acc
-    cls = MatrixSeries if matrix else ScalarSeries
-    return cls(a.center, out)
 
 
 def compose(outer: _Series, inner: ScalarSeries) -> _Series:
@@ -176,21 +190,7 @@ def compose(outer: _Series, inner: ScalarSeries) -> _Series:
         raise CenterMismatchError(
             "inner constant term does not match the outer center"
         )
-    n = min(outer.order, inner.order)
-    shifted = inner.coeffs[: n + 1].copy()
-    shifted[0] = 0.0
-    t = ScalarSeries(inner.center, shifted)
-
-    matrix = isinstance(outer, MatrixSeries)
-    if matrix:
-        acc = MatrixSeries.constant(outer.coeffs[n], n, center=inner.center)
-    else:
-        c = np.zeros(n + 1, dtype=complex)
-        c[0] = outer.coeffs[n]
-        acc = ScalarSeries(inner.center, c)
-    for k in range(n - 1, -1, -1):
-        acc = acc * t + outer.coeffs[k]
-    return acc
+    return type(outer)(inner.center, _compose_coeffs(outer.coeffs, inner.coeffs))
 
 
 def _recip_coeffs(c: np.ndarray) -> np.ndarray:
@@ -208,22 +208,24 @@ def reciprocal(s: ScalarSeries) -> ScalarSeries:
     return ScalarSeries(s.center, _recip_coeffs(s.coeffs))
 
 
-def _compose_coeffs(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Offset-coefficient composition (inner[0] assumed 0)."""
-    n = min(outer.shape[0], inner.shape[0]) - 1
-    t = inner[: n + 1].copy()
-    t[0] = 0.0
-    acc = np.zeros(n + 1, dtype=complex)
-    acc[0] = outer[n]
-    for k in range(n - 1, -1, -1):
-        prod = np.zeros(n + 1, dtype=complex)
-        for i in range(n + 1):
-            if acc[i] != 0.0:
-                top = n - i + 1
-                prod[i:] += acc[i] * t[:top]
-        prod[0] += outer[k]
-        acc = prod
-    return acc
+def _rational_taylor(num: np.ndarray, den: np.ndarray, center: complex, order: int) -> _Series:
+    """Taylor series of num(z) / den(z) about ``center`` from ascending
+    polynomial coefficients: ``num`` scalar or matrix, ``den`` scalar.
+
+    Raises ZeroDivisionError when the denominator vanishes at the center.
+    """
+    den_c = _shift_poly(den, center)
+    if abs(den_c[0]) < 1e-14 * max(1.0, float(np.max(np.abs(den)))):
+        raise ZeroDivisionError("denominator vanishes at the expansion center")
+
+    def padded(c):
+        out = np.zeros((order + 1,) + c.shape[1:], dtype=complex)
+        out[: c.shape[0]] = c[: order + 1]
+        return out
+
+    num_c = padded(_shift_poly(num, center))
+    num_s = (MatrixSeries if num_c.ndim == 3 else ScalarSeries)(center, num_c)
+    return num_s * reciprocal(ScalarSeries(center, padded(den_c)))
 
 
 def revert(s: ScalarSeries, *, tol: float = 1e-12) -> ScalarSeries:
@@ -253,42 +255,3 @@ def revert(s: ScalarSeries, *, tol: float = 1e-12) -> ScalarSeries:
         g = g - _mul_coeffs(err, _recip_coeffs(slope))
     g[0] = s.center
     return ScalarSeries(0.0, g)
-
-
-def _mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = min(a.shape[0], b.shape[0])
-    out = np.zeros(n, dtype=complex)
-    for k in range(n):
-        out[k] = np.dot(a[: k + 1], b[k::-1])
-    return out
-
-
-def series_exp(s: _Series) -> _Series:
-    """Exponential of a series with vanishing constant term.
-
-    Uses the derivative recurrence k E_k = sum_j j s_j E_{k-j}, which is the
-    exact Taylor recursion in the scalar case and remains valid for matrix
-    coefficients that commute; the linearization pipeline only ever calls it
-    in those situations.
-    """
-    c0 = s.coeffs[0]
-    size = float(np.max(np.abs(c0))) if getattr(c0, "ndim", 0) else abs(c0)
-    if size > 1e-12 * max(1.0, float(np.max(np.abs(s.coeffs)))):
-        raise NonzeroConstantTermError("series_exp needs a zero constant term")
-    n = s.order
-    out = np.zeros_like(s.coeffs)
-    if isinstance(s, MatrixSeries):
-        out[0] = np.eye(s.dim, dtype=complex)
-    else:
-        out[0] = 1.0
-    for k in range(1, n + 1):
-        acc = np.zeros_like(out[0])
-        for j in range(1, k + 1):
-            acc = acc + j * _coeff_mul(s.coeffs[j], out[k - j])
-        out[k] = acc / k
-    return s._wrap(out)
-
-
-def evaluate(s: _Series, z):
-    """Module-level alias for Horner evaluation."""
-    return s.evaluate(z)

@@ -115,6 +115,16 @@ class TestNorms:
         assert log_norm(np.zeros((2, 2), dtype=complex)) == pytest.approx(0.0)
         assert log_norm(np.diag([1.0, 2.0]).astype(complex)) == pytest.approx(2.0)
 
+    def test_log_norm_of_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        values = log_norm(stack)
+        assert values.shape == (5,)
+        assert values.tolist() == [log_norm(m) for m in stack]
+        stack[2, 0, 1] = np.inf
+        with pytest.raises(ValueError):
+            log_norm(stack)
+
     def test_log_norm_is_difference_quotient_limit(self):
         # Richardson extrapolation of (||I + t a|| - 1)/t toward t -> 0+
         for _ in range(10):

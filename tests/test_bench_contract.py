@@ -1,0 +1,78 @@
+"""The names the benchmark in perfbench/ wraps from outside the library.
+
+Its traced run replaces public functions at every module binding and the
+series methods on their classes; its counting run swaps the CLI's generator
+and map classes.  A refactor that drops or moves one of those names breaks
+the benchmark, so these checks fail first.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import counting  # noqa: E402
+import spans  # noqa: E402
+
+from cocycle_lab import cli, series  # noqa: E402
+from cocycle_lab.cocycle import CocycleGenerator, growth_report  # noqa: E402
+from cocycle_lab.dynamics import RationalMap, build_model  # noqa: E402
+from cocycle_lab.linearize import linearize  # noqa: E402
+
+
+def test_every_traced_name_is_bound_and_restored():
+    before = {cls: dict(vars(cls)) for _, cls, _ in spans.METHOD_SPANS}
+    patches = spans.install(spans.Recorder(counting.Counters()))
+    patches.undo()
+    for cls, attrs in before.items():
+        assert dict(vars(cls)) == attrs
+
+
+def test_series_methods_live_on_their_classes():
+    assert "__mul__" in vars(series._Series)
+    for cls in (series.ScalarSeries, series.MatrixSeries):
+        assert {"evaluate", "__call__"} <= set(vars(cls))
+
+
+def test_traced_calls_per_layer():
+    counters = counting.Counters()
+    recorder = spans.Recorder(counters)
+    model = build_model(RationalMap([0.0, -1.0, 0.5]), order=8)
+    num = np.array([np.diag([0.3, 0.1]), [[0.0, 1.0], [0.2, 0.0]]], dtype=complex)
+    B = counting.wrap_generator(CocycleGenerator(num), counters)
+    with spans.recording(recorder, "contract"):
+        counters.active = True
+        linearize(model, B, order=6)
+        counters.active = False
+        growth_report(model, B, 0.3, t_values=(0.25,), sample_nodes=4)
+    calls = recorder.summary()["calls"]
+    # one resolvent solve per order, and B expanded once (one Taylor point)
+    assert calls["algebra.sylvester_resolve"] == 6
+    assert (counters.b_calls, counters.b_points) == (0, 1)
+    assert calls["algebra.log_norm"] >= 1
+
+
+def test_cli_looks_up_its_constructors_per_call(tmp_path, monkeypatch, capsys):
+    counters = counting.Counters()
+    monkeypatch.setattr(cli, "CocycleGenerator", counters.generator_cls)
+    monkeypatch.setattr(cli, "RationalMap", counters.map_cls)
+    scenario = {
+        "semigroup": {"f_num": [0, -1]},
+        "generator": {"dim": 1, "num_coeffs": [[[0.5]]]},
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scenario))
+    counters.active = True
+    assert cli.main(["spectrum", "--scenario", str(path)]) == 0
+    assert counters.b_calls >= 1 and counters.f_points >= 1
+
+    def missing(name):
+        raise KeyError(name)
+
+    monkeypatch.setattr(cli, "demo_by_name", missing)
+    assert cli.main(["demo", "jordan-obstruction"]) == 2
+    capsys.readouterr()
+

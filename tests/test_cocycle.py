@@ -267,11 +267,3 @@ def test_chain_rule_of_evolve_output():
     fs = LINEAR_MODEL.flow(s, z)
     g_t = evolve(LINEAR_MODEL, gen, t, fs, tol=1e-12)
     assert operator_norm(g_sum - g_t @ g_s) <= 1e-10
-
-
-def test_threaded_grid_matches_serial(monkeypatch):
-    rep1 = growth_report(LINEAR_MODEL, SCALAR.generator, 0.5, gamma=SCALAR.oracle)
-    monkeypatch.setenv("COCYCLE_LAB_THREADS", "4")
-    rep4 = growth_report(LINEAR_MODEL, SCALAR.generator, 0.5, gamma=SCALAR.oracle)
-    assert rep1.k_mu == rep4.k_mu
-    assert rep1.samples == rep4.samples

@@ -204,3 +204,46 @@ class TestCli:
         assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert len(report["samples"]) == 6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["linearize", "--scenario", "SCN", "--order", "0"],
+            ["demo", "jordan-obstruction", "--order", "0"],
+        ],
+    )
+    def test_order_zero_is_input_error(self, scenario_path, capsys, argv):
+        argv = [scenario_path if a == "SCN" else a for a in argv]
+        assert main(argv) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_check_tol_zero_is_honoured(self, scenario_path, capsys):
+        # the chain residual is tiny but not 0, so a zero tolerance fails
+        assert main(["check", "--scenario", scenario_path, "--tol", "0"]) == 1
+        assert json.loads(capsys.readouterr().out)["tol"] == 0.0
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("semigroup", "f_num", [[0, 0], [float("nan"), 0]], "non-finite"),
+            ("grid", "t_values", [0.5, float("inf")], "non-finite"),
+            ("tolerances", "ode", float("nan"), "non-finite"),
+            ("grid", "t_values", [0.5, -1.0], "non-negative"),
+            (None, "truncation_order", 0, "positive"),
+        ],
+    )
+    def test_bad_number_or_time_is_input_error(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        data = json.loads(json.dumps(JORDAN_SCENARIO))
+        (data[section] if section else data)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["evolve", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+    def test_growth_disk_outside_unit_disk_is_input_error(self, scenario_path, capsys):
+        assert main(["growth", "--scenario", scenario_path, "--radius", "2"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: OutOfDomainError: disk is not contained in the unit disk"]

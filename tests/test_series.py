@@ -1,22 +1,15 @@
 """Truncated power-series algebra tests."""
 
-import math
-
 import numpy as np
 import pytest
 
-from cocycle_lab.errors import (
-    CenterMismatchError,
-    NonzeroConstantTermError,
-    NotInvertibleError,
-)
+from cocycle_lab.errors import CenterMismatchError, NotInvertibleError
 from cocycle_lab.series import (
     MatrixSeries,
     ScalarSeries,
     compose,
     reciprocal,
     revert,
-    series_exp,
 )
 
 RNG = np.random.default_rng(77)
@@ -72,6 +65,37 @@ class TestArithmetic:
             _ = a + b
         with pytest.raises(CenterMismatchError):
             _ = a * b
+
+
+def random_series(kind, order, rng):
+    """Random series with scalar or non-commuting 3x3 coefficients."""
+    shape = (order + 1,) if kind == "scalar" else (order + 1, 3, 3)
+    return (ScalarSeries if kind == "scalar" else MatrixSeries)(
+        0.0, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    )
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [("scalar", "scalar"), ("scalar", "matrix"), ("matrix", "scalar"), ("matrix", "matrix")],
+)
+def test_product_matches_double_loop(left, right):
+    rng = np.random.default_rng(5)
+    a = random_series(left, 6, rng)
+    b = random_series(right, 5, rng)
+    prod = a * b
+    assert prod.order == 5
+    for k in range(6):
+        ref = sum(
+            a.coeffs[l] @ b.coeffs[k - l]
+            if left == right == "matrix"
+            else a.coeffs[l] * b.coeffs[k - l]
+            for l in range(k + 1)
+        )
+        assert np.allclose(prod.coeffs[k], ref, rtol=0, atol=1e-12)
+    if left == right == "matrix":
+        # the coefficients do not commute, so the written order matters
+        assert not np.allclose((b * a).coeffs[1], prod.coeffs[1])
 
 
 class TestCompose:
@@ -132,35 +156,6 @@ class TestRevert:
             assert np.max(np.abs(ident.coeffs - target)) <= 1e-10
 
 
-class TestExp:
-    def test_zero(self):
-        out = series_exp(ScalarSeries(0.0, np.zeros(5)))
-        assert np.allclose(out.coeffs, [1, 0, 0, 0, 0])
-
-    def test_plain_exponential(self):
-        out = series_exp(ScalarSeries.identity(6))
-        expected = [1.0 / math.factorial(k) for k in range(7)]
-        assert np.allclose(out.coeffs, expected)
-
-    def test_hand_expansion(self):
-        out = series_exp(ScalarSeries(0.0, [0, 1, 1, 0]))
-        assert np.allclose(out.coeffs, [1.0, 1.0, 1.5, 7.0 / 6.0])
-
-    def test_rejects_constant_term(self):
-        with pytest.raises(NonzeroConstantTermError):
-            series_exp(ScalarSeries(0.0, [0.5, 1]))
-
-    def test_exp_times_exp_of_negative(self):
-        for _ in range(10):
-            c = RNG.standard_normal(9) + 1j * RNG.standard_normal(9)
-            c[0] = 0.0
-            s = ScalarSeries(0.0, c)
-            prod = series_exp(s) * series_exp(-s)
-            target = np.zeros(9)
-            target[0] = 1.0
-            assert np.max(np.abs(prod.coeffs - target)) <= 1e-10
-
-
 class TestEvaluate:
     def test_polynomial(self):
         s = ScalarSeries(0.0, [1, 1, 1])
@@ -206,8 +201,3 @@ def test_reciprocal_inverts():
     target = np.zeros(8)
     target[0] = 1.0
     assert np.max(np.abs(prod.coeffs - target)) <= 1e-10
-
-
-def test_differentiate():
-    s = ScalarSeries(0.0, [1, 2, 3, 4])
-    assert np.allclose(s.differentiate().coeffs, [2, 6, 12])
