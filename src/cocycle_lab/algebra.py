@@ -47,11 +47,11 @@ def identity_like(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
 
 
-def mat_inv(a, rtol: float = SINGULARITY_RTOL) -> np.ndarray:
+def mat_inv(a) -> np.ndarray:
     """Inverse of ``a``; raises SingularMatrixError near rank deficiency."""
     m = as_matrix(a)
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= rtol * max(sv[0], 1e-300):
+    if sv[-1] <= SINGULARITY_RTOL * max(sv[0], 1e-300):
         raise SingularMatrixError(
             f"smallest singular value {sv[-1]:.3e} below threshold"
         )

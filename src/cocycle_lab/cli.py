@@ -7,9 +7,10 @@ runs the series pipeline, ``spectrum`` reports the resonance condition,
 ``extract`` recovers the generator from sampled evolution data, and
 ``demo`` reproduces a packaged worked example against its expectations.
 
-Scenario files are JSON; complex numbers are ``[re, im]`` pairs and
-matrices are row-major nested arrays.  Exit status: 0 on success, 1 when a
-verification check fails, 2 on input errors.
+Each subcommand accepts only the flags it reads; argparse refuses any
+other flag with exit status 2.  Scenario files are JSON; complex numbers are
+``[re, im]`` pairs and matrices are row-major nested arrays.  Exit status: 0
+on success, 1 when a verification check fails, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -43,10 +44,8 @@ from .linearize import (
     reconstruct_error,
 )
 
-
-def _default(value, default):
-    """An option's value, or ``default`` when it was not given (0 is a value)."""
-    return default if value is None else value
+#: ODE tolerance of scenario files that set none, and of every demo run
+ODE_TOL = 1e-11
 
 
 def _as_real(value) -> float:
@@ -111,7 +110,7 @@ class Scenario:
                 angles = 2.0 * np.pi * np.arange(nodes) / nodes
                 self.z_values = radius * np.exp(1j * angles)
             tols = data.get("tolerances", {})
-            self.ode_tol = _as_real(tols.get("ode", 1e-11))
+            self.ode_tol = _as_real(tols.get("ode", ODE_TOL))
             self.sylvester_tol = _as_real(tols.get("sylvester", 1e-10))
             self.resonance_tol = _as_real(tols.get("resonance", 1e-8))
         except ScenarioParseError:
@@ -120,10 +119,11 @@ class Scenario:
             raise ScenarioParseError(f"bad scenario field: {exc}") from exc
 
     def model(self, order=None):
+        order = self.order if order is None else order
         if self.boundary:
             return build_boundary_model(self.f)
         try:
-            return build_model(self.f, hint=self.hint, order=_default(order, self.order))
+            return build_model(self.f, hint=self.hint, order=order)
         except NoInteriorFixedPointError:
             return build_boundary_model(self.f)
 
@@ -174,14 +174,12 @@ def _cmd_evolve(scn: Scenario, args) -> tuple[dict, int]:
 def _cmd_check(scn: Scenario, args) -> tuple[dict, int]:
     model = scn.model()
     gamma = make_evolve_oracle(model, scn.generator, tol=scn.ode_tol)
-    report = check_axioms(
-        model, gamma, scn.t_values, scn.z_values, tol=_default(args.tol, 1e-7)
-    )
+    report = check_axioms(model, gamma, scn.t_values, scn.z_values, tol=args.tol)
     return {"command": "check", **report.as_dict()}, 0 if report.passed else 1
 
 
 def _cmd_linearize(scn: Scenario, args) -> tuple[dict, int]:
-    order = _default(args.order, scn.order)
+    order = scn.order if args.order is None else args.order
     model = scn.model(order=order)
     outcome = run_linearize(
         model,
@@ -206,23 +204,19 @@ def _cmd_spectrum(scn: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_growth(scn: Scenario, args) -> tuple[dict, int]:
     model = scn.model()
-    radius = _default(args.radius, 0.5)
-    tmax = _default(args.tmax, 3.0)
-    ts = [t for t in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0) if t <= tmax] or [tmax]
+    ts = [t for t in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0) if t <= args.tmax] or [args.tmax]
     report = growth_report(
-        model, scn.generator, radius, t_values=ts, ode_tol=scn.ode_tol
+        model, scn.generator, args.radius, t_values=ts, ode_tol=scn.ode_tol
     )
     if args.csv:
         report.write_csv(args.csv)
-    tol = _default(args.tol, 1e-9)
-    status = 0 if report.max_violation <= tol else 1
+    status = 0 if report.max_violation <= args.tol else 1
     return {"command": "growth", **report.as_dict()}, status
 
 
 def _cmd_extract(scn: Scenario, args) -> tuple[dict, int]:
     model = scn.model()
     gamma = make_evolve_oracle(model, scn.generator, tol=scn.ode_tol)
-    tol = _default(args.tol, 1e-6)
     rows = []
     worst = 0.0
     for z in scn.z_values:
@@ -237,11 +231,11 @@ def _cmd_extract(scn: Scenario, args) -> tuple[dict, int]:
                 "error_vs_scenario": err,
             }
         )
-    status = 0 if worst <= tol else 1
+    status = 0 if worst <= args.tol else 1
     return {"command": "extract", "points": rows, "max_error": worst}, status
 
 
-def run_demo(name: str, *, order: int = 24, ode_tol: float = 1e-11) -> tuple[dict, bool]:
+def run_demo(name: str, *, order: int = 24) -> tuple[dict, bool]:
     """Run one packaged demo end-to-end against its expectations.
 
     Returns the report dict and an overall pass flag.  Shared checks: the
@@ -259,7 +253,7 @@ def run_demo(name: str, *, order: int = 24, ode_tol: float = 1e-11) -> tuple[dic
     ts = list(entry.sample_t)
     zs = np.asarray(entry.sample_z, dtype=complex)
     if entry.oracle is not None:
-        vals = evolve_grid(model, entry.generator, ts, zs, tol=ode_tol)
+        vals = evolve_grid(model, entry.generator, ts, zs, tol=ODE_TOL)
         err = max(
             operator_norm(vals[i, j] - entry.oracle(t, complex(z)))
             for i, t in enumerate(ts)
@@ -277,7 +271,7 @@ def run_demo(name: str, *, order: int = 24, ode_tol: float = 1e-11) -> tuple[dic
             entry.generator,
             exp["k_mu"]["radius"],
             gamma=entry.oracle,
-            ode_tol=ode_tol,
+            ode_tol=ODE_TOL,
         )
         ok = (
             abs(rep.k_mu - exp["k_mu"]["value"]) <= 1e-6
@@ -296,7 +290,7 @@ def run_demo(name: str, *, order: int = 24, ode_tol: float = 1e-11) -> tuple[dic
             r,
             t_values=(0.5, 1.0),
             gamma=entry.oracle,
-            ode_tol=ode_tol,
+            ode_tol=ODE_TOL,
         )
         record(
             "k_mu_divergence",
@@ -376,7 +370,33 @@ def run_demo(name: str, *, order: int = 24, ode_tol: float = 1e-11) -> tuple[dic
     return report, passed
 
 
+#: type and help of each optional flag
+_FLAGS = {
+    "--csv": (str, "write CSV samples here"),
+    "--order": (int, "truncation order"),
+    "--tol": (float, "verification tolerance"),
+    "--radius": (float, "disk radius"),
+    "--tmax": (float, "largest sample time"),
+}
+
+#: subcommand -> handler, help, and the optional flags it reads with their
+#: defaults (a default of None for --order means the scenario's order)
+_COMMANDS = {
+    "evolve": (_cmd_evolve, "integrate the evolution problem on the scenario grid",
+               {"--csv": None}),
+    "check": (_cmd_check, "verify the semicocycle axioms on the scenario grid",
+              {"--tol": 1e-7}),
+    "linearize": (_cmd_linearize, "run the series linearization pipeline", {"--order": None}),
+    "spectrum": (_cmd_spectrum, "report the resonance condition for B(z0)", {}),
+    "growth": (_cmd_growth, "logarithmic-norm growth report on a disk",
+               {"--csv": None, "--radius": 0.5, "--tmax": 3.0, "--tol": 1e-9}),
+    "extract": (_cmd_extract, "recover the generator from evolution samples",
+                {"--tol": 1e-6}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One sub-parser per subcommand, declaring only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="cocycle-lab",
         description="Construct, verify, and linearize matrix-valued "
@@ -384,46 +404,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario_required=True):
-        if scenario_required:
-            p.add_argument("--scenario", required=True, help="scenario JSON path")
+    def add_flags(p, flags):
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--csv", default=None, help="write CSV samples here")
-        p.add_argument("--order", type=int, default=None, help="truncation order")
-        p.add_argument("--tol", type=float, default=None, help="verification tolerance")
-        p.add_argument("--radius", type=float, default=None, help="disk radius")
-        p.add_argument("--tmax", type=float, default=None, help="largest sample time")
+        for flag, default in flags.items():
+            kind, text = _FLAGS[flag]
+            suffix = "" if default is None else " (default %(default)s)"
+            p.add_argument(flag, type=kind, default=default, help=text + suffix)
 
-    for name, help_text in (
-        ("evolve", "integrate the evolution problem on the scenario grid"),
-        ("check", "verify the semicocycle axioms on the scenario grid"),
-        ("linearize", "run the series linearization pipeline"),
-        ("spectrum", "report the resonance condition for B(z0)"),
-        ("growth", "logarithmic-norm growth report on a disk"),
-        ("extract", "recover the generator from evolution samples"),
-    ):
-        add_common(sub.add_parser(name, help=help_text))
+    for name, (_handler, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--scenario", required=True, help="scenario JSON path")
+        add_flags(p, flags)
 
     demo = sub.add_parser("demo", help="reproduce a packaged worked example")
     demo.add_argument("name", nargs="?", default=None, help="demo name")
     demo.add_argument("--list", action="store_true", help="list demo names")
-    add_common(demo, scenario_required=False)
+    add_flags(demo, {"--order": 24})
     return parser
-
-
-_COMMANDS = {
-    "evolve": _cmd_evolve,
-    "check": _cmd_check,
-    "linearize": _cmd_linearize,
-    "spectrum": _cmd_spectrum,
-    "growth": _cmd_growth,
-    "extract": _cmd_extract,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.order is not None and args.order < 1:
+    if getattr(args, "order", None) is not None and args.order < 1:
         print("error: --order must be a positive integer", file=sys.stderr)
         return 2
     try:
@@ -439,16 +441,14 @@ def main(argv=None) -> int:
                 _emit(report, args.out)
                 return 0
             try:
-                report, passed = run_demo(
-                    args.name, order=_default(args.order, 24)
-                )
+                report, passed = run_demo(args.name, order=args.order)
             except KeyError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             _emit(report, args.out)
             return 0 if passed else 1
         scn = _load_scenario(args.scenario)
-        report, status = _COMMANDS[args.command](scn, args)
+        report, status = _COMMANDS[args.command][0](scn, args)
         _emit(report, args.out)
         return status
     except ScenarioParseError as exc:

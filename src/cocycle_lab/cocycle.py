@@ -24,9 +24,10 @@ import numpy as np
 
 from . import integrate as _int
 from .algebra import as_matrix, as_pairs, identity_like, log_norm, mat_inv, operator_norm
-from .dynamics import RationalMap, SemigroupModel
+from .dynamics import BOUNDARY_MARGIN, RationalMap, SemigroupModel
 from .errors import (
     DomainEscapeError,
+    NoInteriorFixedPointError,
     NotInvariantError,
     OutOfDomainError,
     SamplePointIsFixedPointError,
@@ -34,11 +35,19 @@ from .errors import (
 )
 from .series import MatrixSeries, _rational_taylor, horner
 
+#: angles of the 64 trapezoid nodes on the small circle of every
+#: Cauchy-integral derivative
+_CAUCHY_THETAS = 2.0 * np.pi * np.arange(64) / 64
+
 
 @dataclass
 class CocycleGenerator:
     """Matrix-valued rational map z -> P(z) / q(z) with square matrix
-    polynomial coefficients ``num[k]`` and scalar denominator ``den``."""
+    polynomial coefficients ``num[k]`` and scalar denominator ``den``.
+
+    The generator must be holomorphic in the open unit disk, so a root of
+    ``den`` there is refused; roots on the unit circle are allowed.
+    """
 
     num: np.ndarray
     den: np.ndarray = field(default_factory=lambda: np.array([1.0 + 0.0j]))
@@ -52,6 +61,10 @@ class CocycleGenerator:
         self.den = np.atleast_1d(np.asarray(self.den, dtype=complex))
         if not np.any(np.abs(self.den) > 0):
             raise ValueError("denominator is identically zero")
+        poles = np.roots(self.den[::-1])
+        inside = poles[np.abs(poles) < 1.0 - BOUNDARY_MARGIN]
+        if inside.size:
+            raise ValueError(f"generator has a pole inside the unit disk at {inside[0]:.6g}")
 
     @property
     def dim(self) -> int:
@@ -83,15 +96,15 @@ def _generator_dim(B, probe: complex) -> int:
 
 
 def _generator_batch(B, u: np.ndarray, n: int) -> np.ndarray:
-    """Evaluate a generator on a batch of points, tolerating scalar-only
-    callables."""
-    try:
-        out = np.asarray(B(u), dtype=complex)
-        if out.shape == (u.shape[0], n, n):
-            return out
-    except Exception:
-        pass
-    return np.stack([as_matrix(B(complex(p))) for p in u])
+    """B at every point of ``u`` in one call; B must map m points to an
+    array of shape (m, n, n)."""
+    out = np.asarray(B(u), dtype=complex)
+    if out.shape != (u.shape[0], n, n):
+        raise ValueError(
+            f"generator returned shape {out.shape} for {u.shape[0]} points, "
+            f"expected {(u.shape[0], n, n)}"
+        )
+    return out
 
 
 def evolve_grid(
@@ -104,7 +117,9 @@ def evolve_grid(
     """Gamma_t(z) for every t in ``t_values`` and z in ``z_values``.
 
     One adaptive integration carries all the z-points simultaneously;
-    returns an array of shape (len(t_values), len(z_values), n, n).
+    returns an array of shape (len(t_values), len(z_values), n, n).  ``B``
+    is called on the whole batch at once: given an array of m points it
+    must return an array of shape (m, n, n), else ValueError is raised.
     """
     zs = np.asarray(list(z_values), dtype=complex)
     ts = [float(t) for t in t_values]
@@ -192,8 +207,6 @@ def check_axioms(
     t_values: Sequence[float],
     z_values: Sequence[complex],
     tol: float = 1e-7,
-    *,
-    flow_tol: float = 1e-12,
 ) -> AxiomCheckReport:
     """Verify the chain rule, the identity at t = 0, and invertibility on a
     sample grid.  ``gamma`` is any (t, z) -> matrix evaluator (closed form or
@@ -211,7 +224,7 @@ def check_axioms(
     chain = 0.0
     for s in ts:
         gs = gamma_grid(gamma, [s], zs)[0]
-        fs = np.atleast_1d(model.flow(s, zs, tol=flow_tol))
+        fs = np.atleast_1d(model.flow(s, zs))
         at_fs = gamma_grid(gamma, ts, fs)
         at_sums = gamma_grid(gamma, [t + s for t in ts], zs)
         for i, _t in enumerate(ts):
@@ -223,9 +236,10 @@ def check_axioms(
     return AxiomCheckReport(chain, identity_residual, min_sv, tol)
 
 
-def _cauchy_derivative(values: np.ndarray, radius: float, thetas: np.ndarray):
-    """First derivative at the circle center from boundary samples."""
-    weights = np.exp(-1j * thetas) / (radius * thetas.shape[0])
+def _cauchy_derivative(values: np.ndarray, radius: float):
+    """First derivative at the circle center from samples at the
+    ``_CAUCHY_THETAS`` nodes."""
+    weights = np.exp(-1j * _CAUCHY_THETAS) / (radius * _CAUCHY_THETAS.shape[0])
     return np.tensordot(weights, values, axes=(0, 0))
 
 
@@ -236,32 +250,27 @@ def spatial_derivative_check(
     z: complex,
     *,
     gamma=None,
-    nodes: int = 64,
-    ode_tol: float = 1e-11,
-    fixed_point_tol: float = 1e-8,
 ) -> float:
     """Residual of the identity f(z) Gamma_t'(z) = B(F_t z) Gamma_t(z)
     - Gamma_t(z) B(z).
 
     The z-derivative is computed by a Cauchy integral over a small circle
-    (trapezoid rule is spectrally accurate for holomorphic data).
+    (trapezoid rule is spectrally accurate for holomorphic data).  Raises
+    SamplePointIsFixedPointError when |f(z)| < 1e-8.
     """
     f = model.f
     fz = complex(f(z))
-    if abs(fz) < fixed_point_tol:
+    if abs(fz) < 1e-8:
         raise SamplePointIsFixedPointError(f"|f(z)| = {abs(fz):.2e} at z = {z}")
     if gamma is None:
-        gamma = make_evolve_oracle(model, B, tol=ode_tol)
+        gamma = make_evolve_oracle(model, B)
     radius = 0.1 * (1.0 - abs(z))
-    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
-    ring = z + radius * np.exp(1j * thetas)
+    ring = z + radius * np.exp(1j * _CAUCHY_THETAS)
     vals = gamma_grid(gamma, [t], np.concatenate([[z], ring]))[0]
     g_z = vals[0]
-    g_prime = _cauchy_derivative(vals[1:], radius, thetas)
+    g_prime = _cauchy_derivative(vals[1:], radius)
     n = g_z.shape[0]
-    ftz = complex(model.flow(t, z))
-    b_ftz = _generator_batch(B, np.array([ftz]), n)[0]
-    b_z = _generator_batch(B, np.array([complex(z)]), n)[0]
+    b_ftz, b_z = _generator_batch(B, np.array([model.flow(t, z), z], dtype=complex), n)
     return operator_norm(fz * g_prime - b_ftz @ g_z + g_z @ b_z)
 
 
@@ -270,10 +279,6 @@ def extract_generator(
     f: RationalMap,
     z: complex,
     t0: float = 0.1,
-    *,
-    quad_tol: float = 1e-10,
-    nodes: int = 64,
-    sv_rtol: float = 1e-8,
 ) -> np.ndarray:
     """Recover B(z) from samples of a semicocycle.
 
@@ -281,15 +286,16 @@ def extract_generator(
 
         B(z) = V^{-1} [Gamma_{t0}(z) - I - f(z) dV/dz],
 
-    with V by refined composite Simpson quadrature and dV/dz by a Cauchy
-    integral.  Raises VNotInvertibleError when V is numerically singular;
-    callers retry with a smaller t0 (see ``extract_generator_auto``).
+    with V by composite Simpson quadrature, refined from 16 to at most 256
+    intervals until two rounds agree to 1e-10 relative (the last round is
+    kept if they never do), and dV/dz by a Cauchy integral.  Raises
+    VNotInvertibleError when V is numerically singular; callers retry with
+    a smaller t0 (see ``extract_generator_auto``).
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     radius = 0.1 * (1.0 - abs(z))
-    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
-    points = np.concatenate([[complex(z)], z + radius * np.exp(1j * thetas)])
+    points = np.concatenate([[complex(z)], z + radius * np.exp(1j * _CAUCHY_THETAS)])
 
     prev = None
     v_vals = None
@@ -297,7 +303,7 @@ def extract_generator(
     m = 16
     while m <= 256:
         s_nodes = np.linspace(0.0, t0, m + 1)
-        vals = gamma_grid(gamma, s_nodes, points)  # (m+1, nodes+1, n, n)
+        vals = gamma_grid(gamma, s_nodes, points)  # (m+1, 65, n, n)
         h = t0 / m
         weights = np.full(m + 1, 2.0)
         weights[1::2] = 4.0
@@ -306,7 +312,7 @@ def extract_generator(
         gamma_t0 = vals[-1, 0]
         if prev is not None:
             delta = float(np.max(np.abs(v_vals - prev)))
-            if delta <= quad_tol * max(1.0, float(np.max(np.abs(v_vals)))):
+            if delta <= 1e-10 * max(1.0, float(np.max(np.abs(v_vals)))):
                 break
         prev = v_vals
         m *= 2
@@ -314,19 +320,19 @@ def extract_generator(
     v_z = v_vals[0]
     sv = np.linalg.svd(v_z, compute_uv=False)
     # V ~ t0 * I for small t0, so t0 is the natural singularity scale
-    if sv[-1] <= sv_rtol * max(sv[0], t0):
+    if sv[-1] <= 1e-8 * max(sv[0], t0):
         raise VNotInvertibleError(f"V(t0={t0}, z={z}) is numerically singular")
-    dv = _cauchy_derivative(v_vals[1:], radius, thetas)
+    dv = _cauchy_derivative(v_vals[1:], radius)
     n = v_z.shape[0]
     return mat_inv(v_z) @ (gamma_t0 - identity_like(n) - complex(f(z)) * dv)
 
 
-def extract_generator_auto(gamma, f, z, t0: float = 0.1, retries: int = 6, **kw):
-    """extract_generator with the halving-t0 retry policy."""
+def extract_generator_auto(gamma, f, z, t0: float = 0.1):
+    """extract_generator with the halving-t0 retry policy (six tries)."""
     last = None
-    for _ in range(retries):
+    for _ in range(6):
         try:
-            return extract_generator(gamma, f, z, t0, **kw)
+            return extract_generator(gamma, f, z, t0)
         except VNotInvertibleError as exc:
             last = exc
             t0 /= 2.0
@@ -382,23 +388,22 @@ def growth_report(
     *,
     K: Optional[float] = None,
     t_values: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 3.0),
-    boundary_nodes: int = 256,
     sample_nodes: int = 16,
     gamma=None,
     ode_tol: float = 1e-10,
-    invariance_margin: float = 1e-7,
 ) -> GrowthReport:
     """Logarithmic-norm growth bound on the disk |z - z0| <= r.
 
-    Checks forward invariance on sampled trajectories (NotInvariantError on
-    failure), computes k_mu = sup of log_norm(B) over the boundary circle,
-    and records any excess of sampled ||Gamma_t(z)|| over exp(K t) with
-    K = ``K`` or k_mu.
+    Checks forward invariance on sampled trajectories (NotInvariantError when
+    one leaves the disk by more than 1e-7), computes k_mu = sup of
+    log_norm(B) over 256 points of the boundary circle, and records any
+    excess of sampled ||Gamma_t(z)|| over exp(K t) with K = ``K`` or k_mu
+    at ``sample_nodes`` of those points.
     """
     if not model.is_interior:
-        raise ValueError("growth_report needs an interior fixed point model")
+        raise NoInteriorFixedPointError("growth_report needs an interior fixed point model")
     z0 = model.z0
-    thetas = 2.0 * np.pi * np.arange(boundary_nodes) / boundary_nodes
+    thetas = 2.0 * np.pi * np.arange(256) / 256
     ring = z0 + r * np.exp(1j * thetas)
     if np.any(np.abs(ring) >= 1.0):
         raise OutOfDomainError("disk is not contained in the unit disk")
@@ -408,12 +413,12 @@ def growth_report(
     k_mu = float(np.max(log_norm(b_ring)))
     k_used = float(K) if K is not None else float(k_mu)
 
-    step = max(1, boundary_nodes // sample_nodes)
+    step = max(1, 256 // sample_nodes)
     sample_ring = ring[::step]
     for t in t_values:
         moved = np.atleast_1d(model.flow(float(t), sample_ring))
         drift = np.max(np.abs(moved - z0)) - r
-        if drift > invariance_margin:
+        if drift > 1e-7:
             raise NotInvariantError(
                 f"trajectory left the disk by {drift:.2e} at t = {t}"
             )
@@ -437,8 +442,8 @@ def growth_report(
 class BoundednessFit:
     """Affine fit of log sup-norms against t: log M + K t.
 
-    ``kind`` is "bounded" when the fit residual stays under the threshold,
-    else "unbounded" (super-exponential growth of the sampled suprema).
+    ``kind`` is "bounded" when the fit residual stays at or under 1, else
+    "unbounded" (super-exponential growth of the sampled suprema).
     """
 
     kind: str
@@ -465,13 +470,11 @@ def boundedness_classify(
     gamma,
     t_values: Sequence[float],
     z_points: Sequence[complex],
-    *,
-    residual_threshold: float = 1.0,
 ) -> BoundednessFit:
     """Fit sup-norm growth over ``z_points`` to M exp(K t).
 
     The points may be a boundary circle (sup over a disk, by the maximum
-    principle) or trajectory samples.  A residual above the threshold flags
+    principle) or trajectory samples.  A residual above 1 flags
     super-exponential growth.
     """
     zs = np.asarray(list(z_points), dtype=complex)
@@ -484,5 +487,5 @@ def boundedness_classify(
     design = np.stack([np.ones_like(ts), ts], axis=1)
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
     residual = float(np.max(np.abs(logs - design @ coef)))
-    kind = "bounded" if residual <= residual_threshold else "unbounded"
+    kind = "bounded" if residual <= 1.0 else "unbounded"
     return BoundednessFit(kind, float(coef[0]), float(coef[1]), residual, list(zip(ts.tolist(), sups.tolist())))

@@ -27,7 +27,8 @@ from .series import ScalarSeries, _rational_taylor, horner, revert
 #: safety factor applied to the ratio-test estimate of a series radius
 RADIUS_SAFETY = 0.8
 
-#: how close to the unit circle a "fixed point" stops counting as interior
+#: how close to the unit circle a fixed point (or a generator's pole) stops
+#: counting as interior
 BOUNDARY_MARGIN = 1e-9
 
 
@@ -100,7 +101,7 @@ class SemigroupModel:
     def is_interior(self) -> bool:
         return self.z0 is not None
 
-    def flow(self, t: float, z, *, tol: float = 1e-12):
+    def flow(self, t: float, z):
         """F_t(z); Koenigs route inside the validated region, ODE fallback.
 
         ``z`` may be a complex scalar or an ndarray of points.
@@ -119,7 +120,7 @@ class SemigroupModel:
                 if np.any(np.abs(np.asarray(out)) >= 1.0):
                     raise DomainEscapeError("flow left the unit disk")
                 return out if zs.shape else complex(out)
-        return flow_ode(self.f, t, z, tol=tol)
+        return flow_ode(self.f, t, z)
 
 
 def flow_ode(f: RationalMap, t: float, z, *, tol: float = 1e-12):

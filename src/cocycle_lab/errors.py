@@ -21,8 +21,9 @@ class NotInvertibleError(CocycleLabError):
     """Series reversion needs a nonzero linear coefficient."""
 
 
-class NoInteriorFixedPointError(CocycleLabError):
-    """Fixed-point search failed or landed on/outside the unit circle."""
+class NoInteriorFixedPointError(CocycleLabError, ValueError):
+    """Fixed-point search failed or landed on/outside the unit circle, or a
+    computation that needs an interior fixed point got a boundary model."""
 
 
 class ZeroRateError(CocycleLabError):

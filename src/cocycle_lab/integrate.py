@@ -34,6 +34,7 @@ _ERR = _B5 - np.array(
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+_MAX_STEPS = 200_000
 
 
 def _step(rhs, t, y, h):
@@ -54,7 +55,6 @@ def integrate(
     *,
     tol: float = 1e-10,
     guard: Optional[Callable[[np.ndarray], None]] = None,
-    max_steps: int = 200_000,
 ) -> np.ndarray:
     """Integrate y' = rhs(t, y) over t_span; local error per step <= tol.
 
@@ -73,7 +73,7 @@ def integrate(
     span = t1 - t0
     t = t0
     h = min(span, max(span * 1e-4, 1e-6))
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         h = min(h, t1 - t)
         y_new, err = _step(rhs, t, y, h)
         scale = tol * (1.0 + np.abs(y_new))

@@ -43,6 +43,7 @@ from .algebra import (
 from .cocycle import CocycleGenerator, _generator_batch, _generator_dim, evolve_grid
 from .dynamics import SemigroupModel
 from .errors import (
+    NoInteriorFixedPointError,
     NotResonantError,
     OutsideConvergenceRegionError,
     PoleOnPathError,
@@ -96,7 +97,6 @@ def condition_check(
     lam: complex,
     *,
     resonance_rtol: float = RESONANCE_RTOL,
-    near_rtol: float = NEAR_RESONANCE_RTOL,
 ) -> ConditionReport:
     """Test whether any k*lam (k = 1 ... k_bound) is resonant for ad_B0.
 
@@ -122,7 +122,7 @@ def condition_check(
             violated_eig.append(k)
         if hit:
             violated_rank.append(k)
-        elif sigma <= near_rtol * scale:
+        elif sigma <= NEAR_RESONANCE_RTOL * scale:
             near.append(k)
     return ConditionReport(
         lam=lam,
@@ -139,7 +139,7 @@ def condition_check(
 def conjugated_generator(model: SemigroupModel, B, order: int) -> MatrixSeries:
     """Series of b(w) = B(h^{-1}(w)) about w = 0; b_0 equals B(z0)."""
     if not model.is_interior:
-        raise ValueError("conjugation requires an interior fixed point")
+        raise NoInteriorFixedPointError("conjugation requires an interior fixed point")
     if order > model.order:
         raise ValueError(
             f"model series order {model.order} is below the requested {order}"
@@ -212,7 +212,6 @@ def linearize(
     *,
     sylvester_tol: float = 1e-10,
     resonance_rtol: float = RESONANCE_RTOL,
-    coboundary_tol: float = 1e-10,
 ) -> LinearizationOutcome:
     """Run the coefficient recursion for the transfer map m(w).
 
@@ -221,7 +220,7 @@ def linearize(
     solution (reported without a convergence certificate).
     """
     if not model.is_interior:
-        raise ValueError("series linearization requires an interior fixed point")
+        raise NoInteriorFixedPointError("series linearization requires an interior fixed point")
     lam = model.rate
     if lam.real <= 0:
         raise ValueError("series linearization requires Re(-f'(z0)) > 0")
@@ -255,7 +254,7 @@ def linearize(
         status = "obstructed"
     elif resonant_passed:
         status = "resonant_solvable"
-    elif operator_norm(b0) <= coboundary_tol:
+    elif operator_norm(b0) <= 1e-10:
         status = "coboundary"
     else:
         status = "linearizable"
@@ -304,7 +303,6 @@ def reconstruct_error(
     outcome: LinearizationOutcome,
     samples: Sequence[tuple],
     *,
-    ode_tol: float = 1e-11,
     guard_radius: Optional[float] = None,
 ) -> float:
     """Max over samples (t, z) of ||Gamma_t(z) - M(F_t z)^{-1} e^{t B0} M(z)||.
@@ -334,7 +332,7 @@ def reconstruct_error(
                 raise OutsideConvergenceRegionError(
                     f"sample (t={t}, z={z}) leaves the certified region"
                 )
-        gammas = evolve_grid(model, B, [t], zs, tol=ode_tol)[0]
+        gammas = evolve_grid(model, B, [t], zs)[0]
         exp_tb0 = mat_exp(t * outcome.b0)
         for gamma, z in zip(gammas, zs):
             hz = model.koenigs.evaluate(z)
@@ -378,16 +376,13 @@ def commutative_linearize_interior(
     model: SemigroupModel,
     B,
     z: complex,
-    *,
-    tol: float = 1e-9,
-    chunk: float = 1.0,
-    max_time: float = 500.0,
 ) -> complex:
     """Scalar transfer map M(z) = exp of the improper integral of
-    B(F_t z) - B0 over t in [0, infinity).
+    B(F_t z) - B0 over t in [0, infinity), to an absolute error of 1e-9.
 
-    Truncation uses the flow's exponential decay toward the fixed point: the
-    integrand tail after T is bounded by |B(F_T z) - B0| / alpha with
+    The integral runs in unit time chunks, up to t = 500.  Truncation uses
+    the flow's exponential decay toward the fixed point: the integrand tail
+    after T is bounded by |B(F_T z) - B0| / alpha with
     alpha = Re(lam) (1 - |z|) / (1 + |z|).
     """
     if _generator_dim(B, complex(z)) != 1:
@@ -407,10 +402,11 @@ def commutative_linearize_interior(
         ft = model.flow(t, z)
         return _scalar_of(_generator_batch(B, np.array([ft]), 1)[0]) - b0
 
+    tol = 1e-9
     total = 0.0 + 0.0j
     t_lo = 0.0
-    while t_lo < max_time:
-        t_hi = t_lo + chunk
+    while t_lo < 500.0:
+        t_hi = t_lo + 1.0
         piece = _adaptive_simpson(integrand, t_lo, t_hi, tol / 8.0)
         total += piece
         tail_bound = abs(integrand(t_hi)) / alpha
@@ -426,7 +422,6 @@ def commutative_linearize_nofix(
     z: complex,
     *,
     tol: float = 1e-10,
-    pole_tol: float = 1e-8,
 ) -> complex:
     """Scalar transfer map M(z) = exp(-integral of B/f along [0, z]) for
     semigroups without an interior fixed point.
@@ -438,7 +433,7 @@ def commutative_linearize_nofix(
         raise ValueError("the closed-form linearizer is scalar-only")
     probes = np.linspace(0.0, 1.0, 65)
     fvals = np.asarray([f(s * z) for s in probes], dtype=complex)
-    if np.min(np.abs(fvals)) <= pole_tol:
+    if np.min(np.abs(fvals)) <= 1e-8:
         raise PoleOnPathError("generator vanishes on the integration segment")
 
     def integrand(s: float) -> complex:
@@ -454,8 +449,6 @@ def sharpness_witness(
     b0,
     lam: complex,
     k: int,
-    *,
-    resonance_rtol: float = RESONANCE_RTOL,
 ) -> CocycleGenerator:
     """Generator B(z) = B0 + z^k A whose recursion is obstructed at order k.
 
@@ -468,7 +461,7 @@ def sharpness_witness(
     if k < 1:
         raise ValueError("order k must be a positive integer")
     b = as_matrix(b0)
-    res = _resolvent(k, lam, b, resonance_rtol)
+    res = _resolvent(k, lam, b, RESONANCE_RTOL)
     if not res.resonant:
         raise NotResonantError(f"k*lam = {k * complex(lam)} is not in the spectrum of ad_B0")
     n = b.shape[0]

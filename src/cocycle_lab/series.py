@@ -228,7 +228,7 @@ def _rational_taylor(num: np.ndarray, den: np.ndarray, center: complex, order: i
     return num_s * reciprocal(ScalarSeries(center, padded(den_c)))
 
 
-def revert(s: ScalarSeries, *, tol: float = 1e-12) -> ScalarSeries:
+def revert(s: ScalarSeries) -> ScalarSeries:
     """Compositional inverse g with s(g(w)) = w + O(w^{N+1}).
 
     ``s`` must vanish at its center and have a nonzero linear coefficient.
@@ -240,7 +240,7 @@ def revert(s: ScalarSeries, *, tol: float = 1e-12) -> ScalarSeries:
     scale = float(np.max(np.abs(c))) if c.size else 0.0
     if abs(c[0]) > 1e-10 * max(scale, 1.0):
         raise NotInvertibleError("series to revert must vanish at its center")
-    if s.order < 1 or abs(c[1]) <= tol * max(scale, 1.0):
+    if s.order < 1 or abs(c[1]) <= 1e-12 * max(scale, 1.0):
         raise NotInvertibleError("linear coefficient below tolerance")
     n = s.order
     ident = np.zeros(n + 1, dtype=complex)

@@ -59,6 +59,18 @@ class TestCocycleGenerator:
         assert np.allclose(s.coeffs[1], [[0.0, 1.0], [0.0, 0.0]])
         assert np.allclose(s.coeffs[2], 0.0)
 
+    @pytest.mark.parametrize("den", [[1.0, -2.0], [1.0, 0.0, 4.0], [0.0, 1.0]])
+    def test_pole_inside_disk_refused(self, den):
+        # poles at 0.5, at +-0.5i and at 0
+        with pytest.raises(ValueError, match="pole inside the unit disk"):
+            CocycleGenerator.scalar([1.0], den)
+
+    @pytest.mark.parametrize("den", [[1.0, -1.0], [1.0, 0.0, 1.0], [1.0, -0.5]])
+    def test_pole_on_or_outside_circle_accepted(self, den):
+        # poles at 1, at +-i and at 2
+        g = CocycleGenerator.scalar([1.0], den)
+        assert np.isfinite(g(0.5)[0, 0])
+
 
 class TestEvolve:
     def test_jordan_closed_form(self):
@@ -87,6 +99,14 @@ class TestEvolve:
         gen = CocycleGenerator.constant(np.array([[0.5]]))
         with pytest.raises(DomainEscapeError):
             evolve(repelling, gen, 3.0, 0.5)
+
+    def test_generator_of_wrong_shape_refused(self):
+        # B must map m points to (m, n, n); this one ignores the batch
+        def per_point_only(z):
+            return np.array([[1.0 + np.sum(z)]])
+
+        with pytest.raises(ValueError, match="shape"):
+            evolve_grid(LINEAR_MODEL, per_point_only, [0.5], [0.1, 0.2])
 
 
 class TestCheckAxioms:

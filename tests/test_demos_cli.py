@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cocycle_lab.cli import main, run_demo
+from cocycle_lab.cli import _build_parser, main, run_demo
 from cocycle_lab.demos import demo_by_name, demo_catalog
 
 JORDAN_SCENARIO = {
@@ -22,6 +22,9 @@ JORDAN_SCENARIO = {
     "grid": {"t_values": [0.5, 1.0], "z_values": [[0.3, 0], [0.0, 0.4]]},
     "tolerances": {"ode": 1e-11, "sylvester": 1e-10, "resonance": 1e-8},
 }
+
+NO_FIXED_POINT = {"f_num": [[1, 0], [-1, 0]]}  # f(z) = 1 - z: Denjoy-Wolff point 1
+POLE_AT_HALF = {"den_coeffs": [[1, 0], [-2, 0]]}  # B = P / (1 - 2z)
 
 
 @pytest.fixture
@@ -230,6 +233,7 @@ class TestCli:
             ("tolerances", "ode", float("nan"), "non-finite"),
             ("grid", "t_values", [0.5, -1.0], "non-negative"),
             (None, "truncation_order", 0, "positive"),
+            ("generator", "den_coeffs", [[1, 0], [-2, 0]], "pole inside the unit disk"),
         ],
     )
     def test_bad_number_or_time_is_input_error(
@@ -247,3 +251,60 @@ class TestCli:
         assert main(["growth", "--scenario", scenario_path, "--radius", "2"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: OutOfDomainError: disk is not contained in the unit disk"]
+
+    @pytest.mark.parametrize(
+        "argv, section, value, message",
+        [
+            (["growth"], "semigroup", NO_FIXED_POINT, "NoInteriorFixedPointError"),
+            (["linearize"], "semigroup", NO_FIXED_POINT, "NoInteriorFixedPointError"),
+            (["linearize"], "generator", POLE_AT_HALF, "pole inside the unit disk"),
+            (["growth", "--radius", "0.5"], "generator", POLE_AT_HALF, "pole inside the unit disk"),
+        ],
+    )
+    def test_scenario_outside_assumptions_is_input_error(
+        self, tmp_path, capsys, argv, section, value, message
+    ):
+        data = json.loads(json.dumps(JORDAN_SCENARIO))
+        data[section].update(value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main([argv[0], "--scenario", str(path)] + argv[1:]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+
+# the flags tried on each subcommand: all seven scenario-command flags, with
+# --list in place of --scenario for demo
+OLD_FLAGS = ("--scenario", "--out", "--csv", "--order", "--tol", "--radius", "--tmax")
+DEMO_OLD_FLAGS = ("--list",) + OLD_FLAGS[1:]
+READS = {
+    "evolve": {"--scenario", "--out", "--csv"},
+    "check": {"--scenario", "--out", "--tol"},
+    "linearize": {"--scenario", "--out", "--order"},
+    "spectrum": {"--scenario", "--out"},
+    "growth": {"--scenario", "--out", "--csv", "--radius", "--tmax", "--tol"},
+    "extract": {"--scenario", "--out", "--tol"},
+    "demo": {"--list", "--out", "--order"},
+}
+FLAG_VALUES = {"--csv": "x.csv", "--order": "3", "--tol": "0.5", "--radius": "0.4", "--tmax": "2"}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in READS for f in (DEMO_OLD_FLAGS if c == "demo" else OLD_FLAGS)],
+)
+def test_cli_accepts_exactly_the_flags_it_reads(command, flag, scenario_path, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    head = ["jordan-obstruction"] if command == "demo" else ["--scenario", scenario_path]
+    argv = [command] + head + ["--out", str(out)]
+    if flag == "--list":
+        argv.append(flag)
+    elif flag in FLAG_VALUES:
+        argv += [flag, str(tmp_path / FLAG_VALUES[flag]) if flag == "--csv" else FLAG_VALUES[flag]]
+    if flag in READS[command]:
+        assert getattr(_build_parser().parse_args(argv), flag[2:]) not in (None, False)
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not out.exists() and capsys.readouterr().out == ""
