@@ -91,9 +91,22 @@ def mat_exp(a) -> np.ndarray:
     return r
 
 
-def operator_norm(a) -> float:
-    """Spectral norm (largest singular value)."""
-    return float(np.linalg.norm(as_matrix(a), 2))
+def _as_stack(a) -> tuple[np.ndarray, bool]:
+    """``a`` as a stack (m, n, n) of finite square matrices, and whether it was one matrix."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 3:
+        return as_matrix(m)[None], True
+    if m.shape[1] != m.shape[2] or not np.all(np.isfinite(m)):
+        raise ValueError(f"expected a stack of finite square matrices, got shape {m.shape}")
+    return m, False
+
+
+def operator_norm(a):
+    """Spectral norm (largest singular value).  ``a`` is one matrix (gives a
+    float) or a stack of shape ``(m, n, n)`` (gives an array of m values)."""
+    m, single = _as_stack(a)
+    norms = np.linalg.norm(m, 2, axis=(1, 2))
+    return float(norms[0]) if single else norms
 
 
 def log_norm(a):
@@ -105,12 +118,7 @@ def log_norm(a):
     evolution problems.  ``a`` is one matrix (gives a float) or a stack of
     shape ``(m, n, n)`` (gives an array of m values).
     """
-    m = np.asarray(a, dtype=complex)
-    single = m.ndim != 3
-    if single:
-        m = as_matrix(m)[None]
-    elif m.shape[1] != m.shape[2] or not np.all(np.isfinite(m)):
-        raise ValueError(f"expected a stack of finite square matrices, got shape {m.shape}")
+    m, single = _as_stack(a)
     herm = (m + m.conj().transpose(0, 2, 1)) / 2.0
     top = np.linalg.eigvalsh(herm)[:, -1]
     return float(top[0]) if single else top

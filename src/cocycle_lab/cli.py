@@ -91,8 +91,6 @@ class Scenario:
                 [_as_matrix(rows, self.dim) for rows in gen["num_coeffs"]]
             )
             den = _complex_list(gen.get("den_coeffs", [1.0]))
-            if abs(den[0]) == 0.0 or abs(self.f.den[0]) == 0.0:
-                raise ScenarioParseError("a denominator vanishes at z = 0")
             self.generator = CocycleGenerator(num, den)
 
             self.order = int(data.get("truncation_order", 24))
@@ -424,7 +422,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's own exit: 2 on bad flags, 0 for --help
+        return exc.code
     if getattr(args, "order", None) is not None and args.order < 1:
         print("error: --order must be a positive integer", file=sys.stderr)
         return 2

@@ -32,10 +32,22 @@ RADIUS_SAFETY = 0.8
 BOUNDARY_MARGIN = 1e-9
 
 
+def _check_denominator(den: np.ndarray, what: str) -> None:
+    """Refuse ascending denominator coefficients that vanish identically or
+    have a root inside the unit disk; roots on the unit circle pass."""
+    if not np.any(np.abs(den) > 0):
+        raise ValueError("denominator is identically zero")
+    poles = np.roots(den[::-1])
+    inside = poles[np.abs(poles) < 1.0 - BOUNDARY_MARGIN]
+    if inside.size:
+        raise ValueError(f"{what} has a pole inside the unit disk at {inside[0]:.6g}")
+
+
 @dataclass
 class RationalMap:
     """Rational function of z given by ascending numerator/denominator
-    polynomial coefficients."""
+    polynomial coefficients; a root of the denominator inside the unit disk
+    is refused, as a semigroup generator must be holomorphic there."""
 
     num: np.ndarray
     den: np.ndarray = field(default_factory=lambda: np.array([1.0 + 0.0j]))
@@ -43,8 +55,7 @@ class RationalMap:
     def __post_init__(self):
         self.num = np.atleast_1d(np.asarray(self.num, dtype=complex))
         self.den = np.atleast_1d(np.asarray(self.den, dtype=complex))
-        if not np.any(np.abs(self.den) > 0):
-            raise ValueError("denominator is identically zero")
+        _check_denominator(self.den, "semigroup generator f")
 
     def __call__(self, z):
         return horner(self.num, z) / horner(self.den, z)

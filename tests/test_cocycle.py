@@ -33,6 +33,22 @@ SCALAR = demo_by_name("linear-scalar-rational")
 SQRT = demo_by_name("sqrt-nonexp")
 
 
+class CountingGridOracle:
+    """A closed-form cocycle behind a ``grid`` method that records the times
+    of each call."""
+
+    def __init__(self, gamma):
+        self.gamma = gamma
+        self.grid_times = []
+
+    def __call__(self, t, z):
+        return self.gamma(t, z)
+
+    def grid(self, t_values, z_values):
+        self.grid_times.append([float(t) for t in t_values])
+        return np.array([[self.gamma(t, z) for z in z_values] for t in t_values])
+
+
 class TestCocycleGenerator:
     def test_evaluation(self):
         g = JORDAN.generator
@@ -136,6 +152,28 @@ class TestCheckAxioms:
         assert not rep.passed
         assert rep.chain_residual > 1e-3
 
+    @pytest.mark.parametrize("ts", [[0.4, 1.1], [1.1, 0.2, 0.7, 0.4]])
+    def test_one_grid_call_per_part(self, ts):
+        # Gamma at 0 and ts, Gamma at ts over every F_s(z), Gamma at the sums
+        oracle = CountingGridOracle(JORDAN.oracle)
+        rep = check_axioms(LINEAR_MODEL, oracle, ts, [0.3, -0.2 + 0.4j], tol=1e-7)
+        assert rep.passed
+        assert len(oracle.grid_times) == 3
+
+    def test_matches_per_pair_loop(self):
+        ts, zs = [0.4, 0.7, 1.1], np.array([0.3, -0.2 + 0.4j])
+        gamma = JORDAN.oracle
+        chain, min_sv = 0.0, np.inf
+        for s in ts:
+            fs = LINEAR_MODEL.flow(s, zs)
+            for t in ts:
+                for z, fz in zip(zs, fs):
+                    lhs = gamma(t + s, z)
+                    chain = max(chain, operator_norm(lhs - gamma(t, fz) @ gamma(s, z)))
+                    min_sv = min(min_sv, np.linalg.svd(lhs, compute_uv=False)[-1])
+        rep = check_axioms(LINEAR_MODEL, gamma, ts, zs)
+        assert (rep.chain_residual, rep.min_singular_value) == (chain, min_sv)
+
 
 class TestSpatialDerivative:
     def test_jordan(self):
@@ -170,14 +208,22 @@ class TestExtractGenerator:
         out = extract_generator(JORDAN.oracle, JORDAN.f, 0.5)
         assert operator_norm(out - np.array([[1.0, 0.5], [0.0, 2.0]])) <= 1e-6
 
-    def test_constant_cocycle(self):
-        b0 = np.array([[0.4, 0.3], [-0.1, 1.2]], dtype=complex)
+    @pytest.mark.parametrize("scale", [1.0, 60.0])
+    def test_constant_cocycle(self, scale):
+        b0 = scale * np.array([[0.4, 0.3], [-0.1, 1.2]], dtype=complex)
 
         def oracle(t, z):
             return mat_exp(t * b0)
 
         out = extract_generator(oracle, JORDAN.f, 0.2 + 0.3j)
-        assert operator_norm(out - b0) <= 1e-7
+        assert operator_norm(out - b0) <= 1e-12 * operator_norm(b0)
+
+    def test_one_grid_call(self):
+        oracle = CountingGridOracle(JORDAN.oracle)
+        extract_generator(oracle, JORDAN.f, 0.5, t0=0.1)
+        [times] = oracle.grid_times
+        assert len(times) == 17 and times[-1] == 0.1
+        assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_sqrt_demo_generator_value(self):
         z = 0.5

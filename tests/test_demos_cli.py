@@ -25,6 +25,7 @@ JORDAN_SCENARIO = {
 
 NO_FIXED_POINT = {"f_num": [[1, 0], [-1, 0]]}  # f(z) = 1 - z: Denjoy-Wolff point 1
 POLE_AT_HALF = {"den_coeffs": [[1, 0], [-2, 0]]}  # B = P / (1 - 2z)
+F_POLE_AT_HALF = {"f_den": [[1, 0], [-2, 0]]}  # f = -z / (1 - 2z)
 
 
 @pytest.fixture
@@ -234,6 +235,7 @@ class TestCli:
             ("grid", "t_values", [0.5, -1.0], "non-negative"),
             (None, "truncation_order", 0, "positive"),
             ("generator", "den_coeffs", [[1, 0], [-2, 0]], "pole inside the unit disk"),
+            ("semigroup", "f_den", [[1, 0], [-2, 0]], "pole inside the unit disk"),
         ],
     )
     def test_bad_number_or_time_is_input_error(
@@ -259,6 +261,7 @@ class TestCli:
             (["linearize"], "semigroup", NO_FIXED_POINT, "NoInteriorFixedPointError"),
             (["linearize"], "generator", POLE_AT_HALF, "pole inside the unit disk"),
             (["growth", "--radius", "0.5"], "generator", POLE_AT_HALF, "pole inside the unit disk"),
+            (["growth", "--radius", "0.5"], "semigroup", F_POLE_AT_HALF, "pole inside the unit disk"),
         ],
     )
     def test_scenario_outside_assumptions_is_input_error(
@@ -304,7 +307,5 @@ def test_cli_accepts_exactly_the_flags_it_reads(command, flag, scenario_path, tm
     if flag in READS[command]:
         assert getattr(_build_parser().parse_args(argv), flag[2:]) not in (None, False)
         return
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == 2
     assert not out.exists() and capsys.readouterr().out == ""
