@@ -63,6 +63,13 @@ def _as_complex(value) -> complex:
     raise ScenarioParseError(f"expected a number or [re, im] pair, got {value!r}")
 
 
+def _as_tolerance(tols: dict, key: str, default: float) -> float:
+    x = _as_real(tols.get(key, default))
+    if x <= 0.0:
+        raise ScenarioParseError(f"{key} tolerance must be positive, got {x!r}")
+    return x
+
+
 def _complex_list(values) -> np.ndarray:
     return np.asarray([_as_complex(v) for v in values], dtype=complex)
 
@@ -107,10 +114,12 @@ class Scenario:
                 nodes = int(grid.get("nodes", 8))
                 angles = 2.0 * np.pi * np.arange(nodes) / nodes
                 self.z_values = radius * np.exp(1j * angles)
+            if self.z_values.size == 0:
+                raise ScenarioParseError("the z grid is empty")
             tols = data.get("tolerances", {})
-            self.ode_tol = _as_real(tols.get("ode", ODE_TOL))
-            self.sylvester_tol = _as_real(tols.get("sylvester", 1e-10))
-            self.resonance_tol = _as_real(tols.get("resonance", 1e-8))
+            self.ode_tol = _as_tolerance(tols, "ode", ODE_TOL)
+            self.sylvester_tol = _as_tolerance(tols, "sylvester", 1e-10)
+            self.resonance_tol = _as_tolerance(tols, "resonance", 1e-8)
         except ScenarioParseError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

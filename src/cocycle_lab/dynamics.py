@@ -150,7 +150,7 @@ def flow_ode(f: RationalMap, t: float, z, *, tol: float = 1e-12):
         if np.any(np.abs(y) >= 1.0):
             raise DomainEscapeError("trajectory reached the unit circle")
 
-    out = _int.integrate(lambda _t, y: f(y), (0.0, float(t)), zs, tol=tol, guard=guard)
+    out = _int.integrate(lambda _t, y: f(y), (0.0, float(t)), zs, tol=tol, guard=guard)[-1]
     out = out.reshape(np.shape(z))
     return out if np.shape(z) else complex(out)
 

@@ -7,6 +7,7 @@ side receives ``(t, y)`` and returns an array of the same shape.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,45 +51,62 @@ def _step(rhs, t, y, h):
 
 def integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
-    t_span: tuple[float, float],
+    t_values: Sequence[float],
     y0: np.ndarray,
     *,
     tol: float = 1e-10,
     guard: Optional[Callable[[np.ndarray], None]] = None,
 ) -> np.ndarray:
-    """Integrate y' = rhs(t, y) over t_span; local error per step <= tol.
+    """Integrate y' = rhs(t, y) from ``t_values[0]`` through the later times.
+
+    ``t_values`` is ``(t_start, t_1, ..., t_k)``, ascending; the result has
+    shape ``(k,) + y0.shape`` and holds the states at ``t_1, ..., t_k``.  One
+    adaptive integration covers the whole span with local error per step
+    <= tol.  The step size carries over output times: an output time only
+    shortens the one step that would pass it, and the next step resumes from
+    at least the size before shortening.  ``tol`` must be a positive finite
+    number, else ValueError.  ``_MAX_STEPS`` caps the steps of the whole call.
 
     ``guard`` is called on every accepted state and may raise (used to detect
     trajectories escaping the unit disk).
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    y = np.asarray(y0, dtype=complex).copy()
-    if t1 == t0:
-        return y
-    if t1 < t0:
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    times = [float(t) for t in t_values]
+    if not times:
+        raise ValueError("t_values needs a start time")
+    if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("integration backwards in time is not supported")
-    if guard is not None:
+    y = np.asarray(y0, dtype=complex).copy()
+    out = np.empty((len(times) - 1,) + y.shape, dtype=complex)
+    t = times[0]
+    span = times[-1] - t
+    if span > 0.0 and guard is not None:
         guard(y)
 
-    span = t1 - t0
-    t = t0
+    i = 1
     h = min(span, max(span * 1e-4, 1e-6))
     for _ in range(_MAX_STEPS):
-        h = min(h, t1 - t)
-        y_new, err = _step(rhs, t, y, h)
+        while i < len(times) and t >= times[i] - 1e-15 * span:
+            out[i - 1] = y
+            i += 1
+        if i == len(times):
+            return out
+        clipped = times[i] - t <= h
+        h_step = times[i] - t if clipped else h
+        y_new, err = _step(rhs, t, y, h_step)
         scale = tol * (1.0 + np.abs(y_new))
         err_norm = float(np.max(np.abs(err) / scale)) if err.size else 0.0
         if err_norm <= 1.0:
-            t += h
+            t = times[i] if clipped else t + h_step
             y = y_new
             if guard is not None:
                 guard(y)
-            if t >= t1 - 1e-15 * span:
-                return y
             factor = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm ** -0.2
-            h *= min(_MAX_FACTOR, max(1.0, factor))
+            h = max(h, h_step * min(_MAX_FACTOR, max(1.0, factor)))
         else:
-            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
+            h = h_step * max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
             if h < 1e-14 * span:
                 raise NoConvergenceError("step size underflow in adaptive integrator")
     raise NoConvergenceError("adaptive integrator exceeded the step cap")
@@ -102,18 +120,12 @@ def integrate_at(
     tol: float = 1e-10,
     guard: Optional[Callable[[np.ndarray], None]] = None,
 ) -> np.ndarray:
-    """States at several ascending times (one continued integration).
+    """States at several nonnegative ascending times, starting from t = 0.
 
-    Returns an array of shape ``(len(t_values),) + y0.shape``.
+    One continued ``integrate`` call from 0 through every time in
+    ``t_values``; returns an array of shape ``(len(t_values),) + y0.shape``.
     """
     times = [float(t) for t in t_values]
     if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("t_values must be nonnegative and ascending")
-    out = np.empty((len(times),) + np.shape(y0), dtype=complex)
-    y = np.asarray(y0, dtype=complex)
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        y = integrate(rhs, (t_prev, t), y, tol=tol, guard=guard)
-        out[i] = y
-        t_prev = t
-    return out
+    return integrate(rhs, [0.0] + times, y0, tol=tol, guard=guard)

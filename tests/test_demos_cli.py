@@ -236,6 +236,11 @@ class TestCli:
             (None, "truncation_order", 0, "positive"),
             ("generator", "den_coeffs", [[1, 0], [-2, 0]], "pole inside the unit disk"),
             ("semigroup", "f_den", [[1, 0], [-2, 0]], "pole inside the unit disk"),
+            ("grid", "z_values", [], "z grid is empty"),
+            ("tolerances", "ode", 0, "ode tolerance must be positive"),
+            ("tolerances", "ode", -1e-11, "ode tolerance must be positive"),
+            ("tolerances", "sylvester", 0, "sylvester tolerance must be positive"),
+            ("tolerances", "resonance", -1, "resonance tolerance must be positive"),
         ],
     )
     def test_bad_number_or_time_is_input_error(
@@ -248,6 +253,18 @@ class TestCli:
         assert main(["evolve", "--scenario", str(path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+    @pytest.mark.parametrize(
+        "grid", [{"z_values": []}, {"disk_radius": 0.3, "nodes": 0}]
+    )
+    def test_check_on_empty_grid_is_input_error(self, tmp_path, capsys, grid):
+        data = json.loads(json.dumps(JORDAN_SCENARIO))
+        data["grid"] = dict(grid, t_values=[0.5, 1.0])
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: the z grid is empty"]
 
     def test_growth_disk_outside_unit_disk_is_input_error(self, scenario_path, capsys):
         assert main(["growth", "--scenario", scenario_path, "--radius", "2"]) == 2
