@@ -105,7 +105,8 @@ def operator_norm(a):
     """Spectral norm (largest singular value).  ``a`` is one matrix (gives a
     float) or a stack of shape ``(m, n, n)`` (gives an array of m values)."""
     m, single = _as_stack(a)
-    norms = np.linalg.norm(m, 2, axis=(1, 2))
+    # singular values come sorted, largest first
+    norms = np.linalg.svd(m, compute_uv=False)[:, 0]
     return float(norms[0]) if single else norms
 
 
@@ -153,21 +154,26 @@ def ad_matrix(b0) -> np.ndarray:
     m = as_matrix(b0)
     n = m.shape[0]
     ident = identity_like(n)
-    return np.kron(m.T, ident) - np.kron(ident, m)
+
+    def kron(a, b):  # the products of np.kron, without its shape handling
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * n, n * n)
+
+    return kron(m.T, ident) - kron(ident, m)
 
 
 class _Resolvent(NamedTuple):
     """``k*lam*I - ad_matrix(b0)`` with its SVD and resonance cutoff.
 
     Fields are stacked along the leading axes of the orders they were built
-    for.  ``scale`` is |k lam| + ||ad_B0||; order k is resonant when the
-    smallest singular value is at most ``cutoff = resonance_rtol * scale``.
+    for; ``u`` and ``vh`` are None when only singular values were taken.
+    ``scale`` is |k lam| + ||ad_B0||; order k is resonant when the smallest
+    singular value is at most ``cutoff = resonance_rtol * scale``.
     """
 
     lhs: np.ndarray
-    u: np.ndarray
+    u: Optional[np.ndarray]
     sv: np.ndarray
-    vh: np.ndarray
+    vh: Optional[np.ndarray]
     scale: np.ndarray
     cutoff: np.ndarray
 
@@ -176,14 +182,25 @@ class _Resolvent(NamedTuple):
         return self.sv[..., -1] <= self.cutoff
 
 
-def _resolvent(orders, lam: complex, b0, resonance_rtol: float) -> _Resolvent:
-    """Build and factor the resolvent matrix of the linearization recursion
-    at each order in ``orders`` (an int or an array of ints)."""
-    ad = ad_matrix(b0)
+def _resolvent_matrix(orders, lam: complex, ad: np.ndarray) -> np.ndarray:
+    """``k*lam*I - ad`` at each order in ``orders`` (an int or an array of ints)."""
     kl = np.asarray(orders) * complex(lam)
-    lhs = kl[..., None, None] * np.eye(ad.shape[0]) - ad
-    u, sv, vh = np.linalg.svd(lhs)
-    scale = np.abs(kl) + float(np.linalg.norm(ad, 2))
+    return kl[..., None, None] * np.eye(ad.shape[0]) - ad
+
+
+def _resolvent(
+    orders, lam: complex, b0, resonance_rtol: float, *, vectors: bool = True
+) -> _Resolvent:
+    """Build and factor the resolvent matrix of the linearization recursion
+    at each order in ``orders`` (an int or an array of ints); with
+    ``vectors=False`` only the singular values are computed."""
+    ad = ad_matrix(b0)
+    lhs = _resolvent_matrix(orders, lam, ad)
+    if vectors:
+        u, sv, vh = np.linalg.svd(lhs)
+    else:
+        u, sv, vh = None, np.linalg.svd(lhs, compute_uv=False), None
+    scale = np.abs(np.asarray(orders) * complex(lam)) + float(np.linalg.norm(ad, 2))
     return _Resolvent(lhs, u, sv, vh, scale, resonance_rtol * np.maximum(scale, 1e-300))
 
 
@@ -218,19 +235,30 @@ def sylvester_resolve(
     returned.  When it is singular, the minimum-norm least-squares solution
     (null-space components zeroed) is returned as "resonant_solvable" if the
     right-hand side lies in the range (defect <= tol), else the outcome is
-    "obstructed".
+    "obstructed".  An order that the bound ||ad_B0|| <= 2 ||B0|| shows to be
+    non-resonant is solved by LU, with the singular values alone giving
+    ``smallest_singular_value``; every other order takes a full SVD.
     """
     if k < 1:
         raise ValueError("order k must be a positive integer")
     b = as_matrix(b0)
     r = as_matrix(rhs)
     n = b.shape[0]
-    res = _resolvent(k, lam, b, resonance_rtol)
-    sigma_min = float(res.sv[-1])
     rv = vec(r)
 
-    if not res.resonant:
-        m = unvec(np.linalg.solve(res.lhs, rv), n)
+    # ||ad_B0|| <= 2 ||B0||, and the smallest singular value of k lam - ad_B0
+    # is at least |k lam| - ||ad_B0||: when that bound clears the cutoff the
+    # order cannot be resonant, and an LU solve plus singular values suffice
+    kl, ad_bound = abs(k * complex(lam)), 2.0 * operator_norm(b)
+    if kl - ad_bound > resonance_rtol * max(kl + ad_bound, 1e-300):
+        res = None
+        lhs = _resolvent_matrix(k, lam, ad_matrix(b))
+        sigma_min = float(np.linalg.svd(lhs, compute_uv=False)[-1])
+    else:
+        res = _resolvent(k, lam, b, resonance_rtol)
+        lhs, sigma_min = res.lhs, float(res.sv[-1])
+    if res is None or not res.resonant:
+        m = unvec(np.linalg.solve(lhs, rv), n)
         residual = operator_norm(k * lam * m - (m @ b - b @ m) - r)
         return SylvesterOutcome("unique", m, residual, sigma_min)
 

@@ -70,6 +70,15 @@ def _as_tolerance(tols: dict, key: str, default: float) -> float:
     return x
 
 
+def _section(data: dict, key: str, default=None) -> dict:
+    """``data[key]``, or ``default`` when given and the key is absent; a
+    section that is present must be a JSON object."""
+    sec = data[key] if default is None else data.get(key, default)
+    if not isinstance(sec, dict):
+        raise ScenarioParseError(f"{key} must be a JSON object, got {type(sec).__name__}")
+    return sec
+
+
 def _complex_list(values) -> np.ndarray:
     return np.asarray([_as_complex(v) for v in values], dtype=complex)
 
@@ -85,14 +94,14 @@ class Scenario:
 
     def __init__(self, data: dict):
         try:
-            sg = data["semigroup"]
+            sg = _section(data, "semigroup")
             self.f = RationalMap(
                 _complex_list(sg["f_num"]), _complex_list(sg.get("f_den", [1.0]))
             )
             self.hint = _as_complex(sg.get("fixed_point_hint", 0.0))
             self.boundary = bool(sg.get("boundary", False))
 
-            gen = data["generator"]
+            gen = _section(data, "generator")
             self.dim = int(gen["dim"])
             num = np.stack(
                 [_as_matrix(rows, self.dim) for rows in gen["num_coeffs"]]
@@ -103,7 +112,7 @@ class Scenario:
             self.order = int(data.get("truncation_order", 24))
             if self.order < 1:
                 raise ScenarioParseError("truncation_order must be a positive integer")
-            grid = data.get("grid", {})
+            grid = _section(data, "grid", {})
             self.t_values = [_as_real(t) for t in grid.get("t_values", [0.5, 1.0, 2.0])]
             if any(t < 0 for t in self.t_values):
                 raise ScenarioParseError("t_values must be non-negative")
@@ -116,7 +125,7 @@ class Scenario:
                 self.z_values = radius * np.exp(1j * angles)
             if self.z_values.size == 0:
                 raise ScenarioParseError("the z grid is empty")
-            tols = data.get("tolerances", {})
+            tols = _section(data, "tolerances", {})
             self.ode_tol = _as_tolerance(tols, "ode", ODE_TOL)
             self.sylvester_tol = _as_tolerance(tols, "sylvester", 1e-10)
             self.resonance_tol = _as_tolerance(tols, "resonance", 1e-8)

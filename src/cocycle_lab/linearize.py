@@ -101,7 +101,9 @@ def condition_check(
     """Test whether any k*lam (k = 1 ... k_bound) is resonant for ad_B0.
 
     Orders beyond k_bound = ceil(||ad_B0|| / |lam|) cannot be resonant since
-    the spectral radius of the commutator map is at most its norm.
+    the spectral radius of the commutator map is at most its norm.  Orders
+    1 ... k_bound are tested with one batched SVD that computes singular
+    values only.
     """
     lam = complex(lam)
     if lam.real <= 0:
@@ -110,7 +112,7 @@ def condition_check(
     spectrum = eigenvalues(b)
     diffs = (spectrum[:, None] - spectrum[None, :]).ravel()
     k_bound = int(math.ceil(float(np.linalg.norm(ad_matrix(b), 2)) / abs(lam)))
-    res = _resolvent(np.arange(1, k_bound + 1), lam, b, resonance_rtol)
+    res = _resolvent(np.arange(1, k_bound + 1), lam, b, resonance_rtol, vectors=False)
     sigma_mins = res.sv[:, -1].tolist()
     violated_eig = []
     violated_rank = []
@@ -217,7 +219,11 @@ def linearize(
 
     Halts at the first genuinely obstructed order; passes through resonant
     orders whose right-hand side stays in range using the minimum-norm
-    solution (reported without a convergence certificate).
+    solution (reported without a convergence certificate).  Each order is
+    one ``sylvester_resolve`` call: an order with |k lam| - 2 ||B0|| above
+    the resonance cutoff cannot be resonant and gets one LU solve plus the
+    singular values of k lam - ad_B0 (for C1); only the remaining orders
+    take a full SVD.
     """
     if not model.is_interior:
         raise NoInteriorFixedPointError("series linearization requires an interior fixed point")
@@ -262,7 +268,7 @@ def linearize(
     c1 = max(inv_norms) if inv_norms else 0.0
     if resonant_passed:
         c1 = math.inf
-    b_norms = [operator_norm(c) for c in b.coeffs]
+    b_norms = operator_norm(b.coeffs).tolist()
     c2, r = _geometric_fit(b_norms)
     c3 = 0.0 if c2 == 0.0 else c1 * c2
     if status in ("linearizable", "coboundary"):

@@ -5,7 +5,9 @@ A series is a center plus coefficients ``c_0 ... c_N`` of the expansion in
 coefficients multiply in the order written, so nothing here assumes that
 they commute.  The coefficient-array kernels below (Horner evaluation,
 Cauchy product, Horner composition, binomial shift) are the only copies of
-those jobs in the package.
+those jobs in the package.  A scalar factor multiplies as its
+lower-triangular Toeplitz matrix; composition with a matrix outer series
+builds the Toeplitz matrix of the inner series once for all Horner steps.
 """
 
 from __future__ import annotations
@@ -39,6 +41,24 @@ def horner(coeffs: np.ndarray, u):
     return acc
 
 
+def _toeplitz(s: np.ndarray) -> np.ndarray:
+    """Lower-triangular Toeplitz matrix T[k, l] = s[k - l] (0 above the diagonal).
+
+    T is a copy of a view into ``[0]*n + s`` whose rows step forward and
+    whose columns step back through that buffer.
+    """
+    n, size = s.shape[0], s.itemsize
+    padded = np.zeros(2 * n, dtype=s.dtype)
+    padded[n:] = s
+    return np.ndarray((n, n), s.dtype, padded, n * size, (size, -size)).copy()
+
+
+def _apply_toeplitz(toeplitz: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Product of a scalar series, given by its Toeplitz matrix, with ``other``."""
+    n = toeplitz.shape[0]
+    return (toeplitz @ other.reshape(n, -1)).reshape(other.shape)
+
+
 def _mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cauchy product of coefficient arrays, truncated to the shorter one.
 
@@ -51,21 +71,29 @@ def _mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.stack([np.matmul(a[: k + 1], b[k::-1]).sum(axis=0) for k in range(n)])
     # a scalar factor commutes: apply its lower-triangular Toeplitz matrix
     s, other = (a, b) if a.ndim == 1 else (b, a)
-    k, l = np.indices((n, n))
-    toeplitz = np.where(l <= k, s[k - l], 0.0)
-    return (toeplitz @ other.reshape(n, -1)).reshape(other.shape)
+    return _apply_toeplitz(_toeplitz(s), other)
 
 
 def _compose_coeffs(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Horner composition outer(inner) on coefficient arrays, inner[0] taken
-    as 0; ``outer`` has scalar or matrix coefficients, ``inner`` scalar."""
+    as 0; ``outer`` has scalar or matrix coefficients, ``inner`` scalar.
+
+    With a matrix ``outer`` every Horner step multiplies by the same
+    Toeplitz matrix of ``inner``, built once.  A scalar ``outer`` keeps the
+    product order of ``_mul_coeffs`` (Toeplitz of the accumulator times
+    ``inner``), which fixes the rounding of ``revert``.
+    """
     n = min(outer.shape[0], inner.shape[0])
     t = inner[:n].copy()
     t[0] = 0.0
+    t_toeplitz = _toeplitz(t) if outer.ndim == 3 else None
     acc = np.zeros((n,) + outer.shape[1:], dtype=complex)
     acc[0] = outer[n - 1]
     for k in range(n - 2, -1, -1):
-        acc = _mul_coeffs(acc, t)
+        if t_toeplitz is None:
+            acc = _apply_toeplitz(_toeplitz(acc), t)
+        else:
+            acc = _apply_toeplitz(t_toeplitz, acc)
         acc[0] += outer[k]
     return acc
 

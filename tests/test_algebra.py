@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cocycle_lab.algebra import (
+    RESONANCE_RTOL,
+    _resolvent,
     ad_matrix,
     eigenvalues,
     log_norm,
@@ -11,6 +13,8 @@ from cocycle_lab.algebra import (
     mat_inv,
     operator_norm,
     sylvester_resolve,
+    unvec,
+    vec,
 )
 from cocycle_lab.errors import SingularMatrixError
 
@@ -222,3 +226,67 @@ class TestSylvesterResolve:
                     - rhs
                 )
                 assert res <= 10 * tol * max(1.0, operator_norm(rhs))
+
+
+def reference_solve(k, lam, b0, rhs):
+    """The resolvent factored by ``_resolvent`` and solved directly."""
+    res = _resolvent(k, lam, b0, RESONANCE_RTOL)
+    return res, unvec(np.linalg.solve(res.lhs, vec(rhs)), b0.shape[0])
+
+
+class TestSylvesterFastPath:
+    """Orders with |k lam| - 2||B0|| above the resonance cutoff cannot be
+    resonant; they take an LU solve plus singular values only."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_matches_resolvent_solve(self, svd_counter, n):
+        b0, rhs = random_matrix(n, 0.3), random_matrix(n)
+        lam = complex(0.9, 0.2)
+        bound = 2.0 * operator_norm(b0)
+        orders = [
+            k for k in range(1, 41)
+            if k * abs(lam) - bound > RESONANCE_RTOL * (k * abs(lam) + bound)
+        ]
+        assert len(orders) >= 30
+        for k in orders:
+            before = svd_counter.full
+            out = sylvester_resolve(k, lam, b0, rhs)
+            assert svd_counter.full == before
+            res, expected = reference_solve(k, lam, b0, rhs)
+            assert out.kind == "unique"
+            assert out.solution.tobytes() == expected.tobytes()
+            assert abs(out.smallest_singular_value - res.sv[-1]) <= 1e-12 * res.sv[-1]
+
+    @pytest.mark.parametrize("k, fast", [(2, False), (3, True)])
+    def test_either_side_of_the_bound(self, svd_counter, k, fast):
+        # ||B0|| = ||ad_B0|| = 1: order 2 sits on the bound, order 3 clears it
+        b0 = np.diag([0.0, 1.0]).astype(complex)
+        rhs = np.array([[0.3, -1.0], [2.0, 0.5j]], dtype=complex)
+        out = sylvester_resolve(k, 1.0, b0, rhs)
+        assert svd_counter.full == (0 if fast else 1)
+        _, expected = reference_solve(k, 1.0, b0, rhs)
+        assert out.kind == "unique"
+        assert out.solution.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "delta, rhs01, kind",
+        [
+            (0.0, 0.0, "resonant_solvable"),
+            (0.0, 1.0, "obstructed"),
+            # sigma_min = delta against a cutoff of 1e-8 (2 + delta)
+            (1e-8, 0.0, "resonant_solvable"),
+            (1e-8, 1.0, "obstructed"),
+            (3e-8, 0.0, "unique"),
+            (3e-8, 1.0, "unique"),
+        ],
+    )
+    def test_resonant_and_near_cutoff_orders(self, delta, rhs01, kind):
+        b0 = np.diag([0.0, 1.0 + delta]).astype(complex)
+        rhs = np.array([[0.4, rhs01], [1.0, -0.7]], dtype=complex)
+        res = _resolvent(1, 1.0, b0, RESONANCE_RTOL)
+        assert bool(res.resonant) == (kind != "unique")
+        out = sylvester_resolve(1, 1.0, b0, rhs)
+        assert out.kind == kind
+        assert out.smallest_singular_value == float(res.sv[-1])
+        if kind == "unique":
+            assert out.solution.tobytes() == reference_solve(1, 1.0, b0, rhs)[1].tobytes()

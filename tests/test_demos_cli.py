@@ -241,6 +241,8 @@ class TestCli:
             ("tolerances", "ode", -1e-11, "ode tolerance must be positive"),
             ("tolerances", "sylvester", 0, "sylvester tolerance must be positive"),
             ("tolerances", "resonance", -1, "resonance tolerance must be positive"),
+            (None, "grid", [], "grid must be a JSON object"),
+            (None, "tolerances", [], "tolerances must be a JSON object"),
         ],
     )
     def test_bad_number_or_time_is_input_error(

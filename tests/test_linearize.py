@@ -419,3 +419,24 @@ def test_round_trip_with_nontrivial_koenigs():
     samples = [(t, z) for t in (0.5, 1.0) for z in (0.1, -0.08 + 0.05j)]
     err = reconstruct_error(model, gen, out, samples, guard_radius=min(out.radius_estimate, 0.4))
     assert err <= 1e-5
+
+
+# Work-counter gate: SVDs with singular vectors in one order-64 linearize of
+# a generic 4x4 generator.  Only orders with k|lam| <= 2||B0|| can be
+# resonant, so only they may take the full factorization; every other order
+# takes an LU solve plus singular values.  Measured: 1 full SVD against a
+# bound of 1 (65 before orders that cannot resonate took the LU path).
+def test_full_svds_only_at_orders_that_may_resonate(svd_counter):
+    rng = np.random.default_rng(64)
+    n = 4
+    s = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / 2
+    eig = rng.uniform(0.1, 0.9, n) + 1j * rng.uniform(-0.2, 0.2, n)
+    num = np.empty((3, n, n), dtype=complex)
+    num[0] = s @ np.diag(eig) @ np.linalg.inv(s)
+    num[1:] = 0.3 * (rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))) / n
+    model = build_model(RationalMap([0.0, -1.0, 0.5]), order=64)
+    bound = 2.0 * operator_norm(num[0])
+    may_resonate = sum(k * abs(model.rate) <= bound for k in range(1, 65))
+    out = linearize(model, CocycleGenerator(num), order=64)
+    assert out.status == "linearizable"
+    assert svd_counter.full <= may_resonate

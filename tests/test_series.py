@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cocycle_lab import series
 from cocycle_lab.errors import CenterMismatchError, NotInvertibleError
 from cocycle_lab.series import (
     MatrixSeries,
@@ -201,3 +202,63 @@ def test_reciprocal_inverts():
     target = np.zeros(8)
     target[0] = 1.0
     assert np.max(np.abs(prod.coeffs - target)) <= 1e-10
+
+
+def _reference_mul(a, b):
+    """Product with a scalar factor as one call of the first Cauchy-product
+    kernel: the Toeplitz matrix of the scalar factor rebuilt from an index
+    grid, times the other factor."""
+    n = min(a.shape[0], b.shape[0])
+    a, b = a[:n], b[:n]
+    s, other = (a, b) if a.ndim == 1 else (b, a)
+    assert s.ndim == 1
+    k, l = np.indices((n, n))
+    toeplitz = np.where(l <= k, s[k - l], 0.0)
+    return (toeplitz @ other.reshape(n, -1)).reshape(other.shape)
+
+
+def _reference_compose(outer, inner):
+    """Horner composition as a loop of ``_reference_mul`` calls."""
+    n = min(outer.shape[0], inner.shape[0])
+    t = inner[:n].copy()
+    t[0] = 0.0
+    acc = np.zeros((n,) + outer.shape[1:], dtype=complex)
+    acc[0] = outer[n - 1]
+    for k in range(n - 2, -1, -1):
+        acc = _reference_mul(acc, t)
+        acc[0] += outer[k]
+    return acc
+
+
+def _decaying(order, tail=()):
+    """Random coefficients of size about 0.7^k."""
+    rng = np.random.default_rng(order)
+    c = rng.standard_normal((order + 1,) + tail) + 1j * rng.standard_normal((order + 1,) + tail)
+    return c * (0.7 ** np.arange(order + 1)).reshape((-1,) + (1,) * len(tail))
+
+
+class TestBitEqualToReference:
+    """compose and revert build each Toeplitz matrix once where they can; the
+    coefficients stay bit-equal to the per-step product loop."""
+
+    @pytest.mark.parametrize("order", [1, 2, 24, 64])
+    @pytest.mark.parametrize("tail", [(), (3, 3)], ids=["scalar", "matrix"])
+    def test_compose(self, order, tail):
+        inner = _decaying(order)
+        inner[0] = 0.0
+        outer_cls = MatrixSeries if tail else ScalarSeries
+        outer = outer_cls(0.0, _decaying(order + 3, tail)[: order + 1])
+        got = compose(outer, ScalarSeries(0.0, inner)).coeffs
+        expected = _reference_compose(outer.coeffs, inner)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 24, 64])
+    def test_revert(self, order, monkeypatch):
+        c = _decaying(order)
+        c[0], c[1] = 0.0, -1.0 + 0.2j
+        s = ScalarSeries(0.0, c)
+        got = revert(s).coeffs
+        monkeypatch.setattr(series, "_compose_coeffs", _reference_compose)
+        monkeypatch.setattr(series, "_mul_coeffs", _reference_mul)
+        expected = revert(s).coeffs
+        assert got.tobytes() == expected.tobytes()
