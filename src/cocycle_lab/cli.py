@@ -269,12 +269,8 @@ def run_demo(name: str, *, order: int = 24) -> tuple[dict, bool]:
     ts = list(entry.sample_t)
     zs = np.asarray(entry.sample_z, dtype=complex)
     if entry.oracle is not None:
-        vals = evolve_grid(model, entry.generator, ts, zs, tol=ODE_TOL)
-        err = max(
-            operator_norm(vals[i, j] - entry.oracle(t, complex(z)))
-            for i, t in enumerate(ts)
-            for j, z in enumerate(zs)
-        )
+        diff = evolve_grid(model, entry.generator, ts, zs, tol=ODE_TOL) - entry.oracle(ts, zs)
+        err = float(np.max(operator_norm(diff.reshape((-1,) + diff.shape[2:]))))
         record("evolve_matches_oracle", err <= 2e-8, f"max deviation {err:.3e}")
 
         axioms = check_axioms(model, entry.oracle, [0.4, 0.9], zs, tol=1e-7)
@@ -395,6 +391,14 @@ _FLAGS = {
     "--tmax": (float, "largest sample time"),
 }
 
+#: flag -> (test, what the value must be) for the flags with a domain
+_FLAG_DOMAINS = {
+    "--order": (lambda x: x >= 1, "a positive integer"),
+    "--tol": (math.isfinite, "a finite number"),
+    "--radius": (lambda x: 0.0 < x < math.inf, "a positive finite number"),
+    "--tmax": (lambda x: 0.0 <= x < math.inf, "a non-negative finite number"),
+}
+
 #: subcommand -> handler, help, and the optional flags it reads with their
 #: defaults (a default of None for --order means the scenario's order)
 _COMMANDS = {
@@ -444,9 +448,11 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's own exit: 2 on bad flags, 0 for --help
         return exc.code
-    if getattr(args, "order", None) is not None and args.order < 1:
-        print("error: --order must be a positive integer", file=sys.stderr)
-        return 2
+    for flag, (valid, what) in _FLAG_DOMAINS.items():
+        value = getattr(args, flag[2:], None)
+        if value is not None and not valid(value):
+            print(f"error: {flag} must be {what}, got {value!r}", file=sys.stderr)
+            return 2
     try:
         if args.command == "demo":
             if args.list or args.name is None:

@@ -24,9 +24,8 @@ import numpy as np
 
 from . import integrate as _int
 from .algebra import as_matrix, as_pairs, identity_like, log_norm, mat_inv, operator_norm
-from .dynamics import RationalMap, SemigroupModel, _check_denominator
+from .dynamics import RationalMap, SemigroupModel, _check_denominator, _disk_guard
 from .errors import (
-    DomainEscapeError,
     NoInteriorFixedPointError,
     NotInvariantError,
     OutOfDomainError,
@@ -135,11 +134,7 @@ def evolve_grid(
         bu = _generator_batch(B, u, n)
         return np.concatenate([f(u), (bu @ g).ravel()])
 
-    def guard(y):
-        if np.any(np.abs(y[:m]) >= 1.0):
-            raise DomainEscapeError("trajectory reached the unit circle")
-
-    states = _int.integrate_at(rhs, ts, y0, tol=tol, guard=guard)
+    states = _int.integrate_at(rhs, ts, y0, tol=tol, guard=_disk_guard(m))
     return states[:, m:].reshape(len(ts), m, n, n)
 
 
@@ -149,28 +144,30 @@ def evolve(model: SemigroupModel, B, t: float, z: complex, tol: float = 1e-11) -
 
 
 def make_evolve_oracle(model: SemigroupModel, B, tol: float = 1e-11):
-    """Wrap (model, B) as a sampler Gamma(t, z) with a fast ``grid`` method."""
-    return _EvolveOracle(model, B, tol)
+    """Wrap (model, B) as an oracle Gamma(t, z) (see ``gamma_grid``): one
+    ``evolve_grid`` call over the times (nonnegative, ascending) and points."""
 
+    def gamma(t, z):
+        ts, zs = np.asarray(t, dtype=float), np.asarray(z, dtype=complex)
+        out = evolve_grid(model, B, ts.ravel(), zs.ravel(), tol=tol)
+        return out.reshape(ts.shape + zs.shape + out.shape[2:])
 
-class _EvolveOracle:
-    def __init__(self, model, B, tol):
-        self.model = model
-        self.B = B
-        self.tol = tol
-
-    def __call__(self, t, z):
-        return evolve(self.model, self.B, t, z, tol=self.tol)
-
-    def grid(self, t_values, z_values):
-        return evolve_grid(self.model, self.B, t_values, z_values, tol=self.tol)
+    return gamma
 
 
 def gamma_grid(gamma, t_values, z_values) -> np.ndarray:
-    """Sample any Gamma(t, z) evaluator on a (t, z) grid."""
-    if hasattr(gamma, "grid"):
-        return gamma.grid(t_values, z_values)
-    return np.array([[as_matrix(gamma(t, z)) for z in z_values] for t in t_values])
+    """Gamma on a (t, z) grid, shape (T, Z, n, n), in one oracle call.
+
+    An oracle ``gamma(t, z)`` has outer-product axes: it returns shape
+    t.shape + z.shape + (n, n), so scalar t and z give one n x n matrix.
+    Any other shape raises ValueError.
+    """
+    ts, zs = np.asarray(t_values, dtype=float), np.asarray(z_values, dtype=complex)
+    out = np.asarray(gamma(ts, zs), dtype=complex)
+    if out.ndim != 4 or out.shape[:3] != ts.shape + zs.shape + out.shape[3:]:
+        raise ValueError(f"oracle returned shape {out.shape} for {ts.size} times and "
+                         f"{zs.size} points, expected {ts.shape + zs.shape} + (n, n)")
+    return out
 
 
 @dataclass
@@ -209,8 +206,8 @@ def check_axioms(
     tol: float = 1e-7,
 ) -> AxiomCheckReport:
     """Verify the chain rule, the identity at t = 0, and invertibility on a
-    sample grid.  ``gamma`` is any (t, z) -> matrix evaluator (closed form or
-    an evolve-backed oracle)."""
+    sample grid.  ``gamma`` is an oracle (see ``gamma_grid``), a closed form
+    or ``make_evolve_oracle``, called three times for any grid."""
     zs = np.asarray(list(z_values), dtype=complex)
     ts = sorted(float(t) for t in t_values)
 
@@ -281,9 +278,9 @@ def extract_generator(
         B(z) = V^{-1} [Gamma_{t0}(z) - I - f(z) dV/dz],
 
     with V by a 16-node Gauss-Legendre rule on [0, t0] and dV/dz by a
-    Cauchy integral; Gamma is sampled once, at the nodes and at t0.  Raises
-    VNotInvertibleError when V is numerically singular; callers retry with
-    a smaller t0 (see ``extract_generator_auto``).
+    Cauchy integral, from one call of the oracle ``gamma`` (see
+    ``gamma_grid``).  Raises VNotInvertibleError when V is numerically
+    singular; callers retry with a smaller t0 (``extract_generator_auto``).
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
@@ -377,7 +374,8 @@ def growth_report(
     one leaves the disk by more than 1e-7), computes k_mu = sup of
     log_norm(B) over 256 points of the boundary circle, and records any
     excess of sampled ||Gamma_t(z)|| over exp(K t) with K = ``K`` or k_mu
-    at ``sample_nodes`` of those points.
+    at ``sample_nodes`` of those points, from one call of the oracle ``gamma``
+    (see ``gamma_grid``; default: ``make_evolve_oracle`` at ``ode_tol``).
     """
     if not model.is_interior:
         raise NoInteriorFixedPointError("growth_report needs an interior fixed point model")
@@ -453,12 +451,12 @@ def boundedness_classify(
     """Fit sup-norm growth over ``z_points`` to M exp(K t).
 
     The points may be a boundary circle (sup over a disk, by the maximum
-    principle) or trajectory samples.  A residual above 1 flags
-    super-exponential growth.
+    principle) or trajectory samples.  ``gamma`` is an oracle (see
+    ``gamma_grid``), called once on the whole grid.  A residual above 1
+    flags super-exponential growth.
     """
-    zs = np.asarray(list(z_points), dtype=complex)
     ts = np.asarray([float(t) for t in t_values])
-    vals = gamma_grid(gamma, list(ts), zs)
+    vals = gamma_grid(gamma, ts, list(z_points))
     norms = operator_norm(vals.reshape((-1,) + vals.shape[2:]))
     sups = norms.reshape(vals.shape[:2]).max(axis=1)
     logs = np.log(sups)

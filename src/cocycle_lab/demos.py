@@ -22,6 +22,19 @@ BETA_POWER_EXPONENT = 0.5
 BETA_POWER_WEIGHT = 0.3
 
 
+def _closed_form(entries):
+    """Oracle Gamma(t, z) with outer-product axes, shape t.shape + z.shape +
+    (n, n), from ``entries(t, z)``: the rows as broadcasting expressions."""
+
+    def gamma(t, z):
+        z = np.asarray(z, dtype=complex)
+        t = np.reshape(np.asarray(t, dtype=float), np.shape(t) + (1,) * z.ndim)
+        rows = [np.broadcast_arrays(t, z, *row)[2:] for row in entries(t, z)]
+        return np.stack([np.stack(row, -1) for row in rows], -2).astype(complex)
+
+    return gamma
+
+
 @dataclass
 class DemoEntry:
     name: str
@@ -29,7 +42,8 @@ class DemoEntry:
     dim: int
     f: RationalMap
     generator: object  # CocycleGenerator or matrix-valued callable
-    oracle: Optional[Callable[[float, complex], np.ndarray]]
+    # Gamma(t, z) with outer-product axes: shape t.shape + z.shape + (n, n)
+    oracle: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
     boundary: bool = False
     expected: dict = field(default_factory=dict)
     # verification grid; entries with fast-growing cocycles choose a region
@@ -44,8 +58,8 @@ class DemoEntry:
 
 
 def _linear_scalar_rational() -> DemoEntry:
-    def oracle(t, z):
-        return np.array([[(np.exp(t) - z) / (1.0 - z)]], dtype=complex)
+    def entries(t, z):
+        return [[(np.exp(t) - z) / (1.0 - z)]]
 
     return DemoEntry(
         name="linear-scalar-rational",
@@ -54,7 +68,7 @@ def _linear_scalar_rational() -> DemoEntry:
         dim=1,
         f=RationalMap([0.0, -1.0]),
         generator=CocycleGenerator.scalar([1.0], [1.0, -1.0]),
-        oracle=oracle,
+        oracle=_closed_form(entries),
         expected={
             "k_mu": {"radius": 0.5, "value": 2.0},
             "status": "linearizable",
@@ -64,8 +78,8 @@ def _linear_scalar_rational() -> DemoEntry:
 
 
 def _affine_scalar() -> DemoEntry:
-    def oracle(t, z):
-        return np.array([[np.exp((np.exp(t) - 1.0) / (1.0 - z))]], dtype=complex)
+    def entries(t, z):
+        return [[np.exp((np.exp(t) - 1.0) / (1.0 - z))]]
 
     return DemoEntry(
         name="affine-scalar",
@@ -75,7 +89,7 @@ def _affine_scalar() -> DemoEntry:
         dim=1,
         f=RationalMap([1.0, -1.0]),
         generator=CocycleGenerator.scalar([1.0], [1.0, -1.0]),
-        oracle=oracle,
+        oracle=_closed_form(entries),
         boundary=True,
         expected={"boundedness_on_trajectory": "unbounded", "coboundary": True},
         sample_t=(0.4, 0.8, 1.5),
@@ -84,10 +98,10 @@ def _affine_scalar() -> DemoEntry:
 
 
 def _sqrt_nonexp() -> DemoEntry:
-    def oracle(t, z):
+    def entries(t, z):
         num = 1.0 + np.sqrt(1.0 - np.exp(-t) * z)
         den = 1.0 + np.sqrt(1.0 - z)
-        return np.array([[np.exp(t) * num / den]], dtype=complex)
+        return [[np.exp(t) * num / den]]
 
     def generator(z):
         zs = np.asarray(z, dtype=complex)
@@ -103,15 +117,15 @@ def _sqrt_nonexp() -> DemoEntry:
         dim=1,
         f=RationalMap([0.0, -1.0]),
         generator=generator,
-        oracle=oracle,
+        oracle=_closed_form(entries),
         expected={"k_mu_divergent_radius": 0.999, "k_mu_exceeds": 10.0},
     )
 
 
 def _jordan_obstruction() -> DemoEntry:
-    def oracle(t, z):
+    def entries(t, z):
         et = np.exp(t)
-        return np.array([[et, z * t * et], [0.0, et * et]], dtype=complex)
+        return [[et, z * t * et], [0.0, et * et]]
 
     num = np.zeros((2, 2, 2), dtype=complex)
     num[0] = np.diag([1.0, 2.0])
@@ -124,17 +138,15 @@ def _jordan_obstruction() -> DemoEntry:
         dim=2,
         f=RationalMap([0.0, -1.0]),
         generator=CocycleGenerator(num),
-        oracle=oracle,
+        oracle=_closed_form(entries),
         expected={"status": "obstructed", "obstructed_at": 1, "violated_k": [1]},
     )
 
 
 def _resonant_solvable() -> DemoEntry:
-    def oracle(t, z):
+    def entries(t, z):
         et = np.exp(t)
-        return np.array(
-            [[et, 0.0], [z * (et * et - 1.0) / 2.0, et * et]], dtype=complex
-        )
+        return [[et, 0.0], [z * (et * et - 1.0) / 2.0, et * et]]
 
     num = np.zeros((2, 2, 2), dtype=complex)
     num[0] = np.diag([1.0, 2.0])
@@ -147,7 +159,7 @@ def _resonant_solvable() -> DemoEntry:
         dim=2,
         f=RationalMap([0.0, -1.0]),
         generator=CocycleGenerator(num),
-        oracle=oracle,
+        oracle=_closed_form(entries),
         expected={
             "status": "resonant_solvable",
             "violated_k": [1],
@@ -160,9 +172,9 @@ def _beta_power() -> DemoEntry:
     beta = BETA_POWER_EXPONENT
     c = BETA_POWER_WEIGHT
 
-    def oracle(t, z):
+    def entries(t, z):
         val = np.exp(-beta * t) * (1.0 + c * z) / (1.0 + c * np.exp(-t) * z)
-        return np.array([[val]], dtype=complex)
+        return [[val]]
 
     # -beta + c z / (1 + c z) written over the common denominator
     return DemoEntry(
@@ -172,7 +184,7 @@ def _beta_power() -> DemoEntry:
         dim=1,
         f=RationalMap([0.0, -1.0]),
         generator=CocycleGenerator.scalar([-beta, c * (1.0 - beta)], [1.0, c]),
-        oracle=oracle,
+        oracle=_closed_form(entries),
         expected={
             "status": "linearizable",
             "b0": -beta,
@@ -184,9 +196,9 @@ def _beta_power() -> DemoEntry:
 def _diagonal_linearizable() -> DemoEntry:
     a1, a2 = 1.0, 1.5
 
-    def oracle(t, z):
+    def entries(t, z):
         g11 = np.exp(a1 * t + z * (1.0 - np.exp(-t)))
-        return np.array([[g11, 0.0], [0.0, np.exp(a2 * t)]], dtype=complex)
+        return [[g11, 0.0], [0.0, np.exp(a2 * t)]]
 
     num = np.zeros((2, 2, 2), dtype=complex)
     num[0] = np.diag([a1, a2])
@@ -199,7 +211,7 @@ def _diagonal_linearizable() -> DemoEntry:
         dim=2,
         f=RationalMap([0.0, -1.0]),
         generator=CocycleGenerator(num),
-        oracle=oracle,
+        oracle=_closed_form(entries),
         expected={"status": "linearizable", "violated_k": [], "m1_entry_11": 1.0},
     )
 

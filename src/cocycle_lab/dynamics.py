@@ -134,6 +134,17 @@ class SemigroupModel:
         return flow_ode(self.f, t, z)
 
 
+def _disk_guard(m: Optional[int] = None):
+    """Integrator guard: DomainEscapeError once one of the first ``m`` state
+    entries (all by default) reaches the unit circle."""
+
+    def guard(y):
+        if np.any(np.abs(y[:m]) >= 1.0):
+            raise DomainEscapeError("trajectory reached the unit circle")
+
+    return guard
+
+
 def flow_ode(f: RationalMap, t: float, z, *, tol: float = 1e-12):
     """Direct integration of du/dt = f(u), u(0) = z.
 
@@ -146,11 +157,7 @@ def flow_ode(f: RationalMap, t: float, z, *, tol: float = 1e-12):
     if np.any(np.abs(zs) >= 1.0):
         raise OutOfDomainError("flow point outside the open unit disk")
 
-    def guard(y):
-        if np.any(np.abs(y) >= 1.0):
-            raise DomainEscapeError("trajectory reached the unit circle")
-
-    out = _int.integrate(lambda _t, y: f(y), (0.0, float(t)), zs, tol=tol, guard=guard)[-1]
+    out = _int.integrate(lambda _t, y: f(y), (0.0, float(t)), zs, tol=tol, guard=_disk_guard())[-1]
     out = out.reshape(np.shape(z))
     return out if np.shape(z) else complex(out)
 

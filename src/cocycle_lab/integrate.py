@@ -65,7 +65,8 @@ def integrate(
     <= tol.  The step size carries over output times: an output time only
     shortens the one step that would pass it, and the next step resumes from
     at least the size before shortening.  ``tol`` must be a positive finite
-    number, else ValueError.  ``_MAX_STEPS`` caps the steps of the whole call.
+    number and every time finite, else ValueError.  ``_MAX_STEPS`` caps the
+    steps of the whole call.
 
     ``guard`` is called on every accepted state and may raise (used to detect
     trajectories escaping the unit disk).
@@ -76,6 +77,8 @@ def integrate(
     times = [float(t) for t in t_values]
     if not times:
         raise ValueError("t_values needs a start time")
+    if not all(math.isfinite(t) for t in times):
+        raise ValueError(f"times must be finite, got {times!r}")
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("integration backwards in time is not supported")
     y = np.asarray(y0, dtype=complex).copy()

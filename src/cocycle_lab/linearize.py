@@ -13,9 +13,9 @@ ad_B0; orders where that fails are *resonant* and may carry genuine
 obstructions.  This module implements the spectral condition checks, the
 recursion with obstruction/resonance handling, a convergence-radius
 estimate, reconstruction validation against the evolution solver, the
-closed-form quadrature linearizers available in the commutative (scalar)
-case, and a sharpness construction that turns any resonant B0 into a
-non-linearizable generator.
+integral linearizers M = exp(integral) of the commutative (scalar) case,
+integrated as ODEs, and a sharpness construction that turns any resonant B0
+into a non-linearizable generator.
 """
 
 from __future__ import annotations
@@ -41,14 +41,16 @@ from .algebra import (
     unvec,
 )
 from .cocycle import CocycleGenerator, _generator_batch, _generator_dim, evolve_grid
-from .dynamics import SemigroupModel
+from .dynamics import SemigroupModel, _disk_guard
 from .errors import (
     NoInteriorFixedPointError,
     NotResonantError,
+    OutOfDomainError,
     OutsideConvergenceRegionError,
     PoleOnPathError,
     TailNotConvergingError,
 )
+from .integrate import integrate
 from .series import MatrixSeries, compose
 
 #: scaled singular-value band that is solved but flagged as ill-conditioned
@@ -348,48 +350,19 @@ def reconstruct_error(
     return err
 
 
-def _scalar_of(value) -> complex:
-    return complex(np.asarray(value).reshape(-1)[0])
-
-
-def _adaptive_simpson(fn, a: float, b: float, tol: float, depth: int = 40) -> complex:
-    """Recursive adaptive Simpson quadrature (absolute tolerance).
-
-    Subdivides where the local error estimate demands it, so integrands with
-    sharp end-point peaks still converge.
-    """
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        flm, frm = fn(lm), fn(rm)
-        left = (x1 - x0) / 6.0 * (f0 + 4.0 * flm + f1)
-        right = (x2 - x1) / 6.0 * (f1 + 4.0 * frm + f2)
-        delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        return recurse(x0, x1, f0, flm, f1, left, tol / 2.0, depth - 1) + recurse(
-            x1, x2, f1, frm, f2, right, tol / 2.0, depth - 1
-        )
-
-    fa, fb = fn(a), fn(b)
-    fm = fn(0.5 * (a + b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return complex(recurse(a, b, fa, fm, fb, whole, tol, depth))
-
-
 def commutative_linearize_interior(
     model: SemigroupModel,
     B,
     z: complex,
 ) -> complex:
     """Scalar transfer map M(z) = exp of the improper integral of
-    B(F_t z) - B0 over t in [0, infinity), to an absolute error of 1e-9.
+    B(F_t z) - B0 over t in [0, infinity), to an absolute error of about 1e-9.
 
-    The integral runs in unit time chunks, up to t = 500.  Truncation uses
-    the flow's exponential decay toward the fixed point: the integrand tail
-    after T is bounded by |B(F_T z) - B0| / alpha with
-    alpha = Re(lam) (1 - |z|) / (1 + |z|).
+    ``integrate`` carries (F_t z, the integral up to t) in unit time chunks,
+    up to t = 500, at a per-step tolerance of 1e-10 relative to 1 + |y|.  It
+    stops after a chunk that adds at most 2.5e-10 once the tail after T,
+    bounded by |B(F_T z) - B0| / alpha with
+    alpha = Re(lam) (1 - |z|) / (1 + |z|), is at most 5e-10.
     """
     if _generator_dim(B, complex(z)) != 1:
         raise ValueError("the closed-form interior linearizer is scalar-only")
@@ -399,26 +372,22 @@ def commutative_linearize_interior(
     if lam.real <= 0:
         raise TailNotConvergingError("Re(-f'(z0)) <= 0: no decay toward z0")
     z = complex(z)
+    if abs(z) >= 1.0:
+        raise OutOfDomainError("flow point outside the open unit disk")
     if z == model.z0:
         return 1.0 + 0.0j
-    b0 = _scalar_of(_generator_batch(B, np.array([model.z0]), 1)[0])
+    b0 = _generator_batch(B, np.array([model.z0]), 1)[0, 0, 0]
     alpha = lam.real * (1.0 - abs(z)) / (1.0 + abs(z))
 
-    def integrand(t: float) -> complex:
-        ft = model.flow(t, z)
-        return _scalar_of(_generator_batch(B, np.array([ft]), 1)[0]) - b0
+    def rhs(_t, y):  # (f(u), B(u) - B0) for y = (u, integral)
+        return np.concatenate([model.f(y[:1]), _generator_batch(B, y[:1], 1)[:, 0, 0] - b0])
 
-    tol = 1e-9
-    total = 0.0 + 0.0j
-    t_lo = 0.0
-    while t_lo < 500.0:
-        t_hi = t_lo + 1.0
-        piece = _adaptive_simpson(integrand, t_lo, t_hi, tol / 8.0)
-        total += piece
-        tail_bound = abs(integrand(t_hi)) / alpha
-        if abs(piece) <= tol / 4.0 and tail_bound <= tol / 2.0:
-            return complex(np.exp(total))
-        t_lo = t_hi
+    y = np.array([z, 0.0], dtype=complex)
+    for t_lo in range(500):
+        before = y[1]
+        y = integrate(rhs, (t_lo, t_lo + 1.0), y, tol=1e-10, guard=_disk_guard(1))[-1]
+        if abs(y[1] - before) <= 2.5e-10 and abs(rhs(0.0, y)[1]) / alpha <= 5e-10:
+            return complex(np.exp(y[1]))
     raise TailNotConvergingError("integral tail did not fall below tolerance")
 
 
@@ -433,21 +402,21 @@ def commutative_linearize_nofix(
     semigroups without an interior fixed point.
 
     The cocycle is then the coboundary Gamma_t(z) = M(F_t z)^{-1} M(z).
+    One ``integrate`` call carries d/ds log M(sz) = -z B(sz) / f(sz) over
+    [0, 1]; ``tol`` is its per-step tolerance, relative to 1 + |log M|, not
+    an absolute quadrature error.  f must not vanish at 65 probes of [0, z].
     """
     z = complex(z)
     if _generator_dim(B, z / 2 if z else 0.0) != 1:
         raise ValueError("the closed-form linearizer is scalar-only")
-    probes = np.linspace(0.0, 1.0, 65)
-    fvals = np.asarray([f(s * z) for s in probes], dtype=complex)
-    if np.min(np.abs(fvals)) <= 1e-8:
+    if np.min(np.abs(f(np.linspace(0.0, 1.0, 65) * z))) <= 1e-8:
         raise PoleOnPathError("generator vanishes on the integration segment")
 
-    def integrand(s: float) -> complex:
-        w = s * z
-        bw = _scalar_of(_generator_batch(B, np.array([w]), 1)[0])
-        return bw / complex(f(w)) * z
+    def rhs(s, _y):
+        w = np.array([s * z])
+        return _generator_batch(B, w, 1)[:, 0, 0] / f(w) * z
 
-    integral = _adaptive_simpson(integrand, 0.0, 1.0, tol)
+    integral = integrate(rhs, (0.0, 1.0), np.zeros(1, dtype=complex), tol=tol)[-1, 0]
     return complex(np.exp(-integral))
 
 

@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import counting  # noqa: E402
 import spans  # noqa: E402
 
-from cocycle_lab import cli, series  # noqa: E402
+from cocycle_lab import cli, demos, series  # noqa: E402
 from cocycle_lab.cocycle import CocycleGenerator, growth_report  # noqa: E402
 from cocycle_lab.dynamics import RationalMap, build_model  # noqa: E402
 from cocycle_lab.linearize import linearize  # noqa: E402
@@ -53,6 +53,20 @@ def test_traced_calls_per_layer():
     assert calls["algebra.sylvester_resolve"] == 6
     assert (counters.b_calls, counters.b_points) == (0, 1)
     assert calls["algebra.log_norm"] >= 1
+
+
+def test_demo_oracles_broadcast_bit_equal_to_scalar_calls():
+    # the evolve-wide check stacks scalar oracle calls; the CLI demos call the
+    # oracle once on the whole grid
+    ts = np.array([0.0, 0.3, 0.9, 1.5])
+    zs = np.array([0.0, 0.3, -0.2 + 0.25j, 0.5j, 0.55 - 0.1j, -0.6])
+    for entry in demos.demo_catalog():
+        n = entry.dim
+        assert entry.oracle(0.5, 0.3 + 0.1j).shape == (n, n), entry.name
+        stacked = np.array([[entry.oracle(t, complex(z)) for z in zs] for t in ts.tolist()])
+        grid = entry.oracle(ts, zs)
+        assert grid.shape == (len(ts), len(zs), n, n), entry.name
+        assert np.array_equal(grid, stacked), entry.name
 
 
 def test_cli_looks_up_its_constructors_per_call(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Evolution solver, axiom checks, generator extraction, growth analysis."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from cocycle_lab.cocycle import (
     evolve_grid,
     extract_generator,
     extract_generator_auto,
+    gamma_grid,
     growth_report,
     make_evolve_oracle,
     spatial_derivative_check,
@@ -33,20 +36,28 @@ SCALAR = demo_by_name("linear-scalar-rational")
 SQRT = demo_by_name("sqrt-nonexp")
 
 
-class CountingGridOracle:
-    """A closed-form cocycle behind a ``grid`` method that records the times
-    of each call."""
+class CountingOracle:
+    """An oracle that records the times of each call."""
 
     def __init__(self, gamma):
         self.gamma = gamma
-        self.grid_times = []
+        self.call_times = []
 
     def __call__(self, t, z):
+        self.call_times.append(np.atleast_1d(t).tolist())
         return self.gamma(t, z)
 
-    def grid(self, t_values, z_values):
-        self.grid_times.append([float(t) for t in t_values])
-        return np.array([[self.gamma(t, z) for z in z_values] for t in t_values])
+
+def z_independent(of_t):
+    """Oracle with outer-product axes from ``of_t``, which maps broadcasting
+    times to matrices on trailing (n, n) axes."""
+
+    def gamma(t, z):
+        t = np.asarray(t, dtype=float)
+        g = np.asarray(of_t(t.reshape(t.shape + (1,) * np.ndim(z))))
+        return np.broadcast_to(g, t.shape + np.shape(z) + g.shape[-2:])
+
+    return gamma
 
 
 class TestCocycleGenerator:
@@ -125,6 +136,29 @@ class TestEvolve:
             evolve_grid(LINEAR_MODEL, per_point_only, [0.5], [0.1, 0.2])
 
 
+class TestOracleProtocol:
+    def test_scalar_only_oracle_refused(self):
+        # oracles written for one (t, z) pair
+        def scalar_only(t, z):
+            return np.array([[np.exp(t)]])
+
+        def ident(t, z):
+            return np.eye(2, dtype=complex)
+
+        with pytest.raises(ValueError, match=re.escape("returned shape (1, 1, 3) for 3 times")):
+            gamma_grid(scalar_only, [0.1, 0.2, 0.3], [0.1, 0.2j])
+        with pytest.raises(ValueError, match=re.escape("returned shape (2, 2) for 3 times")):
+            check_axioms(LINEAR_MODEL, ident, [0.5, 1.0], [0.3])
+
+    def test_evolve_oracle_has_outer_product_axes(self):
+        oracle = make_evolve_oracle(LINEAR_MODEL, JORDAN.generator)
+        ts, zs = [0.5, 1.0], np.array([0.3, -0.2j, 0.1])
+        grid = oracle(ts, zs)
+        assert grid.shape == (2, 3, 2, 2)
+        assert np.array_equal(grid, evolve_grid(LINEAR_MODEL, JORDAN.generator, ts, zs))
+        assert np.array_equal(oracle(1.0, 0.3), evolve(LINEAR_MODEL, JORDAN.generator, 1.0, 0.3))
+
+
 class TestCheckAxioms:
     def test_jordan_oracle_passes(self):
         rep = check_axioms(
@@ -135,9 +169,7 @@ class TestCheckAxioms:
         assert rep.min_singular_value > 0.3
 
     def test_trivial_cocycle(self):
-        def ident(t, z):
-            return np.eye(2, dtype=complex)
-
+        ident = z_independent(lambda t: np.eye(2, dtype=complex))
         rep = check_axioms(LINEAR_MODEL, ident, [0.5, 1.0], [0.2, 0.4j])
         assert rep.chain_residual == 0.0
         assert rep.identity_residual == 0.0
@@ -145,7 +177,8 @@ class TestCheckAxioms:
     def test_corrupted_oracle_flagged(self):
         def corrupted(t, z):
             g = JORDAN.oracle(t, z).copy()
-            g[0, 0] += t * t
+            t = np.reshape(t, np.shape(t) + (1,) * np.ndim(z))
+            g[..., 0, 0] += t * t
             return g
 
         rep = check_axioms(LINEAR_MODEL, corrupted, [0.5, 1.0], [0.3], tol=1e-7)
@@ -155,10 +188,10 @@ class TestCheckAxioms:
     @pytest.mark.parametrize("ts", [[0.4, 1.1], [1.1, 0.2, 0.7, 0.4]])
     def test_one_grid_call_per_part(self, ts):
         # Gamma at 0 and ts, Gamma at ts over every F_s(z), Gamma at the sums
-        oracle = CountingGridOracle(JORDAN.oracle)
+        oracle = CountingOracle(JORDAN.oracle)
         rep = check_axioms(LINEAR_MODEL, oracle, ts, [0.3, -0.2 + 0.4j], tol=1e-7)
         assert rep.passed
-        assert len(oracle.grid_times) == 3
+        assert len(oracle.call_times) == 3
 
     def test_matches_per_pair_loop(self):
         ts, zs = [0.4, 0.7, 1.1], np.array([0.3, -0.2 + 0.4j])
@@ -212,16 +245,16 @@ class TestExtractGenerator:
     def test_constant_cocycle(self, scale):
         b0 = scale * np.array([[0.4, 0.3], [-0.1, 1.2]], dtype=complex)
 
-        def oracle(t, z):
-            return mat_exp(t * b0)
-
+        oracle = z_independent(
+            lambda t: np.array([mat_exp(s * b0) for s in t.ravel()]).reshape(t.shape + (2, 2))
+        )
         out = extract_generator(oracle, JORDAN.f, 0.2 + 0.3j)
         assert operator_norm(out - b0) <= 1e-12 * operator_norm(b0)
 
     def test_one_grid_call(self):
-        oracle = CountingGridOracle(JORDAN.oracle)
+        oracle = CountingOracle(JORDAN.oracle)
         extract_generator(oracle, JORDAN.f, 0.5, t0=0.1)
-        [times] = oracle.grid_times
+        [times] = oracle.call_times
         assert len(times) == 17 and times[-1] == 0.1
         assert all(a < b for a, b in zip(times, times[1:]))
 
@@ -250,9 +283,7 @@ class TestExtractGenerator:
         # exp(t b0) with b0 = 20 pi i makes V(0.1, z) exactly singular
         b0 = np.array([[20j * np.pi]])
 
-        def oracle(t, z):
-            return np.array([[np.exp(20j * np.pi * t)]])
-
+        oracle = z_independent(lambda t: np.exp(20j * np.pi * t)[..., None, None])
         with pytest.raises(VNotInvertibleError):
             extract_generator(oracle, LINEAR_MODEL.f, 0.2, t0=0.1)
         out = extract_generator_auto(oracle, LINEAR_MODEL.f, 0.2, t0=0.1)
@@ -314,9 +345,7 @@ class TestBoundednessClassify:
         assert fit.kind == "unbounded"
 
     def test_identity_cocycle(self):
-        def ident(t, z):
-            return np.eye(1, dtype=complex)
-
+        ident = z_independent(lambda t: np.eye(1, dtype=complex))
         fit = boundedness_classify(ident, [0.5, 1.0, 2.0], [0.1, 0.5j])
         assert fit.kind == "bounded"
         assert fit.m_const == pytest.approx(1.0)

@@ -1,9 +1,13 @@
 """Demo catalog integrity and command-line front end behavior."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocycle_lab.cli import _build_parser, main, run_demo
 from cocycle_lab.demos import demo_by_name, demo_catalog
@@ -221,6 +225,31 @@ class TestCli:
         assert main(argv) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["growth", "--tmax", "-1"], "--tmax must be a non-negative finite number, got -1.0"),
+            (["growth", "--tmax", "nan"], "--tmax must be a non-negative finite number, got nan"),
+            (["growth", "--tmax", "inf"], "--tmax must be a non-negative finite number, got inf"),
+            (["growth", "--radius", "nan"], "--radius must be a positive finite number, got nan"),
+            (["growth", "--radius", "0"], "--radius must be a positive finite number, got 0.0"),
+            (["growth", "--radius", "-0.5"], "--radius must be a positive finite number"),
+            (["growth", "--radius=-inf"], "--radius must be a positive finite number, got -inf"),
+            (["growth", "--tol", "nan"], "--tol must be a finite number, got nan"),
+            (["check", "--tol", "nan"], "--tol must be a finite number, got nan"),
+            (["check", "--tol", "inf"], "--tol must be a finite number, got inf"),
+            (["extract", "--tol", "nan"], "--tol must be a finite number, got nan"),
+            (["extract", "--tol=-inf"], "--tol must be a finite number, got -inf"),
+        ],
+    )
+    def test_bad_flag_value_is_input_error(self, scenario_path, tmp_path, capsys, argv, message):
+        out = tmp_path / "r.json"
+        assert main(argv[:1] + ["--scenario", scenario_path, "--out", str(out)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not out.exists() and captured.out == ""
+
     def test_check_tol_zero_is_honoured(self, scenario_path, capsys):
         # the chain residual is tiny but not 0, so a zero tolerance fails
         assert main(["check", "--scenario", scenario_path, "--tol", "0"]) == 1
@@ -328,3 +357,23 @@ def test_cli_accepts_exactly_the_flags_it_reads(command, flag, scenario_path, tm
         return
     assert main(argv) == 2
     assert not out.exists() and capsys.readouterr().out == ""
+
+
+# finite, huge, tiny, negative, infinite and NaN values for the numeric flags
+FLAG_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 1e-300, 0.3, 2.0, 1e300, -1.0, -1e300]),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tol=FLAG_FLOATS, radius=FLAG_FLOATS, tmax=FLAG_FLOATS)
+def test_growth_flag_values_keep_the_exit_contract(tmp_path_factory, tol, radius, tmax):
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(JORDAN_SCENARIO))
+    argv = ["growth", "--scenario", str(path), f"--tol={tol!r}", f"--radius={radius!r}", f"--tmax={tmax!r}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

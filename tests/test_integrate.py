@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab import integrate as integ
-from cocycle_lab.cocycle import extract_generator_auto, make_evolve_oracle
+from cocycle_lab.cocycle import CocycleGenerator, extract_generator_auto, make_evolve_oracle
 from cocycle_lab.demos import demo_by_name
+from cocycle_lab.dynamics import RationalMap, SemigroupModel, build_model
+from cocycle_lab.linearize import commutative_linearize_interior
 
 TOL = 1e-12
 # the 16 Gauss-Legendre nodes of [-1, 1], as generator extraction uses them
@@ -96,6 +98,17 @@ def test_times_must_be_nonnegative_and_ascending(times):
         integ.integrate_at(evolution_rhs, times, Y0, tol=TOL)
 
 
+@pytest.mark.parametrize("times", [(0.0, float("nan")), (0.0, 0.5, float("inf")), (-np.inf, 1.0)])
+def test_times_must_be_finite(times):
+    with pytest.raises(ValueError, match="times must be finite"):
+        integ.integrate(evolution_rhs, times, Y0, tol=TOL)
+
+
+def test_nan_output_time_is_refused():
+    with pytest.raises(ValueError, match="times must be finite"):
+        integ.integrate_at(evolution_rhs, [0.5, float("nan")], Y0, tol=TOL)
+
+
 def test_integration_backwards_is_refused():
     with pytest.raises(ValueError, match="backwards"):
         integ.integrate(evolution_rhs, (0.5, 0.2), Y0, tol=TOL)
@@ -141,3 +154,34 @@ def test_extraction_step_count_ceiling(monkeypatch, name):
     for z in EXTRACTION_POINTS:
         extract_generator_auto(oracle, entry.f, complex(z))
     assert counter.calls <= STEP_CEILINGS[name]
+
+
+# Work-counter gate: the commutative interior linearizer integrates the
+# augmented state (F_t z, integral of B - B0) and makes no flow call.  The two
+# points lie outside the Koenigs radius (0.881) of f = -z + 0.9 z^2, with
+# B = 1/(1 - z/2).  Each ceiling is the measured step count plus 5%; each
+# reference is the value of the earlier quadrature (a recursive adaptive
+# Simpson rule over flow calls from t = 0, about 17 s per point).
+COMMUTATIVE_CASES = [
+    (-0.93, 0.7536341773033101, 287),  # measured: 274
+    (0.95j, 0.7624395250545253 + 0.26109202636274825j, 294),  # measured: 280
+]
+
+
+@pytest.mark.parametrize("z, reference, ceiling", COMMUTATIVE_CASES)
+def test_commutative_interior_steps_and_no_flow(monkeypatch, z, reference, ceiling):
+    model = build_model(RationalMap([0.0, -1.0, 0.9]))
+    B = CocycleGenerator.scalar([1.0], [1.0, -0.5])
+    flow_calls = []
+    flow = SemigroupModel.flow
+
+    def counted_flow(self, *args):
+        flow_calls.append(args)
+        return flow(self, *args)
+
+    monkeypatch.setattr(SemigroupModel, "flow", counted_flow)
+    counter = StepCounter(monkeypatch)
+    value = commutative_linearize_interior(model, B, z)
+    assert flow_calls == []
+    assert counter.calls <= ceiling
+    assert abs(value - reference) <= 1e-8
