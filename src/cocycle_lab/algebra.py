@@ -189,18 +189,24 @@ def _resolvent_matrix(orders, lam: complex, ad: np.ndarray) -> np.ndarray:
 
 
 def _resolvent(
-    orders, lam: complex, b0, resonance_rtol: float, *, vectors: bool = True
+    orders, lam: complex, b0, resonance_rtol: float, *, vectors: bool = True,
+    ad: Optional[np.ndarray] = None, ad_norm: Optional[float] = None,
 ) -> _Resolvent:
     """Build and factor the resolvent matrix of the linearization recursion
     at each order in ``orders`` (an int or an array of ints); with
-    ``vectors=False`` only the singular values are computed."""
-    ad = ad_matrix(b0)
+    ``vectors=False`` only the singular values are computed.  A caller that
+    already holds ``ad_matrix(b0)`` and its 2-norm passes them as ``ad`` and
+    ``ad_norm``."""
+    if ad is None:
+        ad = ad_matrix(b0)
+    if ad_norm is None:
+        ad_norm = float(np.linalg.norm(ad, 2))
     lhs = _resolvent_matrix(orders, lam, ad)
     if vectors:
         u, sv, vh = np.linalg.svd(lhs)
     else:
         u, sv, vh = None, np.linalg.svd(lhs, compute_uv=False), None
-    scale = np.abs(np.asarray(orders) * complex(lam)) + float(np.linalg.norm(ad, 2))
+    scale = np.abs(np.asarray(orders) * complex(lam)) + ad_norm
     return _Resolvent(lhs, u, sv, vh, scale, resonance_rtol * np.maximum(scale, 1e-300))
 
 

@@ -115,10 +115,11 @@ class SemigroupModel:
     def flow(self, t: float, z):
         """F_t(z); Koenigs route inside the validated region, ODE fallback.
 
-        ``z`` may be a complex scalar or an ndarray of points.
+        ``z`` may be a complex scalar or an ndarray of points; ``t`` must be
+        finite and nonnegative, else ValueError.
         """
-        if t < 0:
-            raise ValueError("flow requires t >= 0")
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"flow requires a finite t >= 0, got {t!r}")
         zs = np.asarray(z, dtype=complex)
         if np.any(np.abs(zs) >= 1.0):
             raise OutOfDomainError("flow point outside the open unit disk")

@@ -105,7 +105,7 @@ def condition_check(
     Orders beyond k_bound = ceil(||ad_B0|| / |lam|) cannot be resonant since
     the spectral radius of the commutator map is at most its norm.  Orders
     1 ... k_bound are tested with one batched SVD that computes singular
-    values only.
+    values only; ad_B0 and its norm are computed once for both jobs.
     """
     lam = complex(lam)
     if lam.real <= 0:
@@ -113,8 +113,12 @@ def condition_check(
     b = as_matrix(b0)
     spectrum = eigenvalues(b)
     diffs = (spectrum[:, None] - spectrum[None, :]).ravel()
-    k_bound = int(math.ceil(float(np.linalg.norm(ad_matrix(b), 2)) / abs(lam)))
-    res = _resolvent(np.arange(1, k_bound + 1), lam, b, resonance_rtol, vectors=False)
+    ad = ad_matrix(b)
+    ad_norm = float(np.linalg.norm(ad, 2))
+    k_bound = int(math.ceil(ad_norm / abs(lam)))
+    res = _resolvent(
+        np.arange(1, k_bound + 1), lam, b, resonance_rtol, vectors=False, ad=ad, ad_norm=ad_norm
+    )
     sigma_mins = res.sv[:, -1].tolist()
     violated_eig = []
     violated_rank = []

@@ -261,8 +261,14 @@ def revert(s: ScalarSeries) -> ScalarSeries:
 
     ``s`` must vanish at its center and have a nonzero linear coefficient.
     The result is centered at 0 with constant term equal to s's center, so
-    evaluating it at w returns an actual preimage point.  Newton iteration on
-    the truncated series doubles the number of correct coefficients per step.
+    evaluating it at w returns an actual preimage point.
+
+    Newton steps g <- g - (s(g) - w) / s'(g) run at the truncation sizes
+    ceil((N+1) / 2^j) above 2, in ascending order (3, 5, 9, 17, 33, 65 at
+    N = 64), each on the first ``size`` coefficients only.  If g is exact
+    up to w^(p-1), then s(g) - w = s'(g) (g - g*) + O(w^(2p)), so one step
+    leaves g exact up to w^(2p-1): p exact coefficients become 2p, and each
+    size is at most twice the previous one.  g = w / c_1 starts with 2.
     """
     c = s.coeffs
     scale = float(np.max(np.abs(c))) if c.size else 0.0
@@ -276,10 +282,14 @@ def revert(s: ScalarSeries) -> ScalarSeries:
     ds = np.zeros(n + 1, dtype=complex)
     ds[: n] = c[1:] * np.arange(1, n + 1)
     g = ident / c[1]
-    steps = int(np.ceil(np.log2(n + 1))) + 2
-    for _ in range(steps):
-        err = _compose_coeffs(c, g) - ident
-        slope = _compose_coeffs(ds, g)
-        g = g - _mul_coeffs(err, _recip_coeffs(slope))
+    sizes = []
+    size = n + 1
+    while size > 2:
+        sizes.append(size)
+        size = (size + 1) // 2
+    for size in reversed(sizes):
+        err = _compose_coeffs(c[:size], g[:size]) - ident[:size]
+        slope = _compose_coeffs(ds[:size], g[:size])
+        g[:size] -= _mul_coeffs(err, _recip_coeffs(slope))
     g[0] = s.center
     return ScalarSeries(0.0, g)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cocycle_lab.cocycle import CocycleGenerator, growth_report
 from cocycle_lab.dynamics import (
     RationalMap,
     build_boundary_model,
@@ -94,6 +95,26 @@ class TestFlow:
         m = build_model(LINEAR)
         with pytest.raises(OutOfDomainError):
             m.flow(1.0, 1.2)
+
+    @pytest.mark.parametrize("t", [-0.5, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "model", [build_model(LINEAR), build_boundary_model(AFFINE)], ids=["koenigs", "ode"]
+    )
+    def test_bad_time_raises(self, model, t):
+        with pytest.raises(ValueError):
+            model.flow(t, 0.3)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_growth_report_refuses_non_finite_time(self, t):
+        # a NaN drift would pass the invariance check silently; the oracle
+        # (the cocycle of B = 0) checks no times, so the refusal is flow's
+        gen = CocycleGenerator.constant(np.zeros((2, 2)))
+
+        def identity_oracle(ts, zs):
+            return np.broadcast_to(np.eye(2), np.shape(ts) + np.shape(zs) + (2, 2))
+
+        with pytest.raises(ValueError, match="flow requires a finite t"):
+            growth_report(build_model(LINEAR), gen, 0.5, t_values=(t,), gamma=identity_oracle)
 
     def test_series_and_ode_paths_agree(self):
         m = build_model(QUADRATIC, order=32)

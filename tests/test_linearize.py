@@ -1,11 +1,13 @@
 """Linearization pipeline tests: condition checks, the recursion, the
 quadrature linearizers, reconstruction, gauge freedom, sharpness."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from cocycle_lab import algebra
 from cocycle_lab.algebra import ad_matrix, mat_exp, mat_inv, operator_norm
 from cocycle_lab.cocycle import CocycleGenerator, evolve
 from cocycle_lab.demos import demo_by_name
@@ -27,6 +29,9 @@ from cocycle_lab.linearize import (
 )
 
 RNG = np.random.default_rng(91)
+
+# the package re-exports the function ``linearize`` under the module's name
+linearize_module = importlib.import_module("cocycle_lab.linearize")
 
 LINEAR_MODEL = build_model(RationalMap([0.0, -1.0]))
 JORDAN = demo_by_name("jordan-obstruction")
@@ -88,6 +93,27 @@ class TestConditionCheck:
     def test_requires_positive_real_rate(self):
         with pytest.raises(ValueError):
             condition_check(np.eye(2, dtype=complex), -1.0)
+
+    def test_builds_ad_matrix_once(self, monkeypatch):
+        # k_bound and the batched resolvent share one ad_B0 and one norm; the
+        # report matches a resolvent that builds its own
+        b0 = np.array([[0.2, 0.3, 0.0], [0.0, 1.2, 0.3], [0.0, 0.0, 2.7]], dtype=complex)
+        calls = []
+
+        def counting(b):
+            calls.append(1)
+            return ad_matrix(b)
+
+        monkeypatch.setattr(algebra, "ad_matrix", counting)
+        monkeypatch.setattr(linearize_module, "ad_matrix", counting)
+        rep = condition_check(b0, 1.0)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        orders = np.arange(1, rep.k_bound + 1)
+        res = algebra._resolvent(orders, 1.0, b0, algebra.RESONANCE_RTOL, vectors=False)
+        assert rep.k_bound >= 3
+        assert rep.smallest_singular_values == res.sv[:, -1].tolist()
+        assert rep.violated_k == orders[res.resonant].tolist() == [1]
 
 
 class TestConjugatedGenerator:

@@ -156,6 +156,48 @@ class TestRevert:
             target = ScalarSeries.identity(10).coeffs
             assert np.max(np.abs(ident.coeffs - target)) <= 1e-10
 
+    # the Newton sizes change shape here: none at order 1, one step at 2-3,
+    # and a new smallest size as N + 1 passes 2^j + 1 (orders 4 and 16)
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 15, 16, 17])
+    def test_round_trip_at_schedule_edges(self, order):
+        # The absolute residual of s(g) - w grows with the size of g's
+        # coefficients, which a random series can make large: 2.3e-10 for
+        # _decaying(16) with c_1 = 1 and Newton steps at the full length.
+        # So each coefficient of the residual is scaled by the same
+        # coefficient of |s|(|g|), the size of the terms Horner's rule sums
+        # there (measured: at most 3e-16 of it up to order 64).
+        c = _decaying(order)
+        c[0], c[1] = 0.0, -1.0 + 0.2j
+        s = ScalarSeries(0.0, c)
+        g = revert(s)
+        residual = np.abs(compose(s, g).coeffs - ScalarSeries.identity(order).coeffs)
+        terms = compose(ScalarSeries(0.0, np.abs(c)), ScalarSeries(0.0, np.abs(g.coeffs)))
+        assert residual[0] == 0.0
+        assert np.all(residual[1:] <= 1e-14 * terms.coeffs.real[1:])
+
+    @pytest.mark.parametrize("modulus, tol", [(0.5, 1e-15), (0.6, 2e-11)])
+    def test_matches_closed_form_inverse(self, modulus, tol):
+        # z/(1 - cz) reverts to w/(1 + cw) at every order from 1 to 65; the
+        # worst error is 2.9e-16 at |c| = 0.5 and 1.4e-11 at |c| = 0.6, as
+        # with Newton steps at the full length
+        for arg in range(8):
+            c = modulus * np.exp(2j * np.pi * arg / 8)
+            for order in range(1, 66):
+                powers = c ** np.arange(order)
+                s = ScalarSeries(0.0, np.concatenate([[0.0], powers]))
+                expected = np.concatenate([[0.0], powers * (-1.0) ** np.arange(order)])
+                assert np.max(np.abs(revert(s).coeffs - expected)) <= tol
+
+
+# Work-counter gate: Toeplitz products in one order-64 revert.  Newton steps
+# at the sizes 3, 5, 9, 17, 33, 65 make 258 (1,161 when all 9 steps composed
+# at the full length 65); the bound leaves room for a few more.
+def test_revert_work_at_order_64(toeplitz_counter):
+    c = _decaying(64)
+    c[0], c[1] = 0.0, -1.0 + 0.2j
+    revert(ScalarSeries(0.0, c))
+    assert toeplitz_counter.calls <= 264
+
 
 class TestEvaluate:
     def test_polynomial(self):
