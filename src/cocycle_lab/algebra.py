@@ -92,21 +92,22 @@ def mat_exp(a) -> np.ndarray:
 
 
 def _as_stack(a) -> tuple[np.ndarray, bool]:
-    """``a`` as a stack (m, n, n) of finite square matrices, and whether it was one matrix."""
+    """``a`` as a stack (..., n, n) of finite square matrices, and whether it was one matrix."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 3:
+    if m.ndim < 3:
         return as_matrix(m)[None], True
-    if m.shape[1] != m.shape[2] or not np.all(np.isfinite(m)):
+    if m.shape[-1] != m.shape[-2] or not np.all(np.isfinite(m)):
         raise ValueError(f"expected a stack of finite square matrices, got shape {m.shape}")
     return m, False
 
 
 def operator_norm(a):
     """Spectral norm (largest singular value).  ``a`` is one matrix (gives a
-    float) or a stack of shape ``(m, n, n)`` (gives an array of m values)."""
+    float) or a stack of shape ``(..., n, n)`` (gives an array of shape
+    ``(...)``)."""
     m, single = _as_stack(a)
     # singular values come sorted, largest first
-    norms = np.linalg.svd(m, compute_uv=False)[:, 0]
+    norms = np.linalg.svd(m, compute_uv=False)[..., 0]
     return float(norms[0]) if single else norms
 
 
@@ -117,19 +118,20 @@ def log_norm(a):
     This equals the one-sided derivative lim_{t->0+} (||I + t a|| - 1) / t
     and controls growth bounds exp(integral of log_norm) for linear
     evolution problems.  ``a`` is one matrix (gives a float) or a stack of
-    shape ``(m, n, n)`` (gives an array of m values).
+    shape ``(..., n, n)`` (gives an array of shape ``(...)``).
     """
     m, single = _as_stack(a)
-    herm = (m + m.conj().transpose(0, 2, 1)) / 2.0
-    top = np.linalg.eigvalsh(herm)[:, -1]
+    herm = (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
+    top = np.linalg.eigvalsh(herm)[..., -1]
     return float(top[0]) if single else top
 
 
-def eigenvalues(a, max_dim: int = MAX_EIG_DIM) -> np.ndarray:
-    """All eigenvalues with multiplicity (dense QR-based solver)."""
+def eigenvalues(a) -> np.ndarray:
+    """All eigenvalues with multiplicity (dense QR-based solver); a matrix
+    larger than MAX_EIG_DIM is refused with ValueError."""
     m = as_matrix(a)
-    if m.shape[0] > max_dim:
-        raise ValueError(f"dimension {m.shape[0]} exceeds the cap {max_dim}")
+    if m.shape[0] > MAX_EIG_DIM:
+        raise ValueError(f"dimension {m.shape[0]} exceeds the cap {MAX_EIG_DIM}")
     try:
         return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK cap

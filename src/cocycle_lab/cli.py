@@ -99,7 +99,6 @@ class Scenario:
                 _complex_list(sg["f_num"]), _complex_list(sg.get("f_den", [1.0]))
             )
             self.hint = _as_complex(sg.get("fixed_point_hint", 0.0))
-            self.boundary = bool(sg.get("boundary", False))
 
             gen = _section(data, "generator")
             self.dim = int(gen["dim"])
@@ -116,6 +115,8 @@ class Scenario:
             self.t_values = [_as_real(t) for t in grid.get("t_values", [0.5, 1.0, 2.0])]
             if any(t < 0 for t in self.t_values):
                 raise ScenarioParseError("t_values must be non-negative")
+            if not self.t_values:
+                raise ScenarioParseError("the time grid is empty")
             if "z_values" in grid:
                 self.z_values = _complex_list(grid["z_values"])
             else:
@@ -136,8 +137,6 @@ class Scenario:
 
     def model(self, order=None):
         order = self.order if order is None else order
-        if self.boundary:
-            return build_boundary_model(self.f)
         try:
             return build_model(self.f, hint=self.hint, order=order)
         except NoInteriorFixedPointError:
@@ -167,17 +166,12 @@ def _cmd_evolve(scn: Scenario, args) -> tuple[dict, int]:
     model = scn.model()
     ts = sorted(scn.t_values)
     vals = evolve_grid(model, scn.generator, ts, scn.z_values, tol=scn.ode_tol)
-    samples = []
-    for i, t in enumerate(ts):
-        for j, z in enumerate(scn.z_values):
-            samples.append(
-                {
-                    "t": t,
-                    "z": as_pairs(z),
-                    "gamma": as_pairs(vals[i, j]),
-                    "gamma_norm": operator_norm(vals[i, j]),
-                }
-            )
+    zs = as_pairs(scn.z_values)
+    samples = [
+        {"t": t, "z": z, "gamma": g, "gamma_norm": g_norm}
+        for t, g_row, norm_row in zip(ts, as_pairs(vals), operator_norm(vals).tolist())
+        for z, g, g_norm in zip(zs, g_row, norm_row)
+    ]
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -270,7 +264,7 @@ def run_demo(name: str, *, order: int = 24) -> tuple[dict, bool]:
     zs = np.asarray(entry.sample_z, dtype=complex)
     if entry.oracle is not None:
         diff = evolve_grid(model, entry.generator, ts, zs, tol=ODE_TOL) - entry.oracle(ts, zs)
-        err = float(np.max(operator_norm(diff.reshape((-1,) + diff.shape[2:]))))
+        err = float(np.max(operator_norm(diff)))
         record("evolve_matches_oracle", err <= 2e-8, f"max deviation {err:.3e}")
 
         axioms = check_axioms(model, entry.oracle, [0.4, 0.9], zs, tol=1e-7)
@@ -283,7 +277,6 @@ def run_demo(name: str, *, order: int = 24) -> tuple[dict, bool]:
             entry.generator,
             exp["k_mu"]["radius"],
             gamma=entry.oracle,
-            ode_tol=ODE_TOL,
         )
         ok = (
             abs(rep.k_mu - exp["k_mu"]["value"]) <= 1e-6
@@ -302,7 +295,6 @@ def run_demo(name: str, *, order: int = 24) -> tuple[dict, bool]:
             r,
             t_values=(0.5, 1.0),
             gamma=entry.oracle,
-            ode_tol=ODE_TOL,
         )
         record(
             "k_mu_divergence",

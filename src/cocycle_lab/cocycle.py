@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import integrate as _int
 from .algebra import as_matrix, as_pairs, identity_like, log_norm, mat_inv, operator_norm
-from .dynamics import RationalMap, SemigroupModel, _check_denominator, _disk_guard
+from .dynamics import RationalMap, SemigroupModel, _disk_guard, _Rational
 from .errors import (
     NoInteriorFixedPointError,
     NotInvariantError,
@@ -32,7 +32,7 @@ from .errors import (
     SamplePointIsFixedPointError,
     VNotInvertibleError,
 )
-from .series import MatrixSeries, _rational_taylor, horner
+from .series import horner
 
 #: angles of the 64 trapezoid nodes on the small circle of every
 #: Cauchy-integral derivative
@@ -44,17 +44,12 @@ _CAUCHY_THETAS = 2.0 * np.pi * np.arange(64) / 64
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-@dataclass
-class CocycleGenerator:
+class CocycleGenerator(_Rational):
     """Matrix-valued rational map z -> P(z) / q(z) with square matrix
-    polynomial coefficients ``num[k]`` and scalar denominator ``den``.
+    polynomial coefficients ``num[k]`` and scalar denominator ``den``; one
+    n x n matrix ``num`` is the constant P."""
 
-    The generator must be holomorphic in the open unit disk, so a root of
-    ``den`` there is refused; roots on the unit circle are allowed.
-    """
-
-    num: np.ndarray
-    den: np.ndarray = field(default_factory=lambda: np.array([1.0 + 0.0j]))
+    _what = "generator"
 
     def __post_init__(self):
         self.num = np.asarray(self.num, dtype=complex)
@@ -62,8 +57,7 @@ class CocycleGenerator:
             self.num = self.num[None, :, :]
         if self.num.ndim != 3 or self.num.shape[1] != self.num.shape[2]:
             raise ValueError("numerator coefficients must have shape (d+1, n, n)")
-        self.den = np.atleast_1d(np.asarray(self.den, dtype=complex))
-        _check_denominator(self.den, "generator")
+        super().__post_init__()
 
     @property
     def dim(self) -> int:
@@ -81,11 +75,6 @@ class CocycleGenerator:
 
     def __call__(self, z):
         return horner(self.num, z) / horner(self.den, z)[..., None, None]
-
-    def taylor(self, center: complex, order: int) -> MatrixSeries:
-        """Matrix Taylor series about ``center`` (the denominator must not
-        vanish there)."""
-        return _rational_taylor(self.num, self.den, center, order)
 
 
 def _generator_dim(B, probe: complex) -> int:
@@ -222,7 +211,7 @@ def check_axioms(
     lhs = gamma_grid(gamma, sums, zs)[where.reshape(len(ts), -1)]
     fs = np.concatenate([np.atleast_1d(model.flow(s, zs)) for s in ts])
     rhs = gamma_grid(gamma, ts, fs).reshape(lhs.shape) @ head[1:]
-    chain = float(np.max(operator_norm((lhs - rhs).reshape(-1, n, n))))
+    chain = float(np.max(operator_norm(lhs - rhs)))
     min_sv = float(np.min(np.linalg.svd(lhs, compute_uv=False)[..., -1]))
     return AxiomCheckReport(chain, identity_residual, min_sv, tol)
 
@@ -303,9 +292,10 @@ def extract_generator(
     return mat_inv(v_z) @ (gamma_t0 - identity_like(n) - complex(f(z)) * dv)
 
 
-def extract_generator_auto(gamma, f, z, t0: float = 0.1):
-    """extract_generator with the halving-t0 retry policy (six tries)."""
-    last = None
+def extract_generator_auto(gamma, f, z):
+    """extract_generator with the halving-t0 retry policy: six tries from
+    t0 = 0.1."""
+    last, t0 = None, 0.1
     for _ in range(6):
         try:
             return extract_generator(gamma, f, z, t0)
@@ -322,7 +312,7 @@ class GrowthReport:
     ``k_mu`` is the sampled supremum of the logarithmic norm of B over the
     disk boundary (subharmonicity makes boundary sampling exact in the
     limit); the bound exp(k_used * t) is then checked against sampled
-    cocycle norms.
+    cocycle norms.  ``growth_report`` always takes k_used = k_mu.
     """
 
     radius: float
@@ -362,21 +352,22 @@ def growth_report(
     B,
     r: float,
     *,
-    K: Optional[float] = None,
     t_values: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 3.0),
-    sample_nodes: int = 16,
     gamma=None,
     ode_tol: float = 1e-10,
 ) -> GrowthReport:
     """Logarithmic-norm growth bound on the disk |z - z0| <= r.
 
+    Refuses an ``r`` that is not a positive finite number (ValueError).
     Checks forward invariance on sampled trajectories (NotInvariantError when
     one leaves the disk by more than 1e-7), computes k_mu = sup of
     log_norm(B) over 256 points of the boundary circle, and records any
-    excess of sampled ||Gamma_t(z)|| over exp(K t) with K = ``K`` or k_mu
-    at ``sample_nodes`` of those points, from one call of the oracle ``gamma``
-    (see ``gamma_grid``; default: ``make_evolve_oracle`` at ``ode_tol``).
+    excess of sampled ||Gamma_t(z)|| over exp(k_mu t) at every 16th of those
+    points, from one call of the oracle ``gamma`` (see ``gamma_grid``;
+    default: ``make_evolve_oracle`` at ``ode_tol``).
     """
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"growth_report needs a positive finite radius, got {r!r}")
     if not model.is_interior:
         raise NoInteriorFixedPointError("growth_report needs an interior fixed point model")
     z0 = model.z0
@@ -386,12 +377,9 @@ def growth_report(
         raise OutOfDomainError("disk is not contained in the unit disk")
 
     n = _generator_dim(B, complex(ring[0]))
-    b_ring = _generator_batch(B, ring, n)
-    k_mu = float(np.max(log_norm(b_ring)))
-    k_used = float(K) if K is not None else float(k_mu)
+    k_mu = float(np.max(log_norm(_generator_batch(B, ring, n))))
 
-    step = max(1, 256 // sample_nodes)
-    sample_ring = ring[::step]
+    sample_ring = ring[::16]
     for t in t_values:
         moved = np.atleast_1d(model.flow(float(t), sample_ring))
         drift = np.max(np.abs(moved - z0)) - r
@@ -404,15 +392,12 @@ def growth_report(
         gamma = make_evolve_oracle(model, B, tol=ode_tol)
     vals = gamma_grid(gamma, list(t_values), sample_ring)
     samples = []
-    max_violation = 0.0
-    for i, t in enumerate(t_values):
-        bound = math.exp(k_used * float(t))
-        for j, z in enumerate(sample_ring):
-            g_norm = operator_norm(vals[i, j])
-            violation = max(0.0, g_norm - bound)
-            max_violation = max(max_violation, violation)
-            samples.append((float(t), complex(z), g_norm, bound, violation))
-    return GrowthReport(r, float(k_mu), k_used, max_violation, samples)
+    for t, row in zip(t_values, operator_norm(vals).tolist()):
+        bound = math.exp(k_mu * float(t))
+        samples += [(float(t), complex(z), g, bound, max(0.0, g - bound))
+                    for z, g in zip(sample_ring, row)]
+    max_violation = max([0.0] + [s[-1] for s in samples])
+    return GrowthReport(r, k_mu, k_mu, max_violation, samples)
 
 
 @dataclass
@@ -457,8 +442,7 @@ def boundedness_classify(
     """
     ts = np.asarray([float(t) for t in t_values])
     vals = gamma_grid(gamma, ts, list(z_points))
-    norms = operator_norm(vals.reshape((-1,) + vals.shape[2:]))
-    sups = norms.reshape(vals.shape[:2]).max(axis=1)
+    sups = operator_norm(vals).max(axis=1)
     logs = np.log(sups)
     design = np.stack([np.ones_like(ts), ts], axis=1)
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)

@@ -72,7 +72,6 @@ def _linear_scalar_rational() -> DemoEntry:
         expected={
             "k_mu": {"radius": 0.5, "value": 2.0},
             "status": "linearizable",
-            "transfer_map": "1/(1-z)",
         },
     )
 

@@ -32,30 +32,44 @@ RADIUS_SAFETY = 0.8
 BOUNDARY_MARGIN = 1e-9
 
 
-def _check_denominator(den: np.ndarray, what: str) -> None:
-    """Refuse ascending denominator coefficients that vanish identically or
-    have a root inside the unit disk; roots on the unit circle pass."""
-    if not np.any(np.abs(den) > 0):
-        raise ValueError("denominator is identically zero")
-    poles = np.roots(den[::-1])
-    inside = poles[np.abs(poles) < 1.0 - BOUNDARY_MARGIN]
-    if inside.size:
-        raise ValueError(f"{what} has a pole inside the unit disk at {inside[0]:.6g}")
-
-
 @dataclass
-class RationalMap:
-    """Rational function of z given by ascending numerator/denominator
-    polynomial coefficients; a root of the denominator inside the unit disk
-    is refused, as a semigroup generator must be holomorphic there."""
+class _Rational:
+    """Rational map z -> num(z) / den(z) from ascending polynomial
+    coefficients, ``num`` scalar or square-matrix and ``den`` scalar.
+
+    The map must be holomorphic in the open unit disk, so a ``den`` that
+    vanishes identically or has a root inside the disk is refused with a
+    ValueError naming the map by the subclass's ``_what``; roots on the
+    unit circle pass.  A subclass shapes ``num``, then calls this
+    ``__post_init__``.
+    """
 
     num: np.ndarray
     den: np.ndarray = field(default_factory=lambda: np.array([1.0 + 0.0j]))
 
     def __post_init__(self):
-        self.num = np.atleast_1d(np.asarray(self.num, dtype=complex))
         self.den = np.atleast_1d(np.asarray(self.den, dtype=complex))
-        _check_denominator(self.den, "semigroup generator f")
+        if not np.any(np.abs(self.den) > 0):
+            raise ValueError("denominator is identically zero")
+        poles = np.roots(self.den[::-1])
+        inside = poles[np.abs(poles) < 1.0 - BOUNDARY_MARGIN]
+        if inside.size:
+            raise ValueError(f"{self._what} has a pole inside the unit disk at {inside[0]:.6g}")
+
+    def taylor(self, center: complex, order: int):
+        """Taylor series about ``center``, scalar or matrix like ``num`` (the
+        denominator must not vanish there)."""
+        return _rational_taylor(self.num, self.den, center, order)
+
+
+class RationalMap(_Rational):
+    """Scalar rational function of z, the semigroup generator f."""
+
+    _what = "semigroup generator f"
+
+    def __post_init__(self):
+        self.num = np.atleast_1d(np.asarray(self.num, dtype=complex))
+        super().__post_init__()
 
     def __call__(self, z):
         return horner(self.num, z) / horner(self.den, z)
@@ -72,11 +86,6 @@ class RationalMap:
         dn = np.pad(dn, (0, width - dn.shape[0]))
         nd = np.pad(nd, (0, width - nd.shape[0]))
         return RationalMap(dn - nd, np.convolve(self.den, self.den))
-
-    def taylor(self, center: complex, order: int) -> ScalarSeries:
-        """Taylor series about ``center`` (the denominator must not vanish
-        there)."""
-        return _rational_taylor(self.num, self.den, center, order)
 
 
 def _ratio_radius(coeffs: np.ndarray) -> float:

@@ -322,33 +322,31 @@ def reconstruct_error(
     Gamma comes from the evolution solver, which is independent of the
     series route being validated.  Samples must satisfy |h(z)| and
     |e^{-lam t} h(z)| <= 0.8 * radius so the truncated series is trusted.
+    An empty ``samples`` raises ValueError.
     """
     if outcome.status == "obstructed":
         raise ValueError("obstructed outcomes cannot be reconstructed")
+    if not samples:
+        raise ValueError("reconstruct_error needs at least one sample")
     radius = outcome.radius_estimate if guard_radius is None else guard_radius
     lam = model.rate
 
     by_t: dict = {}
     for t, z in samples:
-        by_t.setdefault(float(t), []).append(complex(z))
+        t, z = float(t), complex(z)
+        hz = model.koenigs.evaluate(z)
+        wt = np.exp(-lam * t) * hz
+        if abs(z - model.z0) > model.koenigs_radius or max(abs(hz), abs(wt)) > 0.8 * radius:
+            raise OutsideConvergenceRegionError(
+                f"sample (t={t}, z={z}) leaves the certified region"
+            )
+        by_t.setdefault(t, []).append((z, hz, wt))
     err = 0.0
     for t in sorted(by_t):
-        zs = by_t[t]
-        for z in zs:
-            hz = model.koenigs.evaluate(z)
-            wt = np.exp(-lam * t) * hz
-            if (
-                abs(z - model.z0) > model.koenigs_radius
-                or max(abs(hz), abs(wt)) > 0.8 * radius
-            ):
-                raise OutsideConvergenceRegionError(
-                    f"sample (t={t}, z={z}) leaves the certified region"
-                )
-        gammas = evolve_grid(model, B, [t], zs)[0]
+        points = by_t[t]
+        gammas = evolve_grid(model, B, [t], [z for z, _, _ in points])[0]
         exp_tb0 = mat_exp(t * outcome.b0)
-        for gamma, z in zip(gammas, zs):
-            hz = model.koenigs.evaluate(z)
-            wt = np.exp(-lam * t) * hz
+        for gamma, (_, hz, wt) in zip(gammas, points):
             recon = mat_inv(outcome.m.evaluate(wt)) @ exp_tb0 @ outcome.m.evaluate(hz)
             err = max(err, operator_norm(gamma - recon))
     return err

@@ -1,7 +1,7 @@
 """Truncated power series with scalar or square-matrix coefficients.
 
 A series is a center plus coefficients ``c_0 ... c_N`` of the expansion in
-``(z - center)``.  Arithmetic truncates to the lower operand order; matrix
+``(z - center)``.  A product truncates to the lower operand order; matrix
 coefficients multiply in the order written, so nothing here assumes that
 they commute.  The coefficient-array kernels below (Horner evaluation,
 Cauchy product, Horner composition, binomial shift) are the only copies of
@@ -113,7 +113,8 @@ def _shift_poly(coeffs: np.ndarray, center: complex) -> np.ndarray:
 
 
 class _Series:
-    """Shared arithmetic for scalar- and matrix-coefficient series."""
+    """Shared storage, truncation and product of scalar- and
+    matrix-coefficient series."""
 
     def __init__(self, center, coeffs):
         self.center = complex(center)
@@ -133,33 +134,10 @@ class _Series:
             return self
         return self._wrap(self.coeffs[: order + 1])
 
-    def __add__(self, other):
-        if isinstance(other, _Series):
-            _check_centers(self, other)
-            n = min(self.order, other.order) + 1
-            return self._wrap(self.coeffs[:n] + other.coeffs[:n])
-        out = self.coeffs.copy()
-        out[0] = out[0] + other
-        return self._wrap(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._wrap(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, _Series) else -1 * other)
-
     def __mul__(self, other):
-        if isinstance(other, _Series):
-            _check_centers(self, other)
-            out = _mul_coeffs(self.coeffs, other.coeffs)
-            return (MatrixSeries if out.ndim == 3 else ScalarSeries)(self.center, out)
-        return self._wrap(self.coeffs * other)
-
-    def __rmul__(self, other):
-        # scalar prefactor only; series * series goes through __mul__
-        return self._wrap(other * self.coeffs)
+        _check_centers(self, other)
+        out = _mul_coeffs(self.coeffs, other.coeffs)
+        return (MatrixSeries if out.ndim == 3 else ScalarSeries)(self.center, out)
 
 
 class ScalarSeries(_Series):

@@ -47,7 +47,7 @@ def test_traced_calls_per_layer():
         counters.active = True
         linearize(model, B, order=6)
         counters.active = False
-        growth_report(model, B, 0.3, t_values=(0.25,), sample_nodes=4)
+        growth_report(model, B, 0.3, t_values=(0.25,))
     calls = recorder.summary()["calls"]
     # one resolvent solve per order, and B expanded once (one Taylor point)
     assert calls["algebra.sylvester_resolve"] == 6

@@ -60,6 +60,16 @@ def z_independent(of_t):
     return gamma
 
 
+def _of_b_and_f(dens):
+    """(constructor, den) rows for 1 / den as B (ids den0, den1, ...) and as
+    f (ids f-den0, f-den1, ...)."""
+    return [
+        pytest.param(make, den, id=f"{tag}den{i}")
+        for tag, make in (("", CocycleGenerator.scalar), ("f-", RationalMap))
+        for i, den in enumerate(dens)
+    ]
+
+
 class TestCocycleGenerator:
     def test_evaluation(self):
         g = JORDAN.generator
@@ -86,17 +96,17 @@ class TestCocycleGenerator:
         assert np.allclose(s.coeffs[1], [[0.0, 1.0], [0.0, 0.0]])
         assert np.allclose(s.coeffs[2], 0.0)
 
-    @pytest.mark.parametrize("den", [[1.0, -2.0], [1.0, 0.0, 4.0], [0.0, 1.0]])
-    def test_pole_inside_disk_refused(self, den):
+    @pytest.mark.parametrize("make, den", _of_b_and_f([[1.0, -2.0], [1.0, 0.0, 4.0], [0.0, 1.0]]))
+    def test_pole_inside_disk_refused(self, make, den):
         # poles at 0.5, at +-0.5i and at 0
         with pytest.raises(ValueError, match="pole inside the unit disk"):
-            CocycleGenerator.scalar([1.0], den)
+            make([1.0], den)
 
-    @pytest.mark.parametrize("den", [[1.0, -1.0], [1.0, 0.0, 1.0], [1.0, -0.5]])
-    def test_pole_on_or_outside_circle_accepted(self, den):
+    @pytest.mark.parametrize("make, den", _of_b_and_f([[1.0, -1.0], [1.0, 0.0, 1.0], [1.0, -0.5]]))
+    def test_pole_on_or_outside_circle_accepted(self, make, den):
         # poles at 1, at +-i and at 2
-        g = CocycleGenerator.scalar([1.0], den)
-        assert np.isfinite(g(0.5)[0, 0])
+        g = make([1.0], den)
+        assert np.all(np.isfinite(g(0.5)))
 
 
 class TestEvolve:
@@ -286,7 +296,7 @@ class TestExtractGenerator:
         oracle = z_independent(lambda t: np.exp(20j * np.pi * t)[..., None, None])
         with pytest.raises(VNotInvertibleError):
             extract_generator(oracle, LINEAR_MODEL.f, 0.2, t0=0.1)
-        out = extract_generator_auto(oracle, LINEAR_MODEL.f, 0.2, t0=0.1)
+        out = extract_generator_auto(oracle, LINEAR_MODEL.f, 0.2)
         assert abs(out[0, 0] - b0[0, 0]) <= 1e-6
 
 
@@ -322,6 +332,11 @@ class TestGrowthReport:
     def test_disk_must_fit_in_unit_disk(self):
         with pytest.raises(ValueError):
             growth_report(LINEAR_MODEL, SCALAR.generator, 1.1, t_values=(0.5,))
+
+    @pytest.mark.parametrize("r", [-0.5, 0.0, float("inf"), float("nan")])
+    def test_radius_must_be_positive_and_finite(self, r):
+        with pytest.raises(ValueError, match="positive finite radius"):
+            growth_report(LINEAR_MODEL, SCALAR.generator, r, gamma=SCALAR.oracle)
 
     def test_csv_schema(self, tmp_path):
         rep = growth_report(LINEAR_MODEL, SCALAR.generator, 0.4, gamma=SCALAR.oracle)

@@ -272,6 +272,7 @@ class TestCli:
             ("tolerances", "resonance", -1, "resonance tolerance must be positive"),
             (None, "grid", [], "grid must be a JSON object"),
             (None, "tolerances", [], "tolerances must be a JSON object"),
+            ("grid", "t_values", [], "time grid is empty"),
         ],
     )
     def test_bad_number_or_time_is_input_error(

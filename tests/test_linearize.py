@@ -275,6 +275,11 @@ class TestReconstruction:
         with pytest.raises(OutsideConvergenceRegionError):
             reconstruct_error(LINEAR_MODEL, SCALAR.generator, out, [(0.5, 0.9)])
 
+    def test_no_samples_refused(self):
+        out = linearize(LINEAR_MODEL, SCALAR.generator)
+        with pytest.raises(ValueError, match="at least one sample"):
+            reconstruct_error(LINEAR_MODEL, SCALAR.generator, out, [])
+
     def test_gauge_covariance(self):
         # conjugating (M, B0) by any invertible A leaves the cocycle unchanged
         entry = demo_by_name("diagonal-linearizable")
