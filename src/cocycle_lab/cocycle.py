@@ -358,16 +358,19 @@ def growth_report(
 ) -> GrowthReport:
     """Logarithmic-norm growth bound on the disk |z - z0| <= r.
 
-    Refuses an ``r`` that is not a positive finite number (ValueError).
-    Checks forward invariance on sampled trajectories (NotInvariantError when
-    one leaves the disk by more than 1e-7), computes k_mu = sup of
-    log_norm(B) over 256 points of the boundary circle, and records any
-    excess of sampled ||Gamma_t(z)|| over exp(k_mu t) at every 16th of those
-    points, from one call of the oracle ``gamma`` (see ``gamma_grid``;
-    default: ``make_evolve_oracle`` at ``ode_tol``).
+    Refuses an ``r`` that is not a positive finite number and an empty
+    ``t_values`` (ValueError).  Checks forward invariance on sampled
+    trajectories (NotInvariantError when one leaves the disk by more than
+    1e-7), computes k_mu = sup of log_norm(B) over 256 points of the
+    boundary circle, and records any excess of sampled ||Gamma_t(z)|| over
+    exp(k_mu t) at every 16th of those points, from one call of the oracle
+    ``gamma`` (see ``gamma_grid``; default: ``make_evolve_oracle`` at
+    ``ode_tol``).
     """
     if not 0.0 < r < math.inf:
         raise ValueError(f"growth_report needs a positive finite radius, got {r!r}")
+    if len(t_values) == 0:
+        raise ValueError("growth_report needs at least one time")
     if not model.is_interior:
         raise NoInteriorFixedPointError("growth_report needs an interior fixed point model")
     z0 = model.z0
@@ -438,9 +441,12 @@ def boundedness_classify(
     The points may be a boundary circle (sup over a disk, by the maximum
     principle) or trajectory samples.  ``gamma`` is an oracle (see
     ``gamma_grid``), called once on the whole grid.  A residual above 1
-    flags super-exponential growth.
+    flags super-exponential growth.  Fewer than two distinct times fit
+    nothing (ValueError).
     """
     ts = np.asarray([float(t) for t in t_values])
+    if np.unique(ts).size < 2:
+        raise ValueError("boundedness_classify needs at least two distinct times")
     vals = gamma_grid(gamma, ts, list(z_points))
     sups = operator_norm(vals).max(axis=1)
     logs = np.log(sups)

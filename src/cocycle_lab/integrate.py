@@ -3,6 +3,14 @@
 A single Dormand-Prince 5(4) pair drives both the semigroup flow and the
 cocycle evolution solver.  States are flat complex ndarrays; the right-hand
 side receives ``(t, y)`` and returns an array of the same shape.
+
+The step sequence does not depend on the output times: only the last step is
+clipped, to land on the final time.  A state at an output time strictly
+inside an accepted step comes from the pair's quartic continuous extension
+(Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.6) over that step's
+stages, so output times cost no steps.  The last stage of an accepted step is
+the right-hand side at its end (first same as last), so a step makes six
+right-hand-side calls after the first.
 """
 
 from __future__ import annotations
@@ -16,8 +24,9 @@ from .errors import NoConvergenceError
 
 # Dormand-Prince 5(4) tableau.  The fifth-order weights propagate the
 # solution; the difference row estimates the local error of the embedded
-# fourth-order result.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# fourth-order result.  The last stage is taken at the fifth-order result
+# itself (its row of the tableau equals _B5).
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -25,12 +34,23 @@ _A = [
     np.array([44 / 45, -56 / 15, 32 / 9]),
     np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _ERR = _B5 - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+# Continuous extension (Shampine, Math. Comp. 46, 1986), order 4:
+# y(t + theta h) = y + h sum_i k_i p_i(theta) with the quartics
+# p_i(theta) = sum_j _DENSE[i, j] theta^(j+1), and p_i(1) = _B5[i].
+_DENSE = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -38,15 +58,25 @@ _MAX_FACTOR = 5.0
 _MAX_STEPS = 200_000
 
 
-def _step(rhs, t, y, h):
-    """One Dormand-Prince step: returns (y5, scaled error array)."""
-    k = [rhs(t, y)]
-    for i in range(1, 7):
+def _step(rhs, t, y, h, k1):
+    """One Dormand-Prince step from (t, y) with first stage k1 = rhs(t, y):
+    returns (y5, the unscaled local error estimate, the seven stages).  The
+    last stage is rhs(t + h, y5), the next step's first stage."""
+    k = [k1]
+    for i in range(1, 6):
         yi = y + h * sum(a * ki for a, ki in zip(_A[i], k))
         k.append(rhs(t + _C[i] * h, yi))
     y5 = y + h * sum(b * ki for b, ki in zip(_B5, k) if b != 0.0)
+    k.append(rhs(t + h, y5))
     err = h * sum(e * ki for e, ki in zip(_ERR, k) if e != 0.0)
-    return y5, err
+    return y5, err, k
+
+
+def _dense(y, h, k, theta):
+    """The state at t + theta h, 0 < theta < 1, of a step from (t, y) with
+    stages k, by the continuous extension."""
+    w = _DENSE @ theta ** np.arange(1, 5)
+    return y + h * sum(wi * ki for wi, ki in zip(w, k) if wi != 0.0)
 
 
 def integrate(
@@ -62,14 +92,17 @@ def integrate(
     ``t_values`` is ``(t_start, t_1, ..., t_k)``, ascending; the result has
     shape ``(k,) + y0.shape`` and holds the states at ``t_1, ..., t_k``.  One
     adaptive integration covers the whole span with local error per step
-    <= tol.  The step size carries over output times: an output time only
-    shortens the one step that would pass it, and the next step resumes from
-    at least the size before shortening.  ``tol`` must be a positive finite
-    number and every time finite, else ValueError.  ``_MAX_STEPS`` caps the
-    steps of the whole call.
+    <= tol.  The steps do not depend on the output times: only the last step
+    is clipped, to land on ``t_k``.  A time at or before the start copies
+    ``y0``, a time at an accepted step's end copies that step's state, and a
+    time strictly inside an accepted step is interpolated from its stages
+    (order 4, not controlled by the error estimate).  ``tol`` must be a
+    positive finite number and every time finite, else ValueError.
+    ``_MAX_STEPS`` caps the steps of the whole call.
 
     ``guard`` is called on every accepted state and may raise (used to detect
-    trajectories escaping the unit disk).
+    trajectories escaping the unit disk).  An interpolated state is not
+    guarded; it lies inside a step whose ends passed the guard.
     """
     tol = float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -83,31 +116,41 @@ def integrate(
         raise ValueError("integration backwards in time is not supported")
     y = np.asarray(y0, dtype=complex).copy()
     out = np.empty((len(times) - 1,) + y.shape, dtype=complex)
-    t = times[0]
-    span = times[-1] - t
-    if span > 0.0 and guard is not None:
-        guard(y)
+    t, t_end = times[0], times[-1]
+    span = t_end - t
+    slack = 1e-15 * span  # a time this close after a state copies it
 
     i = 1
+    while i < len(times) and times[i] <= t + slack:
+        out[i - 1] = y
+        i += 1
+    if i == len(times):
+        return out
+    if guard is not None:
+        guard(y)
+    k1 = rhs(t, y)
     h = min(span, max(span * 1e-4, 1e-6))
     for _ in range(_MAX_STEPS):
-        while i < len(times) and t >= times[i] - 1e-15 * span:
-            out[i - 1] = y
-            i += 1
-        if i == len(times):
-            return out
-        clipped = times[i] - t <= h
-        h_step = times[i] - t if clipped else h
-        y_new, err = _step(rhs, t, y, h_step)
+        last = t_end - t <= h
+        h_step = t_end - t if last else h
+        y_new, err, k = _step(rhs, t, y, h_step, k1)
         scale = tol * (1.0 + np.abs(y_new))
         err_norm = float(np.max(np.abs(err) / scale)) if err.size else 0.0
         if err_norm <= 1.0:
-            t = times[i] if clipped else t + h_step
-            y = y_new
+            t_new = t_end if last else t + h_step
+            while i < len(times) and times[i] < t_new:
+                out[i - 1] = _dense(y, h_step, k, (times[i] - t) / h_step)
+                i += 1
+            while i < len(times) and times[i] <= t_new + slack:
+                out[i - 1] = y_new
+                i += 1
+            t, y, k1 = t_new, y_new, k[-1]
             if guard is not None:
                 guard(y)
+            if i == len(times):
+                return out
             factor = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm ** -0.2
-            h = max(h, h_step * min(_MAX_FACTOR, max(1.0, factor)))
+            h = h_step * min(_MAX_FACTOR, max(1.0, factor))
         else:
             h = h_step * max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
             if h < 1e-14 * span:
@@ -125,8 +168,9 @@ def integrate_at(
 ) -> np.ndarray:
     """States at several nonnegative ascending times, starting from t = 0.
 
-    One continued ``integrate`` call from 0 through every time in
-    ``t_values``; returns an array of shape ``(len(t_values),) + y0.shape``.
+    One continued ``integrate`` call from 0 to the last time in
+    ``t_values``; the other times are interpolated and cost no steps.
+    Returns an array of shape ``(len(t_values),) + y0.shape``.
     """
     times = [float(t) for t in t_values]
     if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):

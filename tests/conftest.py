@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cocycle_lab import series
+from cocycle_lab import integrate, series
 
 
 class SvdCounter:
@@ -43,3 +43,37 @@ class ToeplitzCounter:
 @pytest.fixture
 def toeplitz_counter(monkeypatch):
     return ToeplitzCounter(monkeypatch)
+
+
+class StepCounter:
+    """Counts ``integrate._step`` calls (accepted and rejected steps), and
+    the calls of each right-hand side wrapped by ``counted``."""
+
+    def __init__(self, monkeypatch):
+        self.steps = 0
+        self.rhs_calls = 0
+        step = integrate._step
+
+        def counting(*args):
+            self.steps += 1
+            return step(*args)
+
+        monkeypatch.setattr(integrate, "_step", counting)
+
+    def counted(self, rhs):
+        def counting(t, y):
+            self.rhs_calls += 1
+            return rhs(t, y)
+
+        return counting
+
+    def run(self, fn, *args, **kwargs):
+        """The result of ``fn(*args, **kwargs)`` and the steps it took."""
+        before = self.steps
+        result = fn(*args, **kwargs)
+        return result, self.steps - before
+
+
+@pytest.fixture
+def step_counter(monkeypatch):
+    return StepCounter(monkeypatch)

@@ -338,6 +338,12 @@ class TestGrowthReport:
         with pytest.raises(ValueError, match="positive finite radius"):
             growth_report(LINEAR_MODEL, SCALAR.generator, r, gamma=SCALAR.oracle)
 
+    def test_no_times_refused(self):
+        oracle = CountingOracle(SCALAR.oracle)
+        with pytest.raises(ValueError, match="at least one time"):
+            growth_report(LINEAR_MODEL, SCALAR.generator, 0.5, t_values=(), gamma=oracle)
+        assert oracle.call_times == []
+
     def test_csv_schema(self, tmp_path):
         rep = growth_report(LINEAR_MODEL, SCALAR.generator, 0.4, gamma=SCALAR.oracle)
         path = tmp_path / "growth.csv"
@@ -366,6 +372,13 @@ class TestBoundednessClassify:
         assert fit.m_const == pytest.approx(1.0)
         assert fit.rate == pytest.approx(0.0, abs=1e-12)
         assert fit.residual == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("times", [[], [1.0], [1.0, 1.0]])
+    def test_fewer_than_two_distinct_times_refused(self, times):
+        oracle = CountingOracle(SCALAR.oracle)
+        with pytest.raises(ValueError, match="two distinct times"):
+            boundedness_classify(oracle, times, [0.3, 0.5j])
+        assert oracle.call_times == []
 
 
 def test_chain_rule_of_evolve_output():

@@ -11,6 +11,7 @@ from cocycle_lab.cocycle import CocycleGenerator, extract_generator_auto, make_e
 from cocycle_lab.demos import demo_by_name
 from cocycle_lab.dynamics import RationalMap, SemigroupModel, build_model
 from cocycle_lab.linearize import commutative_linearize_interior
+from conftest import StepCounter
 
 TOL = 1e-12
 # the 16 Gauss-Legendre nodes of [-1, 1], as generator extraction uses them
@@ -27,25 +28,6 @@ def evolution_rhs(_t, y):
 Y0 = np.concatenate([[0.3 + 0.1j], np.eye(2, dtype=complex).ravel()])
 
 
-class StepCounter:
-    """Counts ``integrate._step`` calls (accepted and rejected steps)."""
-
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        step = integ._step
-
-        def counted(*args):
-            self.calls += 1
-            return step(*args)
-
-        monkeypatch.setattr(integ, "_step", counted)
-
-    def run(self, fn, *args, **kwargs):
-        before = self.calls
-        result = fn(*args, **kwargs)
-        return result, self.calls - before
-
-
 def single_span_and_outputs(counter, times):
     """Steps and final state of [0, max(times)] alone and of integrate_at."""
     t_end = times[-1]
@@ -54,15 +36,39 @@ def single_span_and_outputs(counter, times):
     return single[-1], single_steps, states, steps
 
 
-def test_output_times_cost_at_most_one_step_each(monkeypatch):
+def test_output_times_cost_at_most_one_step_each(step_counter):
     # the sample times of generator extraction at t0 = 0.1
     t_end = 0.1
     times = list(0.5 * t_end * (GAUSS_NODES + 1.0)) + [t_end]
-    single, single_steps, states, steps = single_span_and_outputs(
-        StepCounter(monkeypatch), times
+    single, single_steps, states, steps = single_span_and_outputs(step_counter, times)
+    assert steps == single_steps
+    assert np.array_equal(states[-1], single)
+
+
+def test_each_step_calls_rhs_six_times_after_the_first(step_counter):
+    # first same as last: an accepted step hands its last stage on, and a
+    # rejected one keeps its first stage; the guard sees the start and every
+    # accepted state
+    accepted = []
+    rhs = step_counter.counted(evolution_rhs)
+    _, steps = step_counter.run(
+        integ.integrate, rhs, (0.0, 1.0), Y0, tol=TOL, guard=accepted.append
     )
-    assert steps <= single_steps + len(times)
-    assert np.max(np.abs(states[-1] - single)) <= 1e-12
+    assert step_counter.rhs_calls == 6 * steps + 1
+    assert steps > len(accepted) - 1  # some step was rejected
+    integ.integrate(rhs, (0.5, 0.5), Y0, tol=TOL)
+    assert step_counter.rhs_calls == 6 * steps + 1
+
+
+def test_continuous_extension_ends_at_the_fifth_order_weights():
+    assert np.allclose(integ._DENSE.sum(axis=1), integ._B5, rtol=0.0, atol=1e-15)
+
+
+def test_interpolated_states_match_integrations_to_each_time():
+    times = list(0.5 * (GAUSS_NODES + 1.0)) + [1.0]
+    states = integ.integrate_at(evolution_rhs, times, Y0, tol=TOL)
+    reference = [integ.integrate(evolution_rhs, (0.0, t), Y0, tol=1e-14)[-1] for t in times]
+    assert np.max(np.abs(states - reference)) <= 1e-11
 
 
 def test_start_time_and_repeated_times_give_equal_rows():
@@ -130,30 +136,30 @@ def test_any_output_times_match_the_single_span(times):
         single, single_steps, states, steps = single_span_and_outputs(
             StepCounter(monkeypatch), times
         )
-    assert steps <= single_steps + len(times)
-    assert np.max(np.abs(states[-1] - single)) <= 1e-11
+    assert steps == single_steps
+    assert np.array_equal(states[-1], single)
 
 
 # Work-counter gate: Dormand-Prince steps (accepted and rejected) of
 # generator extraction with a 1e-12 evolve oracle at the ten points of the
 # acceptance test (eight on |z| = 0.45, 0 and 0.2 - 0.1j).  Each ceiling is
-# the count measured when the step size first carried over output times, plus
-# 2%; a change that makes the integrator do more work fails here.
+# the count measured when output times were first interpolated, so that they
+# cost no steps, plus 2%; a change that makes the integrator do more work
+# fails here.
 STEP_CEILINGS = {
-    "linear-scalar-rational": 218,  # measured: 214
-    "jordan-obstruction": 265,  # measured: 260
+    "linear-scalar-rational": 122,  # measured: 119
+    "jordan-obstruction": 172,  # measured: 168
 }
 EXTRACTION_POINTS = list(0.45 * np.exp(2j * np.pi * np.arange(8) / 8)) + [0.0, 0.2 - 0.1j]
 
 
 @pytest.mark.parametrize("name", sorted(STEP_CEILINGS))
-def test_extraction_step_count_ceiling(monkeypatch, name):
+def test_extraction_step_count_ceiling(step_counter, name):
     entry = demo_by_name(name)
     oracle = make_evolve_oracle(entry.model(), entry.generator, tol=1e-12)
-    counter = StepCounter(monkeypatch)
     for z in EXTRACTION_POINTS:
         extract_generator_auto(oracle, entry.f, complex(z))
-    assert counter.calls <= STEP_CEILINGS[name]
+    assert step_counter.steps <= STEP_CEILINGS[name]
 
 
 # Work-counter gate: the commutative interior linearizer integrates the
@@ -169,7 +175,7 @@ COMMUTATIVE_CASES = [
 
 
 @pytest.mark.parametrize("z, reference, ceiling", COMMUTATIVE_CASES)
-def test_commutative_interior_steps_and_no_flow(monkeypatch, z, reference, ceiling):
+def test_commutative_interior_steps_and_no_flow(monkeypatch, step_counter, z, reference, ceiling):
     model = build_model(RationalMap([0.0, -1.0, 0.9]))
     B = CocycleGenerator.scalar([1.0], [1.0, -0.5])
     flow_calls = []
@@ -180,8 +186,7 @@ def test_commutative_interior_steps_and_no_flow(monkeypatch, z, reference, ceili
         return flow(self, *args)
 
     monkeypatch.setattr(SemigroupModel, "flow", counted_flow)
-    counter = StepCounter(monkeypatch)
     value = commutative_linearize_interior(model, B, z)
     assert flow_calls == []
-    assert counter.calls <= ceiling
+    assert step_counter.steps <= ceiling
     assert abs(value - reference) <= 1e-8
