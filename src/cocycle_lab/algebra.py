@@ -236,6 +236,8 @@ def sylvester_resolve(
     tol: float = 1e-10,
     *,
     resonance_rtol: float = RESONANCE_RTOL,
+    ad: Optional[np.ndarray] = None, ad_norm: Optional[float] = None,
+    b0_norm: Optional[float] = None, sigma_min: Optional[float] = None,
 ) -> SylvesterOutcome:
     """Solve ``k*lam*m - (m b0 - b0 m) = rhs`` for m.
 
@@ -246,6 +248,10 @@ def sylvester_resolve(
     "obstructed".  An order that the bound ||ad_B0|| <= 2 ||B0|| shows to be
     non-resonant is solved by LU, with the singular values alone giving
     ``smallest_singular_value``; every other order takes a full SVD.
+    A caller that solves many orders passes ``ad_matrix(b0)``, its 2-norm
+    and ||b0|| as ``ad``, ``ad_norm`` and ``b0_norm``; a ``sigma_min`` it
+    passes, a lower bound, spares an LU order the singular values and is
+    reported as ``smallest_singular_value``.
     """
     if k < 1:
         raise ValueError("order k must be a positive integer")
@@ -257,13 +263,14 @@ def sylvester_resolve(
     # ||ad_B0|| <= 2 ||B0||, and the smallest singular value of k lam - ad_B0
     # is at least |k lam| - ||ad_B0||: when that bound clears the cutoff the
     # order cannot be resonant, and an LU solve plus singular values suffice
-    kl, ad_bound = abs(k * complex(lam)), 2.0 * operator_norm(b)
+    kl, ad_bound = abs(k * complex(lam)), 2.0 * (operator_norm(b) if b0_norm is None else b0_norm)
     if kl - ad_bound > resonance_rtol * max(kl + ad_bound, 1e-300):
         res = None
-        lhs = _resolvent_matrix(k, lam, ad_matrix(b))
-        sigma_min = float(np.linalg.svd(lhs, compute_uv=False)[-1])
+        lhs = _resolvent_matrix(k, lam, ad_matrix(b) if ad is None else ad)
+        if sigma_min is None:
+            sigma_min = float(np.linalg.svd(lhs, compute_uv=False)[-1])
     else:
-        res = _resolvent(k, lam, b, resonance_rtol)
+        res = _resolvent(k, lam, b, resonance_rtol, ad=ad, ad_norm=ad_norm)
         lhs, sigma_min = res.lhs, float(res.sv[-1])
     if res is None or not res.resonant:
         m = unvec(np.linalg.solve(lhs, rv), n)

@@ -48,6 +48,8 @@ class _Rational:
     den: np.ndarray = field(default_factory=lambda: np.array([1.0 + 0.0j]))
 
     def __post_init__(self):
+        if self.num.shape[0] == 0:
+            raise ValueError(f"{self._what} has no numerator coefficients")
         self.den = np.atleast_1d(np.asarray(self.den, dtype=complex))
         if not np.any(np.abs(self.den) > 0):
             raise ValueError("denominator is identically zero")

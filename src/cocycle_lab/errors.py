@@ -30,6 +30,10 @@ class ZeroRateError(CocycleLabError):
     """The attraction rate -f'(z0) is numerically zero."""
 
 
+class NotAttractingError(CocycleLabError, ValueError):
+    """The interior fixed point does not attract: Re(-f'(z0)) <= 0."""
+
+
 class OutOfDomainError(CocycleLabError, ValueError):
     """Evaluation point lies outside the open unit disk."""
 

@@ -44,6 +44,7 @@ from .cocycle import CocycleGenerator, _generator_batch, _generator_dim, evolve_
 from .dynamics import SemigroupModel, _disk_guard
 from .errors import (
     NoInteriorFixedPointError,
+    NotAttractingError,
     NotResonantError,
     OutOfDomainError,
     OutsideConvergenceRegionError,
@@ -99,22 +100,24 @@ def condition_check(
     lam: complex,
     *,
     resonance_rtol: float = RESONANCE_RTOL,
+    ad: Optional[np.ndarray] = None, ad_norm: Optional[float] = None,
 ) -> ConditionReport:
     """Test whether any k*lam (k = 1 ... k_bound) is resonant for ad_B0.
 
     Orders beyond k_bound = ceil(||ad_B0|| / |lam|) cannot be resonant since
     the spectral radius of the commutator map is at most its norm.  Orders
     1 ... k_bound are tested with one batched SVD that computes singular
-    values only; ad_B0 and its norm are computed once for both jobs.
+    values only; ad_B0 and its norm are computed once for both jobs, or
+    passed as ``ad`` and ``ad_norm`` by a caller that holds them.
     """
     lam = complex(lam)
     if lam.real <= 0:
-        raise ValueError("condition_check requires Re(lam) > 0")
+        raise NotAttractingError("condition_check requires Re(lam) > 0")
     b = as_matrix(b0)
     spectrum = eigenvalues(b)
     diffs = (spectrum[:, None] - spectrum[None, :]).ravel()
-    ad = ad_matrix(b)
-    ad_norm = float(np.linalg.norm(ad, 2))
+    ad = ad_matrix(b) if ad is None else ad
+    ad_norm = float(np.linalg.norm(ad, 2)) if ad_norm is None else ad_norm
     k_bound = int(math.ceil(ad_norm / abs(lam)))
     res = _resolvent(
         np.arange(1, k_bound + 1), lam, b, resonance_rtol, vectors=False, ad=ad, ad_norm=ad_norm
@@ -225,32 +228,41 @@ def linearize(
 
     Halts at the first genuinely obstructed order; passes through resonant
     orders whose right-hand side stays in range using the minimum-norm
-    solution (reported without a convergence certificate).  Each order is
-    one ``sylvester_resolve`` call: an order with |k lam| - 2 ||B0|| above
-    the resonance cutoff cannot be resonant and gets one LU solve plus the
-    singular values of k lam - ad_B0 (for C1); only the remaining orders
-    take a full SVD.
+    solution (reported without a convergence certificate).  ad_B0, its norm
+    and ||B0|| are computed once.  Each order is one ``sylvester_resolve``
+    call: an order with |k lam| - 2 ||B0|| above the resonance cutoff cannot
+    be resonant and gets one LU solve; only the others take a full SVD.
+    C1 = max 1 / sigma_min(k lam - ad_B0): an LU order takes sigma_min only
+    while its bound |k lam| - ||ad_B0|| could raise C1, else reports the bound.
     """
     if not model.is_interior:
         raise NoInteriorFixedPointError("series linearization requires an interior fixed point")
     lam = model.rate
     if lam.real <= 0:
-        raise ValueError("series linearization requires Re(-f'(z0)) > 0")
+        raise NotAttractingError("series linearization requires Re(-f'(z0)) > 0")
 
     b = conjugated_generator(model, B, order)
     b0 = b.coeffs[0]
     n = b.dim
-    cond = condition_check(b0, lam, resonance_rtol=resonance_rtol)
+    ad = ad_matrix(b0)
+    ad_norm = float(np.linalg.norm(ad, 2))
+    b0_norm = operator_norm(b0)
+    cond = condition_check(b0, lam, resonance_rtol=resonance_rtol, ad=ad, ad_norm=ad_norm)
 
     m_coeffs = np.zeros((order + 1, n, n), dtype=complex)
     m_coeffs[0] = identity_like(n)
     resonant_passed = False
     obstructed_at: Optional[int] = None
-    inv_norms = []
+    c1 = 0.0
     for k in range(1, order + 1):
         rhs = np.matmul(m_coeffs[:k], b.coeffs[k:0:-1]).sum(axis=0)
+        # an order whose bound 1 / (|k lam| - ||ad_B0||) is at most the running
+        # C1 cannot raise it, so it needs no singular values
+        floor = abs(k * lam) - ad_norm
         out = sylvester_resolve(
-            k, lam, b0, rhs, tol=sylvester_tol, resonance_rtol=resonance_rtol
+            k, lam, b0, rhs, tol=sylvester_tol, resonance_rtol=resonance_rtol, ad=ad,
+            ad_norm=ad_norm, b0_norm=b0_norm,
+            sigma_min=floor if floor > 0.0 and 1.0 / floor <= c1 else None,
         )
         if out.kind == "obstructed":
             obstructed_at = k
@@ -259,19 +271,18 @@ def linearize(
         if out.kind == "resonant_solvable":
             resonant_passed = True
         else:
-            inv_norms.append(1.0 / out.smallest_singular_value)
+            c1 = max(c1, 1.0 / out.smallest_singular_value)
         m_coeffs[k] = out.solution
 
     if obstructed_at is not None:
         status = "obstructed"
     elif resonant_passed:
         status = "resonant_solvable"
-    elif operator_norm(b0) <= 1e-10:
+    elif b0_norm <= 1e-10:
         status = "coboundary"
     else:
         status = "linearizable"
 
-    c1 = max(inv_norms) if inv_norms else 0.0
     if resonant_passed:
         c1 = math.inf
     b_norms = operator_norm(b.coeffs).tolist()

@@ -1,5 +1,7 @@
 """Shared test fixtures."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,19 @@ from cocycle_lab import integrate, series
 
 
 class SvdCounter:
-    """Counts ``np.linalg.svd`` calls that compute singular vectors."""
+    """Counts ``np.linalg.svd`` calls: ``full`` those that compute singular
+    vectors, ``by_size[n]`` every call (values only or not) on n x n
+    matrices or a stack of them.  ``np.linalg.norm(a, 2)`` reaches LAPACK
+    without ``np.linalg.svd`` and is not counted."""
 
     def __init__(self, monkeypatch):
         self.full = 0
+        self.by_size = collections.Counter()
         svd = np.linalg.svd
 
         def counting(a, full_matrices=True, compute_uv=True, **kw):
             self.full += bool(compute_uv)
+            self.by_size[np.shape(a)[-1]] += 1
             return svd(a, full_matrices, compute_uv, **kw)
 
         monkeypatch.setattr(np.linalg, "svd", counting)

@@ -273,6 +273,7 @@ class TestCli:
             (None, "grid", [], "grid must be a JSON object"),
             (None, "tolerances", [], "tolerances must be a JSON object"),
             ("grid", "t_values", [], "time grid is empty"),
+            ("semigroup", "f_num", [], "no numerator coefficients"),
         ],
     )
     def test_bad_number_or_time_is_input_error(
@@ -323,6 +324,24 @@ class TestCli:
         assert main([argv[0], "--scenario", str(path)] + argv[1:]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+    @pytest.mark.parametrize("f_num", [[[0, 0], [1, 0]], [[0, 0], [0, 1]]])  # f = z, f = iz
+    def test_fixed_point_that_does_not_attract(self, tmp_path, capsys, f_num):
+        # Re lambda <= 0 at z0 = 0: no linearization recursion and no
+        # resonance report, but the rotation f = iz still evolves
+        data = json.loads(json.dumps(JORDAN_SCENARIO))
+        data["semigroup"]["f_num"] = f_num
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(data))
+        for command in ("linearize", "spectrum"):
+            assert main([command, "--scenario", str(path)]) == 2
+            captured = capsys.readouterr()
+            err = captured.err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: NotAttractingError:")
+            assert captured.out == ""
+        if f_num[1] == [0, 1]:
+            for command in ("evolve", "growth"):
+                assert main([command, "--scenario", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
 # the flags tried on each subcommand: all seven scenario-command flags, with

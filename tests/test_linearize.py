@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cocycle_lab import algebra
-from cocycle_lab.algebra import ad_matrix, mat_exp, mat_inv, operator_norm
+from cocycle_lab.algebra import ad_matrix, mat_exp, mat_inv, operator_norm, unvec, vec
 from cocycle_lab.cocycle import CocycleGenerator, evolve
 from cocycle_lab.demos import demo_by_name
 from cocycle_lab.dynamics import RationalMap, build_model
@@ -96,18 +96,31 @@ class TestConditionCheck:
 
     def test_builds_ad_matrix_once(self, monkeypatch):
         # k_bound and the batched resolvent share one ad_B0 and one norm; the
-        # report matches a resolvent that builds its own
+        # report matches a resolvent that builds its own.  A linearize call
+        # also builds ad_B0 and takes its norm once, for every order it solves
         b0 = np.array([[0.2, 0.3, 0.0], [0.0, 1.2, 0.3], [0.0, 0.0, 2.7]], dtype=complex)
-        calls = []
+        calls, ad_norms = [], []
+        norm = np.linalg.norm
 
         def counting(b):
             calls.append(1)
             return ad_matrix(b)
 
+        def counting_norm(a, ord=None, *args, **kwargs):
+            if ord == 2 and np.shape(a) == (9, 9):
+                ad_norms.append(1)
+            return norm(a, ord, *args, **kwargs)
+
         monkeypatch.setattr(algebra, "ad_matrix", counting)
         monkeypatch.setattr(linearize_module, "ad_matrix", counting)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
         rep = condition_check(b0, 1.0)
-        assert len(calls) == 1
+        assert len(calls) == len(ad_norms) == 1
+        # order 1 is resonant, orders up to 2 ||B0|| take a full SVD and the
+        # rest an LU solve
+        out = linearize(LINEAR_MODEL, CocycleGenerator.constant(b0), order=12)
+        assert out.status == "resonant_solvable"
+        assert len(calls) == len(ad_norms) == 2
         monkeypatch.undo()
         orders = np.arange(1, rep.k_bound + 1)
         res = algebra._resolvent(orders, 1.0, b0, algebra.RESONANCE_RTOL, vectors=False)
@@ -471,3 +484,35 @@ def test_full_svds_only_at_orders_that_may_resonate(svd_counter):
     out = linearize(model, CocycleGenerator(num), order=64)
     assert out.status == "linearizable"
     assert svd_counter.full <= may_resonate
+
+
+# Work-counter gate on a 16x16 generator at order 64 (f = -z + 0.3 z^2, B0
+# diagonal).  C1 needs sigma_min(k lam - ad_B0) only at orders whose bound
+# 1 / (|k lam| - ||ad_B0||) tops the running max: here order 1 alone, so the
+# 256x256 SVDs are that one and condition_check's batch.  Measured: 2 against
+# a bound of 2 (65 when every order took sigma_min).
+def test_large_svds_only_where_c1_may_rise(svd_counter):
+    n, order = 16, 64
+    rng = np.random.default_rng(0)
+    num = np.zeros((2, n, n), dtype=complex)
+    num[0] = np.diag(rng.uniform(0.1, 0.4, n) + 0.3j * rng.uniform(-1.0, 1.0, n))
+    num[1] = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
+    gen = CocycleGenerator(num)
+    model = build_model(RationalMap([0.0, -1.0, 0.3]), order=order)
+    out = linearize(model, gen, order=order)
+    assert out.status == "linearizable"
+    assert svd_counter.by_size[n * n] <= 2
+
+    # brute force: sigma_min at every order, and each m_k from its own solve
+    b = conjugated_generator(model, gen, order).coeffs
+    ad, lam = ad_matrix(b[0]), model.rate
+    m = np.zeros_like(out.m.coeffs)
+    m[0] = np.eye(n)
+    inv_sigma = []
+    for k in range(1, order + 1):
+        lhs = k * lam * np.eye(n * n) - ad
+        inv_sigma.append(1.0 / np.linalg.svd(lhs, compute_uv=False)[-1])
+        rhs = np.matmul(m[:k], b[k:0:-1]).sum(axis=0)
+        m[k] = unvec(np.linalg.solve(lhs, vec(rhs)), n)
+    assert out.diagnostics["C1"] == pytest.approx(max(inv_sigma), rel=1e-14, abs=0.0)
+    assert np.array_equal(out.m.coeffs, m)
