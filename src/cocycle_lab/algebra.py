@@ -168,8 +168,7 @@ class _Resolvent(NamedTuple):
 
     Fields are stacked along the leading axes of the orders they were built
     for; ``u`` and ``vh`` are None when only singular values were taken.
-    ``scale`` is |k lam| + ||ad_B0||; order k is resonant when the smallest
-    singular value is at most ``cutoff = resonance_rtol * scale``.
+    ``scale`` and ``cutoff`` are those of ``_cutoff``.
     """
 
     lhs: np.ndarray
@@ -184,6 +183,14 @@ class _Resolvent(NamedTuple):
         return self.sv[..., -1] <= self.cutoff
 
 
+def _cutoff(orders, lam: complex, ad_norm: float, resonance_rtol: float):
+    """The one resonance rule: order k (an int or an array of ints) is resonant
+    when sigma_min(k lam - ad_B0) <= cutoff = resonance_rtol * scale, where
+    scale = |k lam| + ||ad_B0||.  Returns ``(scale, cutoff)``."""
+    scale = np.abs(np.asarray(orders) * complex(lam)) + ad_norm
+    return scale, resonance_rtol * np.maximum(scale, 1e-300)
+
+
 def _resolvent_matrix(orders, lam: complex, ad: np.ndarray) -> np.ndarray:
     """``k*lam*I - ad`` at each order in ``orders`` (an int or an array of ints)."""
     kl = np.asarray(orders) * complex(lam)
@@ -191,25 +198,19 @@ def _resolvent_matrix(orders, lam: complex, ad: np.ndarray) -> np.ndarray:
 
 
 def _resolvent(
-    orders, lam: complex, b0, resonance_rtol: float, *, vectors: bool = True,
-    ad: Optional[np.ndarray] = None, ad_norm: Optional[float] = None,
+    orders, lam: complex, ad: np.ndarray, ad_norm: float, resonance_rtol: float, *,
+    vectors: bool = True,
 ) -> _Resolvent:
     """Build and factor the resolvent matrix of the linearization recursion
-    at each order in ``orders`` (an int or an array of ints); with
-    ``vectors=False`` only the singular values are computed.  A caller that
-    already holds ``ad_matrix(b0)`` and its 2-norm passes them as ``ad`` and
-    ``ad_norm``."""
-    if ad is None:
-        ad = ad_matrix(b0)
-    if ad_norm is None:
-        ad_norm = float(np.linalg.norm(ad, 2))
+    at each order in ``orders`` (an int or an array of ints), given
+    ``ad = ad_matrix(b0)`` and its 2-norm ``ad_norm``; with
+    ``vectors=False`` only the singular values are computed."""
     lhs = _resolvent_matrix(orders, lam, ad)
     if vectors:
         u, sv, vh = np.linalg.svd(lhs)
     else:
         u, sv, vh = None, np.linalg.svd(lhs, compute_uv=False), None
-    scale = np.abs(np.asarray(orders) * complex(lam)) + ad_norm
-    return _Resolvent(lhs, u, sv, vh, scale, resonance_rtol * np.maximum(scale, 1e-300))
+    return _Resolvent(lhs, u, sv, vh, *_cutoff(orders, lam, ad_norm, resonance_rtol))
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,7 @@ def sylvester_resolve(
     *,
     resonance_rtol: float = RESONANCE_RTOL,
     ad: Optional[np.ndarray] = None, ad_norm: Optional[float] = None,
-    b0_norm: Optional[float] = None, sigma_min: Optional[float] = None,
+    sigma_min: Optional[float] = None,
 ) -> SylvesterOutcome:
     """Solve ``k*lam*m - (m b0 - b0 m) = rhs`` for m.
 
@@ -245,45 +246,34 @@ def sylvester_resolve(
     returned.  When it is singular, the minimum-norm least-squares solution
     (null-space components zeroed) is returned as "resonant_solvable" if the
     right-hand side lies in the range (defect <= tol), else the outcome is
-    "obstructed".  An order that the bound ||ad_B0|| <= 2 ||B0|| shows to be
-    non-resonant is solved by LU, with the singular values alone giving
-    ``smallest_singular_value``; every other order takes a full SVD.
-    A caller that solves many orders passes ``ad_matrix(b0)``, its 2-norm
-    and ||b0|| as ``ad``, ``ad_norm`` and ``b0_norm``; a ``sigma_min`` it
-    passes, a lower bound, spares an LU order the singular values and is
-    reported as ``smallest_singular_value``.
+    "obstructed".  An order whose lower bound on sigma_min(k lam - ad_B0),
+    the caller's ``sigma_min`` (then reported as ``smallest_singular_value``)
+    or else |k lam| - ||ad_B0||, lies above the resonance rule's ``_cutoff``
+    gets one LU solve (and singular values when no ``sigma_min`` was passed);
+    every other order takes a full SVD.  A caller that solves many orders
+    passes ``ad_matrix(b0)`` and its 2-norm as ``ad`` and ``ad_norm``.
     """
     if k < 1:
         raise ValueError("order k must be a positive integer")
-    b = as_matrix(b0)
-    r = as_matrix(rhs)
-    n = b.shape[0]
-    rv = vec(r)
-
-    # ||ad_B0|| <= 2 ||B0||, and the smallest singular value of k lam - ad_B0
-    # is at least |k lam| - ||ad_B0||: when that bound clears the cutoff the
-    # order cannot be resonant, and an LU solve plus singular values suffice
-    kl, ad_bound = abs(k * complex(lam)), 2.0 * (operator_norm(b) if b0_norm is None else b0_norm)
-    if kl - ad_bound > resonance_rtol * max(kl + ad_bound, 1e-300):
-        res = None
-        lhs = _resolvent_matrix(k, lam, ad_matrix(b) if ad is None else ad)
+    b, r = as_matrix(b0), as_matrix(rhs)
+    ad = ad_matrix(b) if ad is None else ad
+    ad_norm = float(np.linalg.norm(ad, 2)) if ad_norm is None else ad_norm
+    bound = abs(k * complex(lam)) - ad_norm if sigma_min is None else sigma_min
+    if bound > _cutoff(k, lam, ad_norm, resonance_rtol)[1]:
+        res, lhs = None, _resolvent_matrix(k, lam, ad)
         if sigma_min is None:
             sigma_min = float(np.linalg.svd(lhs, compute_uv=False)[-1])
     else:
-        res = _resolvent(k, lam, b, resonance_rtol, ad=ad, ad_norm=ad_norm)
+        res = _resolvent(k, lam, ad, ad_norm, resonance_rtol)
         lhs, sigma_min = res.lhs, float(res.sv[-1])
     if res is None or not res.resonant:
-        m = unvec(np.linalg.solve(lhs, rv), n)
-        residual = operator_norm(k * lam * m - (m @ b - b @ m) - r)
-        return SylvesterOutcome("unique", m, residual, sigma_min)
-
-    # singular system: pseudo-inverse solve with the same cutoff
-    keep = res.sv > res.cutoff
-    inv_sv = np.where(keep, 1.0 / np.where(keep, res.sv, 1.0), 0.0)
-    x = res.vh.conj().T @ (inv_sv * (res.u.conj().T @ rv))
-    m = unvec(x, n)
+        kind, x = "unique", np.linalg.solve(lhs, vec(r))
+    else:  # singular system: pseudo-inverse solve with the same cutoff
+        keep = res.sv > res.cutoff
+        inv_sv = np.where(keep, 1.0 / np.where(keep, res.sv, 1.0), 0.0)
+        kind, x = "resonant_solvable", res.vh.conj().T @ (inv_sv * (res.u.conj().T @ vec(r)))
+    m = unvec(x, b.shape[0])
     residual = operator_norm(k * lam * m - (m @ b - b @ m) - r)
-    rhs_scale = max(1.0, operator_norm(r))
-    if residual <= tol * rhs_scale:
-        return SylvesterOutcome("resonant_solvable", m, residual, sigma_min)
-    return SylvesterOutcome("obstructed", None, residual, sigma_min)
+    if kind != "unique" and residual > tol * max(1.0, operator_norm(r)):
+        kind, m = "obstructed", None
+    return SylvesterOutcome(kind, m, residual, sigma_min)

@@ -154,8 +154,21 @@ def _load_scenario(path: str) -> Scenario:
     return Scenario(data)
 
 
+def _finite(obj):
+    """``obj`` with each non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Write ``report`` as strict JSON: a non-finite float becomes null."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # only a report with a non-finite float pays for the walk
+        text = json.dumps(_finite(report), indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
     else:

@@ -106,9 +106,9 @@ def condition_check(
 
     Orders beyond k_bound = ceil(||ad_B0|| / |lam|) cannot be resonant since
     the spectral radius of the commutator map is at most its norm.  Orders
-    1 ... k_bound are tested with one batched SVD that computes singular
-    values only; ad_B0 and its norm are computed once for both jobs, or
-    passed as ``ad`` and ``ad_norm`` by a caller that holds them.
+    1 ... k_bound are tested at once: one values-only batched SVD, and array
+    expressions for both routes and the near-resonance band.  ad_B0 and its
+    norm are computed once, or passed as ``ad`` and ``ad_norm``.
     """
     lam = complex(lam)
     if lam.real <= 0:
@@ -119,31 +119,20 @@ def condition_check(
     ad = ad_matrix(b) if ad is None else ad
     ad_norm = float(np.linalg.norm(ad, 2)) if ad_norm is None else ad_norm
     k_bound = int(math.ceil(ad_norm / abs(lam)))
-    res = _resolvent(
-        np.arange(1, k_bound + 1), lam, b, resonance_rtol, vectors=False, ad=ad, ad_norm=ad_norm
-    )
-    sigma_mins = res.sv[:, -1].tolist()
-    violated_eig = []
-    violated_rank = []
-    near = []
-    for k, hit, sigma, scale, cutoff in zip(
-        range(1, k_bound + 1), res.resonant, sigma_mins, res.scale, res.cutoff
-    ):
-        if np.min(np.abs(k * lam - diffs)) <= cutoff:
-            violated_eig.append(k)
-        if hit:
-            violated_rank.append(k)
-        elif sigma <= NEAR_RESONANCE_RTOL * scale:
-            near.append(k)
+    orders = np.arange(1, k_bound + 1)
+    res = _resolvent(orders, lam, ad, ad_norm, resonance_rtol, vectors=False)
+    sigma_mins = res.sv[:, -1]
+    hit_eig = np.min(np.abs(orders[:, None] * lam - diffs), axis=1) <= res.cutoff
+    near = ~res.resonant & (sigma_mins <= NEAR_RESONANCE_RTOL * res.scale)
     return ConditionReport(
         lam=lam,
         spectrum_b0=spectrum,
         difference_set=diffs,
-        violated_k=violated_rank,
+        violated_k=orders[res.resonant].tolist(),
         k_bound=k_bound,
-        rank_route_agrees=violated_eig == violated_rank,
-        near_resonant_k=near,
-        smallest_singular_values=sigma_mins,
+        rank_route_agrees=bool(np.array_equal(hit_eig, res.resonant)),
+        near_resonant_k=orders[near].tolist(),
+        smallest_singular_values=sigma_mins.tolist(),
     )
 
 
@@ -228,12 +217,12 @@ def linearize(
 
     Halts at the first genuinely obstructed order; passes through resonant
     orders whose right-hand side stays in range using the minimum-norm
-    solution (reported without a convergence certificate).  ad_B0, its norm
-    and ||B0|| are computed once.  Each order is one ``sylvester_resolve``
-    call: an order with |k lam| - 2 ||B0|| above the resonance cutoff cannot
-    be resonant and gets one LU solve; only the others take a full SVD.
-    C1 = max 1 / sigma_min(k lam - ad_B0): an LU order takes sigma_min only
-    while its bound |k lam| - ||ad_B0|| could raise C1, else reports the bound.
+    solution (reported without a convergence certificate).  ad_B0 and its
+    norm are computed once.  Each order is one ``sylvester_resolve`` call,
+    given a lower bound on sigma_min(k lam - ad_B0) where one is at hand:
+    up to k_bound ``condition_check``'s batched sigma_min, so only the orders
+    in ``violated_k`` take a full SVD; beyond it |k lam| - ||ad_B0|| once
+    that cannot raise C1 = max 1 / sigma_min.
     """
     if not model.is_interior:
         raise NoInteriorFixedPointError("series linearization requires an interior fixed point")
@@ -246,23 +235,22 @@ def linearize(
     n = b.dim
     ad = ad_matrix(b0)
     ad_norm = float(np.linalg.norm(ad, 2))
-    b0_norm = operator_norm(b0)
     cond = condition_check(b0, lam, resonance_rtol=resonance_rtol, ad=ad, ad_norm=ad_norm)
 
     m_coeffs = np.zeros((order + 1, n, n), dtype=complex)
     m_coeffs[0] = identity_like(n)
     resonant_passed = False
     obstructed_at: Optional[int] = None
-    c1 = 0.0
+    c1, sigmas = 0.0, cond.smallest_singular_values
     for k in range(1, order + 1):
         rhs = np.matmul(m_coeffs[:k], b.coeffs[k:0:-1]).sum(axis=0)
-        # an order whose bound 1 / (|k lam| - ||ad_B0||) is at most the running
-        # C1 cannot raise it, so it needs no singular values
+        # up to k_bound the batch's sigma_min; beyond it the floor, positive
+        # there, once 1 / floor cannot raise C1
         floor = abs(k * lam) - ad_norm
+        sigma_min = sigmas[k - 1] if k <= cond.k_bound else floor if 1.0 / floor <= c1 else None
         out = sylvester_resolve(
             k, lam, b0, rhs, tol=sylvester_tol, resonance_rtol=resonance_rtol, ad=ad,
-            ad_norm=ad_norm, b0_norm=b0_norm,
-            sigma_min=floor if floor > 0.0 and 1.0 / floor <= c1 else None,
+            ad_norm=ad_norm, sigma_min=sigma_min,
         )
         if out.kind == "obstructed":
             obstructed_at = k
@@ -278,7 +266,7 @@ def linearize(
         status = "obstructed"
     elif resonant_passed:
         status = "resonant_solvable"
-    elif b0_norm <= 1e-10:
+    elif operator_norm(b0) <= 1e-10:
         status = "coboundary"
     else:
         status = "linearizable"
@@ -449,7 +437,8 @@ def sharpness_witness(
     if k < 1:
         raise ValueError("order k must be a positive integer")
     b = as_matrix(b0)
-    res = _resolvent(k, lam, b, RESONANCE_RTOL)
+    ad = ad_matrix(b)
+    res = _resolvent(k, lam, ad, float(np.linalg.norm(ad, 2)), RESONANCE_RTOL)
     if not res.resonant:
         raise NotResonantError(f"k*lam = {k * complex(lam)} is not in the spectrum of ad_B0")
     n = b.shape[0]

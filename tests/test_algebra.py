@@ -228,21 +228,27 @@ class TestSylvesterResolve:
                 assert res <= 10 * tol * max(1.0, operator_norm(rhs))
 
 
+def resolvent(k, lam, b0):
+    """``_resolvent`` at order k, with its own ad_B0 and norm."""
+    ad = ad_matrix(b0)
+    return _resolvent(k, lam, ad, np.linalg.norm(ad, 2), RESONANCE_RTOL)
+
+
 def reference_solve(k, lam, b0, rhs):
     """The resolvent factored by ``_resolvent`` and solved directly."""
-    res = _resolvent(k, lam, b0, RESONANCE_RTOL)
+    res = resolvent(k, lam, b0)
     return res, unvec(np.linalg.solve(res.lhs, vec(rhs)), b0.shape[0])
 
 
 class TestSylvesterFastPath:
-    """Orders with |k lam| - 2||B0|| above the resonance cutoff cannot be
+    """Orders with |k lam| - ||ad_B0|| above the resonance cutoff cannot be
     resonant; they take an LU solve plus singular values only."""
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_matches_resolvent_solve(self, svd_counter, n):
         b0, rhs = random_matrix(n, 0.3), random_matrix(n)
         lam = complex(0.9, 0.2)
-        bound = 2.0 * operator_norm(b0)
+        bound = np.linalg.norm(ad_matrix(b0), 2)
         orders = [
             k for k in range(1, 41)
             if k * abs(lam) - bound > RESONANCE_RTOL * (k * abs(lam) + bound)
@@ -259,14 +265,32 @@ class TestSylvesterFastPath:
 
     @pytest.mark.parametrize("k, fast", [(2, False), (3, True)])
     def test_either_side_of_the_bound(self, svd_counter, k, fast):
-        # ||B0|| = ||ad_B0|| = 1: order 2 sits on the bound, order 3 clears it
-        b0 = np.diag([0.0, 1.0]).astype(complex)
+        # ||ad_B0|| = 2.5: order 2 falls below the bound and takes a full
+        # SVD; order 3 clears it by 0.5 (2 ||B0|| = 5 would not clear it)
+        b0 = np.diag([0.0, 2.5]).astype(complex)
         rhs = np.array([[0.3, -1.0], [2.0, 0.5j]], dtype=complex)
         out = sylvester_resolve(k, 1.0, b0, rhs)
         assert svd_counter.full == (0 if fast else 1)
-        _, expected = reference_solve(k, 1.0, b0, rhs)
+        res, expected = reference_solve(k, 1.0, b0, rhs)
         assert out.kind == "unique"
         assert out.solution.tobytes() == expected.tobytes()
+        assert out.smallest_singular_value == pytest.approx(res.sv[-1], rel=1e-14)
+
+    def test_passed_sigma_min_decides(self, svd_counter):
+        # sigma_min = 0.5 at orders 2 and 3.  A passed sigma_min above the
+        # cutoff takes the LU solve below the ||ad_B0|| bound, and is reported;
+        # one at or below it takes the full SVD above the bound, whose own
+        # value is reported
+        b0 = np.diag([0.0, 2.5]).astype(complex)
+        rhs = np.array([[0.3, -1.0], [2.0, 0.5j]], dtype=complex)
+        lu = sylvester_resolve(2, 1.0, b0, rhs, sigma_min=0.25)
+        assert svd_counter.full == 0
+        full = sylvester_resolve(3, 1.0, b0, rhs, sigma_min=0.0)
+        assert svd_counter.full == 1
+        assert lu.smallest_singular_value == 0.25
+        assert lu.solution.tobytes() == reference_solve(2, 1.0, b0, rhs)[1].tobytes()
+        assert full.kind == "unique"
+        assert full.smallest_singular_value == pytest.approx(0.5, rel=1e-14)
 
     @pytest.mark.parametrize(
         "delta, rhs01, kind",
@@ -283,7 +307,7 @@ class TestSylvesterFastPath:
     def test_resonant_and_near_cutoff_orders(self, delta, rhs01, kind):
         b0 = np.diag([0.0, 1.0 + delta]).astype(complex)
         rhs = np.array([[0.4, rhs01], [1.0, -0.7]], dtype=complex)
-        res = _resolvent(1, 1.0, b0, RESONANCE_RTOL)
+        res = resolvent(1, 1.0, b0)
         assert bool(res.resonant) == (kind != "unique")
         out = sylvester_resolve(1, 1.0, b0, rhs)
         assert out.kind == kind

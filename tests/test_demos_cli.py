@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -397,3 +398,103 @@ def test_growth_flag_values_keep_the_exit_contract(tmp_path_factory, tol, radius
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def strict_json(text):
+    """``text`` parsed as strict JSON: the tokens NaN and Infinity raise."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# B = [[1, 0], [z, 2]]: a resonant chain, where C1 and C3 are infinite
+CHAIN_GENERATOR = {
+    "dim": 2,
+    "num_coeffs": [
+        [[[1, 0], [0, 0]], [[0, 0], [2, 0]]],
+        [[[0, 0], [0, 0]], [[1, 0], [0, 0]]],
+    ],
+}
+# B = 0.5: no b_k for k >= 1, so r and the radius are infinite
+CONSTANT_GENERATOR = {"dim": 1, "num_coeffs": [[[[0.5, 0]]]]}
+
+
+@pytest.mark.parametrize(
+    "generator, nulls",
+    [
+        (CHAIN_GENERATOR, {"C1", "C3"}),
+        (CONSTANT_GENERATOR, {"r", "radius_estimate"}),
+    ],
+)
+def test_non_finite_report_values_are_null(tmp_path, capsys, generator, nulls):
+    data = json.loads(json.dumps(JORDAN_SCENARIO))
+    data["generator"] = generator
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(data))
+    assert main(["linearize", "--scenario", str(path)]) == 0
+    report = strict_json(capsys.readouterr().out)
+    values = dict(report["diagnostics"], radius_estimate=report["radius_estimate"])
+    assert {key for key, value in values.items() if value is None} == nulls
+
+
+# README scenario mutations: each replaces one field by a malformed or
+# non-finite value, or by one that moves a root or a point across the unit
+# circle.  Orders stay at most 8, times at most 1 and z grids at most 3 points
+SMALL_SCENARIO = dict(
+    json.loads(json.dumps(JORDAN_SCENARIO)),
+    truncation_order=8,
+    grid={"t_values": [0.5, 1.0], "z_values": [[0.3, 0], [0.0, 0.4], [-0.2, 0.1]]},
+)
+# polynomials by ascending power with a root inside, on or outside the unit
+# circle, or none
+POLYNOMIALS = [
+    [[1, 0], [-2, 0]], [[1, 0], [-1, 0]], [[1, 0], [-0.5, 0]], [[0.5, 0], [-1, 0]],
+    [[0, 0], [1, 0]], [[0, 0], [0, 1]], [[0, 0], [-1, 0], [0.6, 0.2]], [[1, 0]],
+]
+SCENARIO_FIELDS = {
+    ("semigroup", "f_num"): POLYNOMIALS,
+    ("semigroup", "f_den"): POLYNOMIALS,
+    ("semigroup", "fixed_point_hint"): [[0.5, 0], [2, 0], 0.99],
+    ("generator", "dim"): [1, 3, 0],
+    ("generator", "den_coeffs"): POLYNOMIALS,
+    (None, "generator"): [CHAIN_GENERATOR, CONSTANT_GENERATOR],
+    (None, "truncation_order"): [1, 2.5, 0, -3],
+    ("grid", "t_values"): [[0.0], [1.0, 0.25], [-0.5]],
+    ("grid", "z_values"): [[[0.99, 0]], [[1, 0]], [[2, 0], [0, 0]], [[0, -0.5]]],
+    ("tolerances", "ode"): [1e-3, 1.0, 1e-300, 0, -1],
+    ("tolerances", "sylvester"): [1e-3, 1.0, 0, -1],
+    ("tolerances", "resonance"): [1e-3, 0.5, 0, -1],
+    (None, "grid"): [
+        {"t_values": [1.0], "z_values": [[0.1, 0]]},
+        {"t_values": [0.5], "disk_radius": 0.3, "nodes": 3},
+    ],
+    (None, "tolerances"): [{}],
+}
+MALFORMED = [None, "x", [], {}, [[1, 0, 0]], True, math.nan, math.inf, -math.inf, [math.nan, 0]]
+MUTATION = st.sampled_from(sorted(SCENARIO_FIELDS, key=str)).flatmap(
+    lambda field: st.tuples(
+        st.just(field), st.sampled_from(SCENARIO_FIELDS[field]) | st.sampled_from(MALFORMED)
+    )
+)
+SCENARIO_COMMANDS = ("evolve", "check", "linearize", "spectrum", "growth", "extract")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mutations=st.lists(MUTATION, max_size=3))
+def test_scenario_commands_keep_the_exit_contract(tmp_path_factory, mutations):
+    data = json.loads(json.dumps(SMALL_SCENARIO))
+    for (section, key), value in mutations:
+        target = data if section is None else data[section]
+        if isinstance(target, dict):  # an earlier mutation may have replaced the section
+            target[key] = value
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(data))  # non-finite values as NaN/Infinity tokens
+    for command in SCENARIO_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--scenario", str(path)])
+        assert code in ((0, 1, 2) if command in ("check", "growth", "extract") else (0, 2))
+        if code != 2:
+            strict_json(out.getvalue())

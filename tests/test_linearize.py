@@ -94,7 +94,7 @@ class TestConditionCheck:
         with pytest.raises(ValueError):
             condition_check(np.eye(2, dtype=complex), -1.0)
 
-    def test_builds_ad_matrix_once(self, monkeypatch):
+    def test_builds_ad_matrix_once(self, monkeypatch, svd_counter):
         # k_bound and the batched resolvent share one ad_B0 and one norm; the
         # report matches a resolvent that builds its own.  A linearize call
         # also builds ad_B0 and takes its norm once, for every order it solves
@@ -116,14 +116,18 @@ class TestConditionCheck:
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
         rep = condition_check(b0, 1.0)
         assert len(calls) == len(ad_norms) == 1
-        # order 1 is resonant, orders up to 2 ||B0|| take a full SVD and the
-        # rest an LU solve
+        # order 1 is resonant and takes the one full SVD; every other order
+        # an LU solve
         out = linearize(LINEAR_MODEL, CocycleGenerator.constant(b0), order=12)
         assert out.status == "resonant_solvable"
         assert len(calls) == len(ad_norms) == 2
+        assert svd_counter.full == len(out.violated_k) == 1
         monkeypatch.undo()
         orders = np.arange(1, rep.k_bound + 1)
-        res = algebra._resolvent(orders, 1.0, b0, algebra.RESONANCE_RTOL, vectors=False)
+        ad = ad_matrix(b0)
+        res = algebra._resolvent(
+            orders, 1.0, ad, np.linalg.norm(ad, 2), algebra.RESONANCE_RTOL, vectors=False
+        )
         assert rep.k_bound >= 3
         assert rep.smallest_singular_values == res.sv[:, -1].tolist()
         assert rep.violated_k == orders[res.resonant].tolist() == [1]
@@ -466,10 +470,9 @@ def test_round_trip_with_nontrivial_koenigs():
 
 
 # Work-counter gate: SVDs with singular vectors in one order-64 linearize of
-# a generic 4x4 generator.  Only orders with k|lam| <= 2||B0|| can be
-# resonant, so only they may take the full factorization; every other order
-# takes an LU solve plus singular values.  Measured: 1 full SVD against a
-# bound of 1 (65 before orders that cannot resonate took the LU path).
+# a generic 4x4 generator.  Only the orders in violated_k take the full
+# factorization; every other order takes an LU solve.  Measured: 0 full SVDs
+# (65 when every order took one).
 def test_full_svds_only_at_orders_that_may_resonate(svd_counter):
     rng = np.random.default_rng(64)
     n = 4
@@ -479,18 +482,17 @@ def test_full_svds_only_at_orders_that_may_resonate(svd_counter):
     num[0] = s @ np.diag(eig) @ np.linalg.inv(s)
     num[1:] = 0.3 * (rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))) / n
     model = build_model(RationalMap([0.0, -1.0, 0.5]), order=64)
-    bound = 2.0 * operator_norm(num[0])
-    may_resonate = sum(k * abs(model.rate) <= bound for k in range(1, 65))
     out = linearize(model, CocycleGenerator(num), order=64)
     assert out.status == "linearizable"
-    assert svd_counter.full <= may_resonate
+    assert svd_counter.full == len(out.violated_k) == 0
 
 
 # Work-counter gate on a 16x16 generator at order 64 (f = -z + 0.3 z^2, B0
-# diagonal).  C1 needs sigma_min(k lam - ad_B0) only at orders whose bound
-# 1 / (|k lam| - ||ad_B0||) tops the running max: here order 1 alone, so the
-# 256x256 SVDs are that one and condition_check's batch.  Measured: 2 against
-# a bound of 2 (65 when every order took sigma_min).
+# diagonal).  Orders up to k_bound (here order 1 alone) take sigma_min from
+# condition_check's batch; beyond it C1 needs sigma_min(k lam - ad_B0) only at
+# orders whose bound 1 / (|k lam| - ||ad_B0||) tops the running max: here
+# none.  Measured: 1 256x256 SVD, the batch, against a bound of 2 (65 when
+# every order took sigma_min).
 def test_large_svds_only_where_c1_may_rise(svd_counter):
     n, order = 16, 64
     rng = np.random.default_rng(0)
