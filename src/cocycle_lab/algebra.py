@@ -255,25 +255,28 @@ def sylvester_resolve(
     """
     if k < 1:
         raise ValueError("order k must be a positive integer")
-    b, r = as_matrix(b0), as_matrix(rhs)
+    b = as_matrix(b0)
+    r = as_matrix(rhs)
     ad = ad_matrix(b) if ad is None else ad
     ad_norm = float(np.linalg.norm(ad, 2)) if ad_norm is None else ad_norm
     bound = abs(k * complex(lam)) - ad_norm if sigma_min is None else sigma_min
-    if bound > _cutoff(k, lam, ad_norm, resonance_rtol)[1]:
-        res, lhs = None, _resolvent_matrix(k, lam, ad)
-        if sigma_min is None:
-            sigma_min = float(np.linalg.svd(lhs, compute_uv=False)[-1])
+    fast = bound > _cutoff(k, lam, ad_norm, resonance_rtol)[1]
+    if fast and sigma_min is not None:
+        lhs = _resolvent_matrix(k, lam, ad)
     else:
-        res = _resolvent(k, lam, ad, ad_norm, resonance_rtol)
-        lhs, sigma_min = res.lhs, float(res.sv[-1])
-    if res is None or not res.resonant:
-        kind, x = "unique", np.linalg.solve(lhs, vec(r))
-    else:  # singular system: pseudo-inverse solve with the same cutoff
+        res = _resolvent(k, lam, ad, ad_norm, resonance_rtol, vectors=not fast)
+        lhs = res.lhs
+        sigma_min = float(res.sv[-1])
+    resonant = not fast and bool(res.resonant)
+    if resonant:  # singular system: pseudo-inverse solve with the same cutoff
         keep = res.sv > res.cutoff
         inv_sv = np.where(keep, 1.0 / np.where(keep, res.sv, 1.0), 0.0)
-        kind, x = "resonant_solvable", res.vh.conj().T @ (inv_sv * (res.u.conj().T @ vec(r)))
+        x = res.vh.conj().T @ (inv_sv * (res.u.conj().T @ vec(r)))
+    else:
+        x = np.linalg.solve(lhs, vec(r))
     m = unvec(x, b.shape[0])
     residual = operator_norm(k * lam * m - (m @ b - b @ m) - r)
-    if kind != "unique" and residual > tol * max(1.0, operator_norm(r)):
-        kind, m = "obstructed", None
+    if resonant and residual > tol * max(1.0, operator_norm(r)):
+        return SylvesterOutcome("obstructed", None, residual, sigma_min)
+    kind = "resonant_solvable" if resonant else "unique"
     return SylvesterOutcome(kind, m, residual, sigma_min)

@@ -165,10 +165,7 @@ def _finite(obj):
 
 def _emit(report: dict, out_path) -> None:
     """Write ``report`` as strict JSON: a non-finite float becomes null."""
-    try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:  # only a report with a non-finite float pays for the walk
-        text = json.dumps(_finite(report), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(_finite(report), indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
     else:

@@ -241,13 +241,17 @@ def linearize(
     m_coeffs[0] = identity_like(n)
     resonant_passed = False
     obstructed_at: Optional[int] = None
-    c1, sigmas = 0.0, cond.smallest_singular_values
+    c1 = 0.0
     for k in range(1, order + 1):
         rhs = np.matmul(m_coeffs[:k], b.coeffs[k:0:-1]).sum(axis=0)
         # up to k_bound the batch's sigma_min; beyond it the floor, positive
         # there, once 1 / floor cannot raise C1
         floor = abs(k * lam) - ad_norm
-        sigma_min = sigmas[k - 1] if k <= cond.k_bound else floor if 1.0 / floor <= c1 else None
+        sigma_min = None
+        if k <= cond.k_bound:
+            sigma_min = cond.smallest_singular_values[k - 1]
+        elif 1.0 / floor <= c1:
+            sigma_min = floor
         out = sylvester_resolve(
             k, lam, b0, rhs, tol=sylvester_tol, resonance_rtol=resonance_rtol, ad=ad,
             ad_norm=ad_norm, sigma_min=sigma_min,

@@ -276,6 +276,19 @@ class TestSylvesterFastPath:
         assert out.solution.tobytes() == expected.tobytes()
         assert out.smallest_singular_value == pytest.approx(res.sv[-1], rel=1e-14)
 
+    @pytest.mark.parametrize("rtol", [RESONANCE_RTOL, 0.0])
+    def test_on_the_bound_takes_full_svd(self, svd_counter, rtol):
+        # |k lam| = ||ad_B0|| = 2: the floor is 0, which does not clear the
+        # cutoff even at rtol = 0, so order 2 takes the full SVD although 2i
+        # is no eigenvalue of ad_B0 (sigma_min = 2)
+        b0 = np.diag([0.0, 2.0]).astype(complex)
+        rhs = np.array([[0.3, -1.0], [2.0, 0.5j]], dtype=complex)
+        out = sylvester_resolve(2, 1j, b0, rhs, resonance_rtol=rtol)
+        assert svd_counter.full == 1
+        assert out.kind == "unique"
+        assert out.solution.tobytes() == reference_solve(2, 1j, b0, rhs)[1].tobytes()
+        assert out.smallest_singular_value == pytest.approx(2.0, rel=1e-14)
+
     def test_passed_sigma_min_decides(self, svd_counter):
         # sigma_min = 0.5 at orders 2 and 3.  A passed sigma_min above the
         # cutoff takes the LU solve below the ||ad_B0|| bound, and is reported;
