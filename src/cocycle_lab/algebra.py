@@ -43,10 +43,6 @@ def as_pairs(a) -> list:
     return np.stack([np.real(a), np.imag(a)], -1).tolist()
 
 
-def identity_like(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
-
-
 def mat_inv(a) -> np.ndarray:
     """Inverse of ``a``; raises SingularMatrixError near rank deficiency."""
     m = as_matrix(a)
@@ -55,13 +51,12 @@ def mat_inv(a) -> np.ndarray:
         raise SingularMatrixError(
             f"smallest singular value {sv[-1]:.3e} below threshold"
         )
-    return np.linalg.solve(m, identity_like(m.shape[0]))
+    return np.linalg.solve(m, np.eye(m.shape[0], dtype=complex))
 
 
 def mat_exp(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a [13/13] Pade kernel."""
     m = as_matrix(a)
-    n = m.shape[0]
     # squarings chosen so the scaled norm sits inside the Pade-13 accuracy bound
     theta13 = 5.371920351148152
     nrm = float(np.linalg.norm(m, 1))
@@ -73,7 +68,7 @@ def mat_exp(a) -> np.ndarray:
         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
         960960.0, 16380.0, 182.0, 1.0,
     )
-    ident = identity_like(n)
+    ident = np.eye(m.shape[0], dtype=complex)
     x2 = x @ x
     x4 = x2 @ x2
     x6 = x2 @ x4
@@ -154,13 +149,8 @@ def ad_matrix(b0) -> np.ndarray:
     eigenvalue differences of ``b0``.
     """
     m = as_matrix(b0)
-    n = m.shape[0]
-    ident = identity_like(n)
-
-    def kron(a, b):  # the products of np.kron, without its shape handling
-        return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * n, n * n)
-
-    return kron(m.T, ident) - kron(ident, m)
+    ident = np.eye(m.shape[0], dtype=complex)
+    return np.kron(m.T, ident) - np.kron(ident, m)
 
 
 class _Resolvent(NamedTuple):

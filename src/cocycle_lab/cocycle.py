@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import integrate as _int
-from .algebra import as_matrix, as_pairs, identity_like, log_norm, mat_inv, operator_norm
+from .algebra import as_matrix, as_pairs, log_norm, operator_norm
 from .dynamics import RationalMap, SemigroupModel, _disk_guard, _Rational
 from .errors import (
     NoInteriorFixedPointError,
@@ -115,7 +115,7 @@ def evolve_grid(
     m = zs.shape[0]
     f = model.f
 
-    y0 = np.concatenate([zs, np.tile(identity_like(n).ravel(), m)])
+    y0 = np.concatenate([zs, np.tile(np.eye(n, dtype=complex).ravel(), m)])
 
     def rhs(_t, y):
         u = y[:m]
@@ -202,7 +202,7 @@ def check_axioms(
 
     head = gamma_grid(gamma, [0.0] + ts, zs)  # Gamma_0 and Gamma_s at every z
     n = head.shape[-1]
-    identity_residual = float(np.max(operator_norm(head[0] - identity_like(n))))
+    identity_residual = float(np.max(operator_norm(head[0] - np.eye(n, dtype=complex))))
     if not ts:
         return AxiomCheckReport(0.0, identity_residual, math.inf, tol)
 
@@ -269,7 +269,8 @@ def extract_generator(
     with V by a 16-node Gauss-Legendre rule on [0, t0] and dV/dz by a
     Cauchy integral, from one call of the oracle ``gamma`` (see
     ``gamma_grid``).  Raises VNotInvertibleError when V is numerically
-    singular; callers retry with a smaller t0 (``extract_generator_auto``).
+    singular (sigma_min <= 1e-8 max(sigma_max, t0), the one SVD of V), and
+    callers retry with a smaller t0 (``extract_generator_auto``).
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
@@ -288,8 +289,7 @@ def extract_generator(
     if sv[-1] <= 1e-8 * max(sv[0], t0):
         raise VNotInvertibleError(f"V(t0={t0}, z={z}) is numerically singular")
     dv = _cauchy_derivative(v_vals[1:], radius)
-    n = v_z.shape[0]
-    return mat_inv(v_z) @ (gamma_t0 - identity_like(n) - complex(f(z)) * dv)
+    return np.linalg.solve(v_z, gamma_t0 - np.eye(len(v_z), dtype=complex) - complex(f(z)) * dv)
 
 
 def extract_generator_auto(gamma, f, z):
@@ -311,13 +311,12 @@ class GrowthReport:
 
     ``k_mu`` is the sampled supremum of the logarithmic norm of B over the
     disk boundary (subharmonicity makes boundary sampling exact in the
-    limit); the bound exp(k_used * t) is then checked against sampled
-    cocycle norms.  ``growth_report`` always takes k_used = k_mu.
+    limit); the bound exp(k_mu * t) is then checked against sampled
+    cocycle norms.
     """
 
     radius: float
     k_mu: float
-    k_used: float
     max_violation: float
     samples: list  # rows (t, z, gamma_norm, bound, violation)
 
@@ -325,7 +324,6 @@ class GrowthReport:
         return {
             "radius": self.radius,
             "k_mu": self.k_mu,
-            "k_used": self.k_used,
             "max_violation": self.max_violation,
             "samples": [
                 {
@@ -354,7 +352,6 @@ def growth_report(
     *,
     t_values: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 3.0),
     gamma=None,
-    ode_tol: float = 1e-10,
 ) -> GrowthReport:
     """Logarithmic-norm growth bound on the disk |z - z0| <= r.
 
@@ -364,8 +361,8 @@ def growth_report(
     1e-7), computes k_mu = sup of log_norm(B) over 256 points of the
     boundary circle, and records any excess of sampled ||Gamma_t(z)|| over
     exp(k_mu t) at every 16th of those points, from one call of the oracle
-    ``gamma`` (see ``gamma_grid``; default: ``make_evolve_oracle`` at
-    ``ode_tol``).
+    ``gamma`` (see ``gamma_grid``), the only way Gamma is chosen; the
+    default is ``make_evolve_oracle`` at tol 1e-10.
     """
     if not 0.0 < r < math.inf:
         raise ValueError(f"growth_report needs a positive finite radius, got {r!r}")
@@ -392,7 +389,7 @@ def growth_report(
             )
 
     if gamma is None:
-        gamma = make_evolve_oracle(model, B, tol=ode_tol)
+        gamma = make_evolve_oracle(model, B, tol=1e-10)
     vals = gamma_grid(gamma, list(t_values), sample_ring)
     samples = []
     for t, row in zip(t_values, operator_norm(vals).tolist()):
@@ -400,7 +397,7 @@ def growth_report(
         samples += [(float(t), complex(z), g, bound, max(0.0, g - bound))
                     for z, g in zip(sample_ring, row)]
     max_violation = max([0.0] + [s[-1] for s in samples])
-    return GrowthReport(r, k_mu, k_mu, max_violation, samples)
+    return GrowthReport(r, k_mu, max_violation, samples)
 
 
 @dataclass

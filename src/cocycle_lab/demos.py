@@ -1,10 +1,11 @@
 """Catalog of worked semicocycles with closed-form evaluators.
 
 Each entry bundles a semigroup generator, a cocycle generator, a
-closed-form oracle Gamma(t, z), and structured expectations used by the
-CLI ``demo`` command and by the verification suites.  The catalog spans
-the behaviors the library is built to detect: exponential growth bounds,
-super-exponential trajectories, obstruction at a resonant order, a
+closed-form oracle Gamma(t, z), and structured expectations, every formula
+included (``expected["transfer_map"]`` is a coboundary's scalar M(z)), used
+by the CLI ``demo`` command and by the verification suites.  The catalog
+spans the behaviors the library is built to detect: exponential growth
+bounds, super-exponential trajectories, obstruction at a resonant order, a
 solvable resonance, coboundaries, and clean linearizability.
 """
 
@@ -90,7 +91,8 @@ def _affine_scalar() -> DemoEntry:
         generator=CocycleGenerator.scalar([1.0], [1.0, -1.0]),
         oracle=_closed_form(entries),
         boundary=True,
-        expected={"boundedness_on_trajectory": "unbounded", "coboundary": True},
+        expected={"boundedness_on_trajectory": "unbounded",
+                  "transfer_map": lambda z: np.exp(1.0 - 1.0 / (1.0 - z))},
         sample_t=(0.4, 0.8, 1.5),
         sample_z=(0.0j, -0.4 + 0.0j, -0.2 - 0.3j, 0.25j),
     )
@@ -211,7 +213,7 @@ def _diagonal_linearizable() -> DemoEntry:
         f=RationalMap([0.0, -1.0]),
         generator=CocycleGenerator(num),
         oracle=_closed_form(entries),
-        expected={"status": "linearizable", "violated_k": [], "m1_entry_11": 1.0},
+        expected={"status": "linearizable", "violated_k": [], "m1": np.diag([1.0, 0.0])},
     )
 
 

@@ -28,12 +28,12 @@ import numpy as np
 
 from .algebra import (
     RESONANCE_RTOL,
+    _cutoff,
     _resolvent,
     ad_matrix,
     as_matrix,
     as_pairs,
     eigenvalues,
-    identity_like,
     mat_exp,
     mat_inv,
     operator_norm,
@@ -104,21 +104,28 @@ def condition_check(
 ) -> ConditionReport:
     """Test whether any k*lam (k = 1 ... k_bound) is resonant for ad_B0.
 
-    Orders beyond k_bound = ceil(||ad_B0|| / |lam|) cannot be resonant since
-    the spectral radius of the commutator map is at most its norm.  Orders
-    1 ... k_bound are tested at once: one values-only batched SVD, and array
-    expressions for both routes and the near-resonance band.  ad_B0 and its
-    norm are computed once, or passed as ``ad`` and ``ad_norm``.
+    k_bound is the larger of ceil(||ad_B0|| / |lam|), past which |k lam|
+    exceeds the spectral radius of ad_B0, and the last order whose floor
+    |k lam| - ||ad_B0|| on sigma_min does not clear ``_cutoff``, which is
+    floor(||ad_B0|| (1 + rtol) / (|lam| (1 - rtol))).  A ``resonance_rtol``
+    outside [0, 1) raises ValueError.  Orders 1 ... k_bound take one
+    values-only batched SVD; ``ad`` and ``ad_norm`` may be passed in.
     """
     lam = complex(lam)
     if lam.real <= 0:
         raise NotAttractingError("condition_check requires Re(lam) > 0")
+    if not 0.0 <= resonance_rtol < 1.0:
+        raise ValueError(f"resonance_rtol must lie in [0, 1), got {resonance_rtol!r}")
     b = as_matrix(b0)
     spectrum = eigenvalues(b)
     diffs = (spectrum[:, None] - spectrum[None, :]).ravel()
     ad = ad_matrix(b) if ad is None else ad
     ad_norm = float(np.linalg.norm(ad, 2)) if ad_norm is None else ad_norm
-    k_bound = int(math.ceil(ad_norm / abs(lam)))
+    # closed form of the last order the floor leaves open, checked one order either side
+    last = math.floor(ad_norm * (1 + resonance_rtol) / (abs(lam) * (1 - resonance_rtol)))
+    edge = np.arange(max(last - 1, 0), last + 2)
+    left_open = np.abs(edge * lam) - ad_norm <= _cutoff(edge, lam, ad_norm, resonance_rtol)[1]
+    k_bound = max(math.ceil(ad_norm / abs(lam)), int(edge[left_open].max()))
     orders = np.arange(1, k_bound + 1)
     res = _resolvent(orders, lam, ad, ad_norm, resonance_rtol, vectors=False)
     sigma_mins = res.sv[:, -1]
@@ -238,7 +245,7 @@ def linearize(
     cond = condition_check(b0, lam, resonance_rtol=resonance_rtol, ad=ad, ad_norm=ad_norm)
 
     m_coeffs = np.zeros((order + 1, n, n), dtype=complex)
-    m_coeffs[0] = identity_like(n)
+    m_coeffs[0] = np.eye(n, dtype=complex)
     resonant_passed = False
     obstructed_at: Optional[int] = None
     c1 = 0.0
@@ -322,10 +329,10 @@ def reconstruct_error(
 ) -> float:
     """Max over samples (t, z) of ||Gamma_t(z) - M(F_t z)^{-1} e^{t B0} M(z)||.
 
-    Gamma comes from the evolution solver, which is independent of the
-    series route being validated.  Samples must satisfy |h(z)| and
-    |e^{-lam t} h(z)| <= 0.8 * radius so the truncated series is trusted.
-    An empty ``samples`` raises ValueError.
+    Gamma comes from one ``evolve_grid`` call over the distinct times and
+    points (independent of the series route being validated), made once
+    every sample satisfies |h(z)|, |e^{-lam t} h(z)| <= 0.8 * radius so the
+    truncated series is trusted.  An empty ``samples`` raises ValueError.
     """
     if outcome.status == "obstructed":
         raise ValueError("obstructed outcomes cannot be reconstructed")
@@ -334,7 +341,7 @@ def reconstruct_error(
     radius = outcome.radius_estimate if guard_radius is None else guard_radius
     lam = model.rate
 
-    by_t: dict = {}
+    checked = []
     for t, z in samples:
         t, z = float(t), complex(z)
         hz = model.koenigs.evaluate(z)
@@ -343,15 +350,15 @@ def reconstruct_error(
             raise OutsideConvergenceRegionError(
                 f"sample (t={t}, z={z}) leaves the certified region"
             )
-        by_t.setdefault(t, []).append((z, hz, wt))
+        checked.append((t, z, hz, wt))
+    ts = sorted({t for t, _, _, _ in checked})
+    zs = list(dict.fromkeys(z for _, z, _, _ in checked))
+    gammas = evolve_grid(model, B, ts, zs)
+    exp_tb0 = {t: mat_exp(t * outcome.b0) for t in ts}
     err = 0.0
-    for t in sorted(by_t):
-        points = by_t[t]
-        gammas = evolve_grid(model, B, [t], [z for z, _, _ in points])[0]
-        exp_tb0 = mat_exp(t * outcome.b0)
-        for gamma, (_, hz, wt) in zip(gammas, points):
-            recon = mat_inv(outcome.m.evaluate(wt)) @ exp_tb0 @ outcome.m.evaluate(hz)
-            err = max(err, operator_norm(gamma - recon))
+    for t, z, hz, wt in checked:
+        recon = mat_inv(outcome.m.evaluate(wt)) @ exp_tb0[t] @ outcome.m.evaluate(hz)
+        err = max(err, operator_norm(gammas[ts.index(t), zs.index(z)] - recon))
     return err
 
 

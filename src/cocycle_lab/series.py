@@ -21,11 +21,6 @@ from .errors import CenterMismatchError, NotInvertibleError
 _CENTER_ATOL = 1e-12
 
 
-def _check_centers(a, b):
-    if abs(a.center - b.center) > _CENTER_ATOL:
-        raise CenterMismatchError(f"centers differ: {a.center} vs {b.center}")
-
-
 def horner(coeffs: np.ndarray, u):
     """sum_k coeffs[k] u^k by Horner's rule.
 
@@ -135,7 +130,8 @@ class _Series:
         return self._wrap(self.coeffs[: order + 1])
 
     def __mul__(self, other):
-        _check_centers(self, other)
+        if abs(self.center - other.center) > _CENTER_ATOL:
+            raise CenterMismatchError(f"centers differ: {self.center} vs {other.center}")
         out = _mul_coeffs(self.coeffs, other.coeffs)
         return (MatrixSeries if out.ndim == 3 else ScalarSeries)(self.center, out)
 

@@ -11,11 +11,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import counting  # noqa: E402
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 from cocycle_lab import cli, demos, series  # noqa: E402
 from cocycle_lab.cocycle import CocycleGenerator, growth_report  # noqa: E402
@@ -90,3 +92,14 @@ def test_cli_looks_up_its_constructors_per_call(tmp_path, monkeypatch, capsys):
     assert cli.main(["demo", "jordan-obstruction"]) == 2
     capsys.readouterr()
 
+
+
+@pytest.mark.parametrize("name", list(workloads.BUILDERS))
+def test_tiny_workload_passes_its_reference_checks(name, tmp_path):
+    # the cli-demos check reads run_demo's report details; a format slip in
+    # any workload's output fails here before a benchmark run
+    workload = workloads.build(name, 1, True, None, tmp_path)
+    assert workload.tasks and not workload.patches
+    for task in workload.tasks:
+        result = task.check(task.run())
+        assert result.ok, (task.kind, result.detail)

@@ -289,6 +289,12 @@ class TestExtractGenerator:
             out = extract_generator(oracle, LINEAR_MODEL.f, z)
             assert operator_norm(out - gen(z)) <= 1e-6
 
+    def test_one_svd_of_v(self, svd_counter):
+        # the invertibility test's SVD is the only one; B(z) is one solve with V
+        out = extract_generator(JORDAN.oracle, JORDAN.f, 0.5)
+        assert svd_counter.by_size[2] == 1
+        assert operator_norm(out - np.array([[1.0, 0.5], [0.0, 2.0]])) <= 1e-6
+
     def test_singular_average_retries(self):
         # exp(t b0) with b0 = 20 pi i makes V(0.1, z) exactly singular
         b0 = np.array([[20j * np.pi]])
@@ -343,6 +349,12 @@ class TestGrowthReport:
         with pytest.raises(ValueError, match="at least one time"):
             growth_report(LINEAR_MODEL, SCALAR.generator, 0.5, t_values=(), gamma=oracle)
         assert oracle.call_times == []
+
+    def test_gamma_is_the_only_oracle_choice(self):
+        rep = growth_report(LINEAR_MODEL, SCALAR.generator, 0.4, gamma=SCALAR.oracle)
+        assert set(rep.as_dict()) == {"radius", "k_mu", "max_violation", "samples"}
+        with pytest.raises(TypeError):
+            growth_report(LINEAR_MODEL, SCALAR.generator, 0.4, ode_tol=1e-10)
 
     def test_csv_schema(self, tmp_path):
         rep = growth_report(LINEAR_MODEL, SCALAR.generator, 0.4, gamma=SCALAR.oracle)

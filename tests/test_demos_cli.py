@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cocycle_lab import cli
 from cocycle_lab.cli import _build_parser, main, run_demo
 from cocycle_lab.demos import demo_by_name, demo_catalog
 
@@ -83,6 +84,29 @@ def test_demo_runs_clean(name):
     assert report["checks"], "demo must verify something"
 
 
+@pytest.mark.parametrize(
+    "name, key, perturb, label",
+    [
+        ("affine-scalar", "transfer_map", lambda m: lambda z: m(z) * (1.0 + 1e-6),
+         "coboundary_transfer_map"),
+        # the [1, 1] entry: the whole of m1 is checked, not one entry
+        ("diagonal-linearizable", "m1", lambda m: m + np.diag([0.0, 1e-6]),
+         "first_transfer_coefficient"),
+    ],
+)
+def test_moved_demo_expectations_are_live(monkeypatch, name, key, perturb, label):
+    def perturbed(demo):
+        entry = demo_by_name(demo)
+        entry.expected[key] = perturb(entry.expected[key])
+        return entry
+
+    assert [c["passed"] for c in run_demo(name)[0]["checks"] if c["check"] == label] == [True]
+    monkeypatch.setattr(cli, "demo_by_name", perturbed)
+    report, passed = run_demo(name)
+    assert not passed
+    assert [c["passed"] for c in report["checks"] if c["check"] == label] == [False]
+
+
 class TestCli:
     def test_evolve_writes_report_and_csv(self, scenario_path, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -148,6 +172,21 @@ class TestCli:
         assert report["max_violation"] <= 1e-9
         header = csv_path.read_text().splitlines()[0]
         assert header == "t,z_re,z_im,gamma_norm,bound,violation"
+
+    def test_growth_takes_the_scenario_ode_tolerance(self, scenario_path, tmp_path, monkeypatch):
+        tols = []
+        make = cli.make_evolve_oracle
+
+        def recording(model, B, tol):
+            tols.append(tol)
+            return make(model, B, tol=tol)
+
+        monkeypatch.setattr(cli, "make_evolve_oracle", recording)
+        out = tmp_path / "growth.json"
+        assert main(["growth", "--scenario", scenario_path, "--out", str(out)]) == 0
+        assert tols == [JORDAN_SCENARIO["tolerances"]["ode"]]
+        assert set(json.loads(out.read_text())) == {
+            "command", "radius", "k_mu", "max_violation", "samples"}
 
     def test_extract_round_trip(self, scenario_path, tmp_path):
         out = tmp_path / "extract.json"
@@ -271,6 +310,8 @@ class TestCli:
             ("tolerances", "ode", -1e-11, "ode tolerance must be positive"),
             ("tolerances", "sylvester", 0, "sylvester tolerance must be positive"),
             ("tolerances", "resonance", -1, "resonance tolerance must be positive"),
+            ("tolerances", "resonance", 1.0, "resonance tolerance must be below 1"),
+            ("tolerances", "resonance", 2.5, "resonance tolerance must be below 1"),
             (None, "grid", [], "grid must be a JSON object"),
             (None, "tolerances", [], "tolerances must be a JSON object"),
             ("grid", "t_values", [], "time grid is empty"),

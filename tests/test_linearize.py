@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from cocycle_lab import algebra
-from cocycle_lab.algebra import ad_matrix, mat_exp, mat_inv, operator_norm, unvec, vec
+from cocycle_lab.algebra import (
+    ad_matrix,
+    mat_exp,
+    mat_inv,
+    operator_norm,
+    sylvester_resolve,
+    unvec,
+    vec,
+)
 from cocycle_lab.cocycle import CocycleGenerator, evolve
 from cocycle_lab.demos import demo_by_name
 from cocycle_lab.dynamics import RationalMap, build_model
@@ -93,6 +101,38 @@ class TestConditionCheck:
     def test_requires_positive_real_rate(self):
         with pytest.raises(ValueError):
             condition_check(np.eye(2, dtype=complex), -1.0)
+
+    def test_k_bound_covers_orders_the_floor_leaves_open(self):
+        # at rtol 0.3 the floor 4 - 2.5 of order 4 does not clear the cutoff
+        # 0.3 (4 + 2.5), so sylvester_resolve calls it resonant, beyond
+        # ceil(||ad_B0|| / |lam|) = 3
+        b0 = np.diag([0.0, 2.5]).astype(complex)
+        rep = condition_check(b0, 1.0, resonance_rtol=0.3)
+        assert rep.k_bound == 4
+        assert rep.violated_k == [1, 2, 3, 4]
+        zero = np.zeros((2, 2), dtype=complex)
+        assert sylvester_resolve(4, 1.0, b0, zero, resonance_rtol=0.3).kind == "resonant_solvable"
+        assert sylvester_resolve(5, 1.0, b0, zero, resonance_rtol=0.3).kind == "unique"
+
+    def test_violated_k_holds_every_order_sylvester_resolve_calls_resonant(self):
+        rng = np.random.default_rng(2417)
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            b0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            b0 *= rng.uniform(0.2, 3.0)
+            lam = complex(rng.uniform(0.2, 2.0), rng.uniform(-0.5, 0.5))
+            rtol = float(10 ** rng.uniform(-8, math.log10(0.6)))
+            rep = condition_check(b0, lam, resonance_rtol=rtol)
+            zero = np.zeros((n, n), dtype=complex)
+            for k in range(1, rep.k_bound + 6):
+                kind = sylvester_resolve(k, lam, b0, zero, resonance_rtol=rtol).kind
+                if kind != "unique":
+                    assert k in rep.violated_k, (k, rtol, rep.k_bound)
+
+    @pytest.mark.parametrize("rtol", [-1e-3, 1.0, 2.0, float("nan")])
+    def test_resonance_rtol_outside_unit_interval_refused(self, rtol):
+        with pytest.raises(ValueError, match=r"resonance_rtol must lie in \[0, 1\)"):
+            condition_check(np.eye(2, dtype=complex), 1.0, resonance_rtol=rtol)
 
     def test_builds_ad_matrix_once(self, monkeypatch, svd_counter):
         # k_bound and the batched resolvent share one ad_B0 and one norm; the
@@ -286,6 +326,23 @@ class TestReconstruction:
             model, entry.generator, out, [(0.7, 0.3), (1.5, -0.2j)], guard_radius=0.6
         )
         assert err <= 1e-8
+
+    def test_one_integration_for_the_whole_sample_grid(self, monkeypatch):
+        entry = demo_by_name("diagonal-linearizable")
+        model = entry.model()
+        out = linearize(model, entry.generator)
+        calls = []
+        evolve_grid = linearize_module.evolve_grid
+
+        def counting(*args, **kwargs):
+            calls.append(args[2:4])
+            return evolve_grid(*args, **kwargs)
+
+        monkeypatch.setattr(linearize_module, "evolve_grid", counting)
+        samples = [(t, z) for t in (1.5, 0.5) for z in (0.2, 0.1 + 0.1j)]
+        err = reconstruct_error(model, entry.generator, out, samples, guard_radius=0.6)
+        assert err <= 1e-6
+        assert calls == [([0.5, 1.5], [0.2, 0.1 + 0.1j])]
 
     def test_guard_region_enforced(self):
         out = linearize(LINEAR_MODEL, SCALAR.generator)
