@@ -310,12 +310,12 @@ class TestCli:
             ("tolerances", "ode", -1e-11, "ode tolerance must be positive"),
             ("tolerances", "sylvester", 0, "sylvester tolerance must be positive"),
             ("tolerances", "resonance", -1, "resonance tolerance must be positive"),
-            ("tolerances", "resonance", 1.0, "resonance tolerance must be below 1"),
-            ("tolerances", "resonance", 2.5, "resonance tolerance must be below 1"),
             (None, "grid", [], "grid must be a JSON object"),
             (None, "tolerances", [], "tolerances must be a JSON object"),
             ("grid", "t_values", [], "time grid is empty"),
             ("semigroup", "f_num", [], "no numerator coefficients"),
+            ("tolerances", "resonance", 1.0, "resonance tolerance must be below 1"),
+            ("tolerances", "resonance", 2.5, "resonance tolerance must be below 1"),
         ],
     )
     def test_bad_number_or_time_is_input_error(
