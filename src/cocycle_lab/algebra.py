@@ -176,7 +176,10 @@ class _Resolvent(NamedTuple):
 def _cutoff(orders, lam: complex, ad_norm: float, resonance_rtol: float):
     """The one resonance rule: order k (an int or an array of ints) is resonant
     when sigma_min(k lam - ad_B0) <= cutoff = resonance_rtol * scale, where
-    scale = |k lam| + ||ad_B0||.  Returns ``(scale, cutoff)``."""
+    scale = |k lam| + ||ad_B0||.  Returns ``(scale, cutoff)``; a tolerance
+    outside the rule's domain [0, 1), NaN included, raises ValueError."""
+    if not 0.0 <= resonance_rtol < 1.0:
+        raise ValueError(f"resonance_rtol must lie in [0, 1), got {resonance_rtol!r}")
     scale = np.abs(np.asarray(orders) * complex(lam)) + ad_norm
     return scale, resonance_rtol * np.maximum(scale, 1e-300)
 
@@ -208,8 +211,8 @@ class SylvesterOutcome:
     """Result of one commutator-resolvent solve.
 
     kind is "unique", "resonant_solvable", or "obstructed"; the solution is
-    absent exactly in the obstructed case.  ``residual`` is the spectral norm
-    of ``k*lam*m - (m b0 - b0 m) - rhs`` for the returned m (or of the
+    absent exactly in the obstructed case.  ``residual`` is the Frobenius norm
+    of ``k*lam*m - (m b0 - b0 m) - rhs`` for the solved m (or of the
     least-squares defect when no solution exists).
     """
 
@@ -232,21 +235,21 @@ def sylvester_resolve(
 ) -> SylvesterOutcome:
     """Solve ``k*lam*m - (m b0 - b0 m) = rhs`` for m.
 
-    When the vectorized system is nonsingular the unique solution is
-    returned.  When it is singular, the minimum-norm least-squares solution
-    (null-space components zeroed) is returned as "resonant_solvable" if the
-    right-hand side lies in the range (defect <= tol), else the outcome is
-    "obstructed".  An order whose lower bound on sigma_min(k lam - ad_B0),
-    the caller's ``sigma_min`` (then reported as ``smallest_singular_value``)
-    or else |k lam| - ||ad_B0||, lies above the resonance rule's ``_cutoff``
-    gets one LU solve (and singular values when no ``sigma_min`` was passed);
-    every other order takes a full SVD.  A caller that solves many orders
-    passes ``ad_matrix(b0)`` and its 2-norm as ``ad`` and ``ad_norm``.
+    A nonsingular vectorized system gives the unique solution.  A singular
+    one gives the minimum-norm least-squares solution (null-space components
+    zeroed) as "resonant_solvable" if its defect in the factored system is
+    at most tol * max(1, ||rhs||_F), else the outcome is "obstructed".  An
+    order whose lower bound on sigma_min(k lam - ad_B0), the caller's
+    ``sigma_min`` (then reported as ``smallest_singular_value``) or else
+    |k lam| - ||ad_B0||, lies above the resonance rule's ``_cutoff`` (which
+    refuses a bad ``resonance_rtol``) gets one LU solve, and singular values
+    when no ``sigma_min`` was passed; every other order takes a full SVD.
+    Callers solving many orders pass ad_B0 and its 2-norm as ``ad``, ``ad_norm``.
     """
     if k < 1:
         raise ValueError("order k must be a positive integer")
     b = as_matrix(b0)
-    r = as_matrix(rhs)
+    r = vec(as_matrix(rhs))
     ad = ad_matrix(b) if ad is None else ad
     ad_norm = float(np.linalg.norm(ad, 2)) if ad_norm is None else ad_norm
     bound = abs(k * complex(lam)) - ad_norm if sigma_min is None else sigma_min
@@ -261,12 +264,11 @@ def sylvester_resolve(
     if resonant:  # singular system: pseudo-inverse solve with the same cutoff
         keep = res.sv > res.cutoff
         inv_sv = np.where(keep, 1.0 / np.where(keep, res.sv, 1.0), 0.0)
-        x = res.vh.conj().T @ (inv_sv * (res.u.conj().T @ vec(r)))
+        x = res.vh.conj().T @ (inv_sv * (res.u.conj().T @ r))
     else:
-        x = np.linalg.solve(lhs, vec(r))
-    m = unvec(x, b.shape[0])
-    residual = operator_norm(k * lam * m - (m @ b - b @ m) - r)
-    if resonant and residual > tol * max(1.0, operator_norm(r)):
+        x = np.linalg.solve(lhs, r)
+    residual = float(np.linalg.norm(lhs @ x - r))
+    if resonant and residual > tol * max(1.0, np.linalg.norm(r)):
         return SylvesterOutcome("obstructed", None, residual, sigma_min)
     kind = "resonant_solvable" if resonant else "unique"
-    return SylvesterOutcome(kind, m, residual, sigma_min)
+    return SylvesterOutcome(kind, unvec(x, b.shape[0]), residual, sigma_min)

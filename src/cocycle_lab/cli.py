@@ -382,21 +382,15 @@ def run_demo(name: str, *, order: int = 24) -> tuple[dict, bool]:
     return report, passed
 
 
-#: type and help of each optional flag
+#: type, help, domain test and what the value must be of each optional flag
 _FLAGS = {
-    "--csv": (str, "write CSV samples here"),
-    "--order": (int, "truncation order"),
-    "--tol": (float, "verification tolerance"),
-    "--radius": (float, "disk radius"),
-    "--tmax": (float, "largest sample time"),
-}
-
-#: flag -> (test, what the value must be) for the flags with a domain
-_FLAG_DOMAINS = {
-    "--order": (lambda x: x >= 1, "a positive integer"),
-    "--tol": (math.isfinite, "a finite number"),
-    "--radius": (lambda x: 0.0 < x < math.inf, "a positive finite number"),
-    "--tmax": (lambda x: 0.0 <= x < math.inf, "a non-negative finite number"),
+    "--csv": (str, "write CSV samples here", None, None),
+    "--order": (int, "truncation order", lambda x: x >= 1, "a positive integer"),
+    "--tol": (float, "verification tolerance", math.isfinite, "a finite number"),
+    "--radius": (float, "disk radius", lambda x: 0.0 < x < math.inf,
+                 "a positive finite number"),
+    "--tmax": (float, "largest sample time", lambda x: 0.0 <= x < math.inf,
+               "a non-negative finite number"),
 }
 
 #: subcommand -> handler, help, and the optional flags it reads with their
@@ -427,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_flags(p, flags):
         p.add_argument("--out", default=None, help="write the JSON report here")
         for flag, default in flags.items():
-            kind, text = _FLAGS[flag]
+            kind, text, _valid, _what = _FLAGS[flag]
             suffix = "" if default is None else " (default %(default)s)"
             p.add_argument(flag, type=kind, default=default, help=text + suffix)
 
@@ -448,9 +442,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's own exit: 2 on bad flags, 0 for --help
         return exc.code
-    for flag, (valid, what) in _FLAG_DOMAINS.items():
+    for flag, (_kind, _text, valid, what) in _FLAGS.items():
         value = getattr(args, flag[2:], None)
-        if value is not None and not valid(value):
+        if valid and value is not None and not valid(value):
             print(f"error: {flag} must be {what}, got {value!r}", file=sys.stderr)
             return 2
     try:

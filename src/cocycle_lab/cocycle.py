@@ -32,7 +32,6 @@ from .errors import (
     SamplePointIsFixedPointError,
     VNotInvertibleError,
 )
-from .series import horner
 
 #: angles of the 64 trapezoid nodes on the small circle of every
 #: Cauchy-integral derivative
@@ -50,6 +49,7 @@ class CocycleGenerator(_Rational):
     n x n matrix ``num`` is the constant P."""
 
     _what = "generator"
+    _den_axes = (..., None, None)
 
     def __post_init__(self):
         self.num = np.asarray(self.num, dtype=complex)
@@ -72,9 +72,6 @@ class CocycleGenerator(_Rational):
         """1x1 generator from scalar polynomial coefficients."""
         n = np.atleast_1d(np.asarray(num, dtype=complex))
         return cls(n[:, None, None], den)
-
-    def __call__(self, z):
-        return horner(self.num, z) / horner(self.den, z)[..., None, None]
 
 
 def _generator_dim(B, probe: complex) -> int:

@@ -40,8 +40,8 @@ class _Rational:
     The map must be holomorphic in the open unit disk, so a ``den`` that
     vanishes identically or has a root inside the disk is refused with a
     ValueError naming the map by the subclass's ``_what``; roots on the
-    unit circle pass.  A subclass shapes ``num``, then calls this
-    ``__post_init__``.
+    unit circle pass.  A subclass shapes ``num``, sets ``_den_axes`` to
+    lift den(z) over num's matrix axes, and calls this ``__post_init__``.
     """
 
     num: np.ndarray
@@ -58,6 +58,9 @@ class _Rational:
         if inside.size:
             raise ValueError(f"{self._what} has a pole inside the unit disk at {inside[0]:.6g}")
 
+    def __call__(self, z):
+        return horner(self.num, z) / horner(self.den, z)[self._den_axes]
+
     def taylor(self, center: complex, order: int):
         """Taylor series about ``center``, scalar or matrix like ``num`` (the
         denominator must not vanish there)."""
@@ -68,13 +71,11 @@ class RationalMap(_Rational):
     """Scalar rational function of z, the semigroup generator f."""
 
     _what = "semigroup generator f"
+    _den_axes = ...
 
     def __post_init__(self):
         self.num = np.atleast_1d(np.asarray(self.num, dtype=complex))
         super().__post_init__()
-
-    def __call__(self, z):
-        return horner(self.num, z) / horner(self.den, z)
 
     def derivative(self) -> "RationalMap":
         def dpoly(c):
@@ -183,24 +184,23 @@ def build_model(f: RationalMap, hint: complex = 0.0, order: int = 24) -> Semigro
     |f'(z0)| is numerically zero.
     """
     df = f.derivative()
-    z = complex(hint)
+    z0 = complex(hint)
     converged = False
     for _ in range(100):
-        fz = f(z)
+        fz = f(z0)
         if abs(fz) < 1e-14:
             converged = True
             break
-        dfz = df(z)
+        dfz = df(z0)
         if abs(dfz) < 1e-300:
             break
-        z = z - fz / dfz
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        z0 = z0 - fz / dfz
+        if not (math.isfinite(z0.real) and math.isfinite(z0.imag)):
             break
-    if not converged or abs(f(z)) > 1e-12:
+    if not converged or abs(f(z0)) > 1e-12:
         raise NoInteriorFixedPointError("Newton iteration did not locate a fixed point")
-    if abs(z) >= 1.0 - BOUNDARY_MARGIN:
-        raise NoInteriorFixedPointError(f"fixed point {z} is not interior")
-    z0 = z
+    if abs(z0) >= 1.0 - BOUNDARY_MARGIN:
+        raise NoInteriorFixedPointError(f"fixed point {z0} is not interior")
 
     lam = -df(z0)
     if abs(lam) < 1e-12:
@@ -211,10 +211,7 @@ def build_model(f: RationalMap, hint: complex = 0.0, order: int = 24) -> Semigro
     h[1] = 1.0
     # Schroeder recursion from h' f = -lambda h
     for k in range(2, order + 1):
-        acc = 0.0 + 0.0j
-        for j in range(1, k):
-            acc += j * h[j] * f_c[k + 1 - j]
-        h[k] = acc / (lam * (k - 1))
+        h[k] = sum(j * h[j] * f_c[k + 1 - j] for j in range(1, k)) / (lam * (k - 1))
     koenigs = ScalarSeries(z0, h)
     koenigs_inv = revert(koenigs)
     return SemigroupModel(

@@ -107,22 +107,21 @@ def condition_check(
     k_bound is the larger of ceil(||ad_B0|| / |lam|), past which |k lam|
     exceeds the spectral radius of ad_B0, and the last order whose floor
     |k lam| - ||ad_B0|| on sigma_min does not clear ``_cutoff``, which is
-    floor(||ad_B0|| (1 + rtol) / (|lam| (1 - rtol))).  A ``resonance_rtol``
-    outside [0, 1) raises ValueError.  Orders 1 ... k_bound take one
-    values-only batched SVD; ``ad`` and ``ad_norm`` may be passed in.
+    floor(||ad_B0|| (1 + rtol) / (|lam| (1 - rtol))).  ``_cutoff`` refuses a
+    ``resonance_rtol`` outside [0, 1) before any use.  Orders 1 ... k_bound
+    take one values-only batched SVD; ``ad`` and ``ad_norm`` may be passed in.
     """
     lam = complex(lam)
     if lam.real <= 0:
         raise NotAttractingError("condition_check requires Re(lam) > 0")
-    if not 0.0 <= resonance_rtol < 1.0:
-        raise ValueError(f"resonance_rtol must lie in [0, 1), got {resonance_rtol!r}")
     b = as_matrix(b0)
     spectrum = eigenvalues(b)
     diffs = (spectrum[:, None] - spectrum[None, :]).ravel()
     ad = ad_matrix(b) if ad is None else ad
     ad_norm = float(np.linalg.norm(ad, 2)) if ad_norm is None else ad_norm
-    # closed form of the last order the floor leaves open, checked one order either side
-    last = math.floor(ad_norm * (1 + resonance_rtol) / (abs(lam) * (1 - resonance_rtol)))
+    # the floor crosses the affine cutoff at the last open order, checked one order either side
+    c0, c1 = _cutoff(np.arange(2), lam, ad_norm, resonance_rtol)[1]
+    last = math.floor((ad_norm + c0) / (abs(lam) - (c1 - c0)))
     edge = np.arange(max(last - 1, 0), last + 2)
     left_open = np.abs(edge * lam) - ad_norm <= _cutoff(edge, lam, ad_norm, resonance_rtol)[1]
     k_bound = max(math.ceil(ad_norm / abs(lam)), int(edge[left_open].max()))
@@ -229,7 +228,8 @@ def linearize(
     given a lower bound on sigma_min(k lam - ad_B0) where one is at hand:
     up to k_bound ``condition_check``'s batched sigma_min, so only the orders
     in ``violated_k`` take a full SVD; beyond it |k lam| - ||ad_B0|| once
-    that cannot raise C1 = max 1 / sigma_min.
+    that cannot raise C1 = max 1 / sigma_min.  One batch of ||b_k|| serves
+    the fit of C2 and r and the "coboundary" test ||B0|| <= 1e-10.
     """
     if not model.is_interior:
         raise NoInteriorFixedPointError("series linearization requires an interior fixed point")
@@ -273,18 +273,18 @@ def linearize(
             c1 = max(c1, 1.0 / out.smallest_singular_value)
         m_coeffs[k] = out.solution
 
+    b_norms = operator_norm(b.coeffs).tolist()
     if obstructed_at is not None:
         status = "obstructed"
     elif resonant_passed:
         status = "resonant_solvable"
-    elif operator_norm(b0) <= 1e-10:
+    elif b_norms[0] <= 1e-10:
         status = "coboundary"
     else:
         status = "linearizable"
 
     if resonant_passed:
         c1 = math.inf
-    b_norms = operator_norm(b.coeffs).tolist()
     c2, r = _geometric_fit(b_norms)
     c3 = 0.0 if c2 == 0.0 else c1 * c2
     if status in ("linearizable", "coboundary"):

@@ -1,5 +1,7 @@
 """Matrix kernel tests: fixed examples plus randomized invariant suites."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,34 @@ class TestSylvesterResolve:
         assert out.kind == "unique"
         assert np.allclose(out.solution, rhs / 3.0)
 
+    @pytest.mark.parametrize("kind", ["unique", "resonant_solvable", "obstructed"])
+    def test_residual_is_frobenius_defect(self, kind):
+        # residual against references built apart from the factored system:
+        # the matrix-form residual of the returned m, or the defect of the
+        # least-squares solution of the explicit Kronecker system
+        if kind == "unique":
+            k, lam, b0, rhs = 3, complex(0.7, 0.4), random_matrix(3), random_matrix(3)
+        else:
+            # k lam = 1 meets the eigenvalue differences at (1, 2) and (2, 3)
+            k, lam, b0 = 1, 1.0, np.diag([1.0, 2.0, 3.0]).astype(complex)
+            c = 1.0 if kind == "obstructed" else 0.0
+            rhs = np.array([[0.4, c, 0.2], [1.0, -0.7, c], [0.3, 0.5j, 0.1]])
+        out = sylvester_resolve(k, lam, b0, rhs)
+        assert out.kind == kind
+        bar = 1e-12 * max(1.0, np.linalg.norm(rhs))
+        if kind == "obstructed":
+            ident = np.eye(b0.shape[0])
+            lhs = k * lam * np.eye(b0.size) - (np.kron(b0.T, ident) - np.kron(ident, b0))
+            flat = rhs.flatten(order="F")
+            x = np.linalg.lstsq(lhs, flat, rcond=None)[0]
+            expected = np.linalg.norm(lhs @ x - flat)
+            # the defect c (E_12 + E_23) has spectral norm 1, Frobenius norm sqrt 2
+            assert expected == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        else:
+            m = out.solution
+            expected = np.linalg.norm(k * lam * m - (m @ b0 - b0 @ m) - rhs)
+        assert abs(out.residual - expected) <= bar
+
     def test_residual_bound_random(self):
         tol = 1e-10
         for _ in range(30):
@@ -297,7 +327,8 @@ class TestSylvesterFastPath:
         b0 = np.diag([0.0, 2.5]).astype(complex)
         rhs = np.array([[0.3, -1.0], [2.0, 0.5j]], dtype=complex)
         lu = sylvester_resolve(2, 1.0, b0, rhs, sigma_min=0.25)
-        assert svd_counter.full == 0
+        # the defect is measured on the LU-solved system: no SVD of any size
+        assert sum(svd_counter.by_size.values()) == 0
         full = sylvester_resolve(3, 1.0, b0, rhs, sigma_min=0.0)
         assert svd_counter.full == 1
         assert lu.smallest_singular_value == 0.25

@@ -131,8 +131,16 @@ class TestConditionCheck:
 
     @pytest.mark.parametrize("rtol", [-1e-3, 1.0, 2.0, float("nan")])
     def test_resonance_rtol_outside_unit_interval_refused(self, rtol):
-        with pytest.raises(ValueError, match=r"resonance_rtol must lie in \[0, 1\)"):
-            condition_check(np.eye(2, dtype=complex), 1.0, resonance_rtol=rtol)
+        # the resonance rule refuses the tolerance for both of its callers.
+        # Order 1 of B0 = diag(0, 0.1) has sigma_min 0.9, yet the rule at
+        # rtol 2.0 would call it resonant and, with rhs = I, obstructed
+        b0 = np.diag([0.0, 0.1]).astype(complex)
+        for call in (
+            lambda: condition_check(b0, 1.0, resonance_rtol=rtol),
+            lambda: sylvester_resolve(1, 1.0, b0, np.eye(2), resonance_rtol=rtol),
+        ):
+            with pytest.raises(ValueError, match=r"resonance_rtol must lie in \[0, 1\)"):
+                call()
 
     def test_builds_ad_matrix_once(self, monkeypatch, svd_counter):
         # k_bound and the batched resolvent share one ad_B0 and one norm; the
@@ -550,6 +558,9 @@ def test_full_svds_only_at_orders_that_may_resonate(svd_counter):
 # orders whose bound 1 / (|k lam| - ||ad_B0||) tops the running max: here
 # none.  Measured: 1 256x256 SVD, the batch, against a bound of 1 (65 when
 # every order took sigma_min; 2 if order 1 took its own besides the batch).
+# Each order measures its defect on the system it factored, so the 16x16
+# SVDs are the batch of ||b_k|| and the norm of the last m_k: 2 (67 when every
+# order took the spectral norm of its matrix-form residual).
 def test_large_svds_only_where_c1_may_rise(svd_counter):
     n, order = 16, 64
     rng = np.random.default_rng(0)
@@ -561,6 +572,7 @@ def test_large_svds_only_where_c1_may_rise(svd_counter):
     out = linearize(model, gen, order=order)
     assert out.status == "linearizable"
     assert svd_counter.by_size[n * n] <= 1
+    assert svd_counter.by_size[n] <= 2
 
     # brute force: sigma_min at every order, and each m_k from its own solve
     b = conjugated_generator(model, gen, order).coeffs
