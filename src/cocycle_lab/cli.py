@@ -98,7 +98,6 @@ class Scenario:
             self.f = RationalMap(
                 _complex_list(sg["f_num"]), _complex_list(sg.get("f_den", [1.0]))
             )
-            self.hint = _as_complex(sg.get("fixed_point_hint", 0.0))
 
             gen = _section(data, "generator")
             self.dim = int(gen["dim"])
@@ -141,7 +140,7 @@ class Scenario:
     def model(self, order=None):
         order = self.order if order is None else order
         try:
-            return build_model(self.f, hint=self.hint, order=order)
+            return build_model(self.f, order=order)
         except NoInteriorFixedPointError:
             return build_boundary_model(self.f)
 

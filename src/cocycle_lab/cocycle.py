@@ -131,11 +131,13 @@ def evolve(model: SemigroupModel, B, t: float, z: complex, tol: float = 1e-11) -
 
 def make_evolve_oracle(model: SemigroupModel, B, tol: float = 1e-11):
     """Wrap (model, B) as an oracle Gamma(t, z) (see ``gamma_grid``): one
-    ``evolve_grid`` call over the times (nonnegative, ascending) and points."""
+    ``evolve_grid`` call over the distinct times (nonnegative, in any order)
+    and the points."""
 
     def gamma(t, z):
         ts, zs = np.asarray(t, dtype=float), np.asarray(z, dtype=complex)
-        out = evolve_grid(model, B, ts.ravel(), zs.ravel(), tol=tol)
+        times, where = np.unique(ts.ravel(), return_inverse=True)
+        out = evolve_grid(model, B, times, zs.ravel(), tol=tol)[where]
         return out.reshape(ts.shape + zs.shape + out.shape[2:])
 
     return gamma

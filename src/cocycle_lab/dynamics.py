@@ -1,10 +1,11 @@
 """One-parameter semigroups on the unit disk built from rational generators.
 
-A model bundles the generator f, its interior fixed point z0, the rate
-lambda = -f'(z0), and the Koenigs series h solving the Schroeder equation
-h(F_t(z)) = exp(-lambda t) h(z) with h(z0) = 0, h'(z0) = 1.  Flow evaluation
-prefers the Koenigs route and falls back to direct integration of
-du/dt = f(u) outside the validated series region.
+A model bundles the generator f, its interior fixed point z0 (the one zero
+of f inside the disk), the rate lambda = -f'(z0), and the Koenigs series h
+solving the Schroeder equation h(F_t(z)) = exp(-lambda t) h(z) with
+h(z0) = 0, h'(z0) = 1.  Flow evaluation prefers the Koenigs route and falls
+back to direct integration of du/dt = f(u) outside the validated series
+region.
 """
 
 from __future__ import annotations
@@ -32,6 +33,14 @@ RADIUS_SAFETY = 0.8
 BOUNDARY_MARGIN = 1e-9
 
 
+def _interior_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Distinct roots of the polynomial with ascending scalar ``coeffs`` that
+    lie inside the disk |r| < 1 - BOUNDARY_MARGIN (none for the zero
+    polynomial)."""
+    roots = np.roots(coeffs[::-1])
+    return np.unique(roots[np.abs(roots) < 1.0 - BOUNDARY_MARGIN])
+
+
 @dataclass
 class _Rational:
     """Rational map z -> num(z) / den(z) from ascending polynomial
@@ -53,10 +62,9 @@ class _Rational:
         self.den = np.atleast_1d(np.asarray(self.den, dtype=complex))
         if not np.any(np.abs(self.den) > 0):
             raise ValueError("denominator is identically zero")
-        poles = np.roots(self.den[::-1])
-        inside = poles[np.abs(poles) < 1.0 - BOUNDARY_MARGIN]
-        if inside.size:
-            raise ValueError(f"{self._what} has a pole inside the unit disk at {inside[0]:.6g}")
+        poles = _interior_roots(self.den)
+        if poles.size:
+            raise ValueError(f"{self._what} has a pole inside the unit disk at {poles[0]:.6g}")
 
     def __call__(self, z):
         return horner(self.num, z) / horner(self.den, z)[self._den_axes]
@@ -68,7 +76,12 @@ class _Rational:
 
 
 class RationalMap(_Rational):
-    """Scalar rational function of z, the semigroup generator f."""
+    """Scalar rational function of z, the semigroup generator f.
+
+    A generator that is not identically zero has at most one zero in the
+    disk (Berkson-Porta), so a numerator with more than one distinct root
+    inside it is refused with a ValueError.
+    """
 
     _what = "semigroup generator f"
     _den_axes = ...
@@ -76,19 +89,10 @@ class RationalMap(_Rational):
     def __post_init__(self):
         self.num = np.atleast_1d(np.asarray(self.num, dtype=complex))
         super().__post_init__()
-
-    def derivative(self) -> "RationalMap":
-        def dpoly(c):
-            if c.shape[0] == 1:
-                return np.zeros(1, dtype=complex)
-            return c[1:] * np.arange(1, c.shape[0])
-
-        dn = np.convolve(dpoly(self.num), self.den)
-        nd = np.convolve(self.num, dpoly(self.den))
-        width = max(dn.shape[0], nd.shape[0])
-        dn = np.pad(dn, (0, width - dn.shape[0]))
-        nd = np.pad(nd, (0, width - nd.shape[0]))
-        return RationalMap(dn - nd, np.convolve(self.den, self.den))
+        zeros = _interior_roots(self.num)
+        if zeros.size > 1:
+            raise ValueError(f"{self._what} has more than one zero inside the unit disk, "
+                             f"at {zeros[0]:.6g} and {zeros[1]:.6g}")
 
 
 def _ratio_radius(coeffs: np.ndarray) -> float:
@@ -175,38 +179,24 @@ def flow_ode(f: RationalMap, t: float, z, *, tol: float = 1e-12):
     return out if np.shape(z) else complex(out)
 
 
-def build_model(f: RationalMap, hint: complex = 0.0, order: int = 24) -> SemigroupModel:
-    """Locate the interior fixed point, compute the rate, and assemble the
-    Koenigs series and its reversion.
+def build_model(f: RationalMap, order: int = 24) -> SemigroupModel:
+    """Take the interior fixed point z0 as the zero of f's numerator inside
+    the disk, the rate lambda = -f'(z0) from f's Taylor series there, and
+    assemble the Koenigs series and its reversion.
 
-    Raises NoInteriorFixedPointError when Newton iteration fails or lands
-    within BOUNDARY_MARGIN of the unit circle, and ZeroRateError when
-    |f'(z0)| is numerically zero.
+    Raises NoInteriorFixedPointError when f has no zero with
+    |z0| < 1 - BOUNDARY_MARGIN, and ZeroRateError when lambda is
+    numerically zero (f identically zero counts as fixing z0 = 0).
     """
-    df = f.derivative()
-    z0 = complex(hint)
-    converged = False
-    for _ in range(100):
-        fz = f(z0)
-        if abs(fz) < 1e-14:
-            converged = True
-            break
-        dfz = df(z0)
-        if abs(dfz) < 1e-300:
-            break
-        z0 = z0 - fz / dfz
-        if not (math.isfinite(z0.real) and math.isfinite(z0.imag)):
-            break
-    if not converged or abs(f(z0)) > 1e-12:
-        raise NoInteriorFixedPointError("Newton iteration did not locate a fixed point")
-    if abs(z0) >= 1.0 - BOUNDARY_MARGIN:
-        raise NoInteriorFixedPointError(f"fixed point {z0} is not interior")
-
-    lam = -df(z0)
+    zeros = _interior_roots(f.num) if np.any(f.num) else np.zeros(1)
+    if not zeros.size:
+        raise NoInteriorFixedPointError("f has no zero inside the unit disk")
+    z0 = complex(zeros[0])
+    f_c = f.taylor(z0, order + 1).coeffs
+    lam = -f_c[1]
     if abs(lam) < 1e-12:
         raise ZeroRateError("rate -f'(z0) is numerically zero")
 
-    f_c = f.taylor(z0, order + 1).coeffs
     h = np.zeros(order + 1, dtype=complex)
     h[1] = 1.0
     # Schroeder recursion from h' f = -lambda h

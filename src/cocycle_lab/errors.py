@@ -22,8 +22,8 @@ class NotInvertibleError(CocycleLabError):
 
 
 class NoInteriorFixedPointError(CocycleLabError, ValueError):
-    """Fixed-point search failed or landed on/outside the unit circle, or a
-    computation that needs an interior fixed point got a boundary model."""
+    """The generator f has no zero inside the unit disk, or a computation
+    that needs an interior fixed point got a boundary model."""
 
 
 class ZeroRateError(CocycleLabError):

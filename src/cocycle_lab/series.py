@@ -233,7 +233,9 @@ def _rational_taylor(num: np.ndarray, den: np.ndarray, center: complex, order: i
 def revert(s: ScalarSeries) -> ScalarSeries:
     """Compositional inverse g with s(g(w)) = w + O(w^{N+1}).
 
-    ``s`` must vanish at its center and have a nonzero linear coefficient.
+    ``s`` must vanish at its center and have a nonzero linear coefficient,
+    both judged on the scale max(1, |c_0|, |c_1|): the higher coefficients
+    grow geometrically in a Koenigs series about a point near the circle.
     The result is centered at 0 with constant term equal to s's center, so
     evaluating it at w returns an actual preimage point.
 
@@ -245,10 +247,10 @@ def revert(s: ScalarSeries) -> ScalarSeries:
     size is at most twice the previous one.  g = w / c_1 starts with 2.
     """
     c = s.coeffs
-    scale = float(np.max(np.abs(c))) if c.size else 0.0
-    if abs(c[0]) > 1e-10 * max(scale, 1.0):
+    scale = max(1.0, *np.abs(c[:2]))
+    if abs(c[0]) > 1e-10 * scale:
         raise NotInvertibleError("series to revert must vanish at its center")
-    if s.order < 1 or abs(c[1]) <= 1e-12 * max(scale, 1.0):
+    if s.order < 1 or abs(c[1]) <= 1e-12 * scale:
         raise NotInvertibleError("linear coefficient below tolerance")
     n = s.order
     ident = np.zeros(n + 1, dtype=complex)

@@ -82,7 +82,7 @@ def test_cli_looks_up_its_constructors_per_call(tmp_path, monkeypatch, capsys):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scenario))
     counters.active = True
-    assert cli.main(["spectrum", "--scenario", str(path)]) == 0
+    assert cli.main(["evolve", "--scenario", str(path)]) == 0
     assert counters.b_calls >= 1 and counters.f_points >= 1
 
     def missing(name):

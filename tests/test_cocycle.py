@@ -168,6 +168,15 @@ class TestOracleProtocol:
         assert np.array_equal(grid, evolve_grid(LINEAR_MODEL, JORDAN.generator, ts, zs))
         assert np.array_equal(oracle(1.0, 0.3), evolve(LINEAR_MODEL, JORDAN.generator, 1.0, 0.3))
 
+    def test_evolve_oracle_takes_times_in_any_order(self):
+        oracle = make_evolve_oracle(LINEAR_MODEL, JORDAN.generator)
+        zs = np.array([0.3, -0.2j])
+        ascending = oracle([0.5, 1.0, 2.0], zs)
+        assert np.array_equal(oracle([2.0, 1.0, 0.5], zs), ascending[::-1])
+        assert np.array_equal(oracle([1.0, 0.5, 1.0], zs), oracle([0.5, 1.0], zs)[[1, 0, 1]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            oracle([1.0, -0.5], zs)
+
 
 class TestCheckAxioms:
     def test_jordan_oracle_passes(self):
@@ -330,10 +339,11 @@ class TestGrowthReport:
         assert large.k_mu > small.k_mu
 
     def test_non_invariant_disk_rejected(self):
-        # f = -z(1 - 2z) pushes part of the circle |z| = 0.6 outward
-        model = build_model(RationalMap([0.0, -1.0, 2.0]))
+        # f = (0.5 - z)(1 - 0.5z)(0.2 + i) turns the flow around z0 = 0.5, so
+        # part of the circle |z - 0.5| = 0.4 moves outward (by 5.4e-3 at t = 0.25)
+        model = build_model(RationalMap(np.convolve([0.5, -1.0], [1.0, -0.5]) * (0.2 + 1j)))
         with pytest.raises(NotInvariantError):
-            growth_report(model, SCALAR.generator, 0.6, t_values=(0.25,))
+            growth_report(model, SCALAR.generator, 0.4, t_values=(0.25,))
 
     def test_disk_must_fit_in_unit_disk(self):
         with pytest.raises(ValueError):

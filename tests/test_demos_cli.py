@@ -493,11 +493,11 @@ SMALL_SCENARIO = dict(
 POLYNOMIALS = [
     [[1, 0], [-2, 0]], [[1, 0], [-1, 0]], [[1, 0], [-0.5, 0]], [[0.5, 0], [-1, 0]],
     [[0, 0], [1, 0]], [[0, 0], [0, 1]], [[0, 0], [-1, 0], [0.6, 0.2]], [[1, 0]],
+    [[0, 0], [-1, 0], [2, 0]],
 ]
 SCENARIO_FIELDS = {
     ("semigroup", "f_num"): POLYNOMIALS,
     ("semigroup", "f_den"): POLYNOMIALS,
-    ("semigroup", "fixed_point_hint"): [[0.5, 0], [2, 0], 0.99],
     ("generator", "dim"): [1, 3, 0],
     ("generator", "den_coeffs"): POLYNOMIALS,
     (None, "generator"): [CHAIN_GENERATOR, CONSTANT_GENERATOR],
@@ -520,6 +520,20 @@ MUTATION = st.sampled_from(sorted(SCENARIO_FIELDS, key=str)).flatmap(
     )
 )
 SCENARIO_COMMANDS = ("evolve", "check", "linearize", "spectrum", "growth", "extract")
+
+
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_two_interior_zeros_of_f_are_an_input_error(tmp_path, capsys, command):
+    # f = -z(1 - 2z) vanishes at 0 and at 0.5, which no generator does
+    data = json.loads(json.dumps(SMALL_SCENARIO))
+    data["semigroup"]["f_num"] = [[0, 0], [-1, 0], [2, 0]]
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+    assert "more than one zero inside the unit disk" in err[0]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -25,14 +25,15 @@ AFFINE = RationalMap([1.0, -1.0])          # f(z) = 1 - z
 
 
 class TestRationalMap:
-    def test_evaluation_and_derivative(self):
-        f = RationalMap([1.0, 0.0, 2.0], [1.0, 1.0])  # (1 + 2z^2)/(1 + z)
+    def test_evaluation(self):
+        f = RationalMap([2.0, 0.0, 1.0], [1.0, 1.0])  # (2 + z^2)/(1 + z)
         z = 0.3 + 0.2j
-        assert f(z) == pytest.approx((1 + 2 * z**2) / (1 + z))
-        df = f.derivative()
-        h = 1e-7
-        fd = (f(z + h) - f(z - h)) / (2 * h)
-        assert df(z) == pytest.approx(fd, abs=1e-6)
+        assert f(z) == pytest.approx((2 + z**2) / (1 + z))
+
+    def test_two_interior_zeros_refused(self):
+        # f = -z(1 - 2z) vanishes at 0 and 0.5: no generator has two zeros
+        with pytest.raises(ValueError, match="more than one zero inside the unit disk"):
+            RationalMap([0, -1, 2])
 
     def test_taylor_matches_evaluation(self):
         f = RationalMap([0.0, 1.0], [1.0, -0.5])
@@ -65,6 +66,24 @@ class TestBuildModel:
         m = build_model(f)
         assert abs(f(m.z0)) <= 1e-12
 
+    def test_fixed_point_is_the_interior_zero(self):
+        # Berkson-Porta form (tau - z)(1 - conj(tau) z) p with tau = 0.5 and
+        # p = 0.2 + i; the zero at 2 lies outside the disk
+        f = RationalMap(np.convolve([0.5, -1.0], [1.0, -0.5]) * (0.2 + 1j))
+        m = build_model(f)
+        assert m.z0 == pytest.approx(0.5, abs=1e-15)
+        h = 1e-6
+        assert m.rate == pytest.approx(-(f(0.5 + h) - f(0.5 - h)) / (2 * h), abs=1e-8)
+
+    @pytest.mark.parametrize("tau, order", [(0.9, 24), (0.8, 48)])
+    def test_fixed_point_near_the_circle_builds(self, tau, order):
+        # the Koenigs coefficients grow like (1/(1 - tau))^k, far above the
+        # linear one that revert divides by; only the build is pinned here
+        m = build_model(RationalMap(np.convolve([tau, -1.0], [1.0, -tau])), order=order)
+        assert m.z0 == pytest.approx(tau, abs=1e-14)
+        assert m.rate == pytest.approx(1.0 - tau**2, abs=1e-13)
+        assert np.max(np.abs(m.koenigs.coeffs)) > 1e15
+
     def test_boundary_generator_raises(self):
         with pytest.raises(NoInteriorFixedPointError):
             build_model(AFFINE)
@@ -72,6 +91,10 @@ class TestBuildModel:
     def test_zero_rate_raises(self):
         with pytest.raises(ZeroRateError):
             build_model(RationalMap([0.0, 0.0, 1.0]))  # f = z^2
+
+    def test_identically_zero_raises_zero_rate(self):
+        with pytest.raises(ZeroRateError):
+            build_model(RationalMap([0.0]))
 
 
 class TestFlow:

@@ -177,6 +177,16 @@ class TestRevert:
                 expected = np.concatenate([[0.0], powers * (-1.0) ** np.arange(order)])
                 assert np.max(np.abs(revert(s).coeffs - expected)) <= tol
 
+    @pytest.mark.parametrize("c", [20.0, 20j])
+    def test_growing_coefficients_revert(self, c):
+        # z/(1 - cz) at order 24 has c_23 = 20^23 against c_1 = 1, and still
+        # reverts to w/(1 + cw), each coefficient to 2e-15 relative
+        powers = c ** np.arange(24)
+        s = ScalarSeries(0.0, np.concatenate([[0.0], powers]))
+        got = revert(s).coeffs[1:]
+        expected = powers * (-1.0) ** np.arange(24)
+        assert np.max(np.abs(got - expected) / np.abs(expected)) <= 2e-15
+
 
 # Work-counter gate: Toeplitz products in one order-64 revert.  Newton steps
 # at the sizes 3, 5, 9, 17, 33, 65 make 258 (1,161 when all 9 steps composed
