@@ -217,21 +217,25 @@ def _diagonal_linearizable() -> DemoEntry:
     )
 
 
+#: demo name -> builder of a fresh entry, in the catalog's stable order
+_BUILDERS = {
+    "linear-scalar-rational": _linear_scalar_rational,
+    "affine-scalar": _affine_scalar,
+    "sqrt-nonexp": _sqrt_nonexp,
+    "jordan-obstruction": _jordan_obstruction,
+    "resonant-solvable": _resonant_solvable,
+    "beta-power": _beta_power,
+    "diagonal-linearizable": _diagonal_linearizable,
+}
+
+
 def demo_catalog() -> list[DemoEntry]:
     """All packaged demos, in a stable order."""
-    return [
-        _linear_scalar_rational(),
-        _affine_scalar(),
-        _sqrt_nonexp(),
-        _jordan_obstruction(),
-        _resonant_solvable(),
-        _beta_power(),
-        _diagonal_linearizable(),
-    ]
+    return [build() for build in _BUILDERS.values()]
 
 
 def demo_by_name(name: str) -> DemoEntry:
-    for entry in demo_catalog():
-        if entry.name == name:
-            return entry
-    raise KeyError(f"unknown demo {name!r}")
+    """A fresh entry for ``name``, building no other demo; KeyError if unknown."""
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown demo {name!r}")
+    return _BUILDERS[name]()

@@ -161,9 +161,9 @@ class LinearizationOutcome:
     status: "linearizable", "resonant_solvable", "obstructed", "coboundary".
     ``m`` holds the transfer-map coefficients in the Koenigs coordinate
     (m_0 = I; truncated before the failing order when obstructed).
-    ``radius_estimate`` is the certified lower bound r / (C1 C2 + 1) on the
-    convergence radius; it is 0 when no certificate applies (resonant or
-    obstructed chains).
+    ``radius_estimate`` is r / (C1 C2 + 1) from ``_certificate``, certified
+    for the computed orders k <= N with the truncated h^{-1} for h^{-1}; it is
+    0 when no certificate applies (resonant or obstructed chains).
     """
 
     status: str
@@ -187,28 +187,26 @@ class LinearizationOutcome:
         }
 
 
-def _geometric_fit(norms: Sequence[float]) -> tuple[float, float]:
-    """(C2, r) with ||b_k|| <= C2 / r^k for all supplied k >= 1.
+def _certificate(c1: float, norms: np.ndarray) -> tuple[float, float]:
+    """(C2, r) with ||b_k|| <= C2 / r^k for every supplied k >= 1.
 
-    Least-squares fit on the nonzero norms, then C2 inflated so the bound
-    actually covers every point (the certificate below needs a true bound,
-    not a regression line).
+    Any r > 0 gives such a pair with C2(r) = max_k ||b_k|| r^k, taken in
+    logarithms; r is the best, for r / (C1 C2(r) + 1), of the stationary
+    points r_k = (C1 ||b_k|| (k - 1))^(-1/k), k >= 2.  r = 1 when C1 is not
+    in (0, inf) or every ||b_k|| with k >= 2 is 0; (C2, r) = (0, inf) when
+    every ||b_k|| with k >= 1 is.
     """
-    ks = [k for k, v in enumerate(norms) if k >= 1 and v > 1e-300]
-    if not ks:
+    ks = np.flatnonzero(norms[1:]) + 1
+    if not ks.size:
         return 0.0, math.inf
-    if len(ks) == 1:
-        r = 1.0
-    else:
-        xs = np.asarray(ks, dtype=float)
-        ys = np.log([norms[k] for k in ks])
-        design = np.stack([np.ones_like(xs), xs], axis=1)
-        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-        r = float(np.exp(-coef[1]))
-        if not (r > 0 and math.isfinite(r)):
-            r = 1.0
-    c2 = max(norms[k] * r**k for k in ks)
-    return c2, r
+    log_b = np.log(norms[ks])
+    log_r = np.zeros(1)  # r = 1
+    more = ks >= 2
+    if 0.0 < c1 < math.inf and more.any():
+        log_r = -(math.log(c1) + log_b[more] + np.log(ks[more] - 1.0)) / ks[more]
+    log_c2 = np.max(log_b + np.outer(log_r, ks), axis=1)  # C2 at each candidate r
+    best = np.argmax(log_r - np.logaddexp(math.log(c1) + log_c2, 0.0)) if log_r.size > 1 else 0
+    return math.exp(log_c2[best]), math.exp(log_r[best])
 
 
 def linearize(
@@ -229,7 +227,8 @@ def linearize(
     up to k_bound ``condition_check``'s batched sigma_min, so only the orders
     in ``violated_k`` take a full SVD; beyond it |k lam| - ||ad_B0|| once
     that cannot raise C1 = max 1 / sigma_min.  One batch of ||b_k|| serves
-    the fit of C2 and r and the "coboundary" test ||B0|| <= 1e-10.
+    the choice of C2 and r (``_certificate``) and the "coboundary" test
+    ||B0|| <= 1e-10.  ``tail_ratio`` is ||m_N|| radius^N.
     """
     if not model.is_interior:
         raise NoInteriorFixedPointError("series linearization requires an interior fixed point")
@@ -273,7 +272,7 @@ def linearize(
             c1 = max(c1, 1.0 / out.smallest_singular_value)
         m_coeffs[k] = out.solution
 
-    b_norms = operator_norm(b.coeffs).tolist()
+    b_norms = operator_norm(b.coeffs)
     if obstructed_at is not None:
         status = "obstructed"
     elif resonant_passed:
@@ -285,7 +284,7 @@ def linearize(
 
     if resonant_passed:
         c1 = math.inf
-    c2, r = _geometric_fit(b_norms)
+    c2, r = _certificate(c1, b_norms)
     c3 = 0.0 if c2 == 0.0 else c1 * c2
     if status in ("linearizable", "coboundary"):
         radius = math.inf if c2 == 0.0 else r / (c3 + 1.0)
@@ -293,11 +292,12 @@ def linearize(
         radius = 0.0
 
     m_series = MatrixSeries(0.0, m_coeffs)
-    tail = operator_norm(m_coeffs[-1]) if m_coeffs.shape[0] else 0.0
+    tail = operator_norm(m_coeffs[-1])
+    last = m_series.order
     if radius == math.inf or tail == 0.0:
         tail_ratio = 0.0
-    else:
-        tail_ratio = tail * radius ** (m_coeffs.shape[0] - 1)
+    else:  # ||m_N|| radius^N, at most 1 under the certificate, without forming radius^N
+        tail_ratio = (tail ** (1.0 / last) * radius) ** last if last else tail
     diagnostics = {
         "C1": c1,
         "C2": c2,

@@ -6,8 +6,8 @@ coefficients multiply in the order written, so nothing here assumes that
 they commute.  The coefficient-array kernels below (Horner evaluation,
 Cauchy product, Horner composition, binomial shift) are the only copies of
 those jobs in the package.  A scalar factor multiplies as its
-lower-triangular Toeplitz matrix; composition with a matrix outer series
-builds the Toeplitz matrix of the inner series once for all Horner steps.
+lower-triangular Toeplitz matrix; composition builds the Toeplitz matrix
+of the inner series once for all Horner steps.
 """
 
 from __future__ import annotations
@@ -73,22 +73,17 @@ def _compose_coeffs(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Horner composition outer(inner) on coefficient arrays, inner[0] taken
     as 0; ``outer`` has scalar or matrix coefficients, ``inner`` scalar.
 
-    With a matrix ``outer`` every Horner step multiplies by the same
-    Toeplitz matrix of ``inner``, built once.  A scalar ``outer`` keeps the
-    product order of ``_mul_coeffs`` (Toeplitz of the accumulator times
-    ``inner``), which fixes the rounding of ``revert``.
+    Every Horner step multiplies the accumulator by the same Toeplitz matrix
+    of ``inner``, built once.
     """
     n = min(outer.shape[0], inner.shape[0])
     t = inner[:n].copy()
     t[0] = 0.0
-    t_toeplitz = _toeplitz(t) if outer.ndim == 3 else None
+    t_toeplitz = _toeplitz(t)
     acc = np.zeros((n,) + outer.shape[1:], dtype=complex)
     acc[0] = outer[n - 1]
     for k in range(n - 2, -1, -1):
-        if t_toeplitz is None:
-            acc = _apply_toeplitz(_toeplitz(acc), t)
-        else:
-            acc = _apply_toeplitz(t_toeplitz, acc)
+        acc = _apply_toeplitz(t_toeplitz, acc)
         acc[0] += outer[k]
     return acc
 

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocycle_lab import cli
+from cocycle_lab import cli, demos
 from cocycle_lab.cli import _build_parser, main, run_demo
 from cocycle_lab.demos import demo_by_name, demo_catalog
+from cocycle_lab.dynamics import RationalMap
 
 JORDAN_SCENARIO = {
     "semigroup": {"f_num": [[0, 0], [-1, 0]], "f_den": [[1, 0]]},
@@ -74,6 +75,19 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             demo_by_name("no-such-demo")
+
+    def test_lookup_builds_one_fresh_entry(self, monkeypatch):
+        built = []
+
+        def counting_map(*args):
+            built.append(args)
+            return RationalMap(*args)
+
+        monkeypatch.setattr(demos, "RationalMap", counting_map)
+        entries = [demo_by_name(e.name) for e in demo_catalog()]
+        assert len(built) == 2 * len(entries)  # the catalog's, then one per lookup
+        assert [e.name for e in entries] == [e.name for e in demo_catalog()]
+        assert demo_by_name("jordan-obstruction") is not demo_by_name("jordan-obstruction")
 
 
 @pytest.mark.parametrize("name", [e.name for e in demo_catalog()])
@@ -460,6 +474,8 @@ CHAIN_GENERATOR = {
 }
 # B = 0.5: no b_k for k >= 1, so r and the radius are infinite
 CONSTANT_GENERATOR = {"dim": 1, "num_coeffs": [[[[0.5, 0]]]]}
+# B = 0.5 / (1 - 1e-5 z): every value is finite, though radius^64 overflows
+WIDE_RADIUS_GENERATOR = {"dim": 1, "num_coeffs": [[[[0.5, 0]]]], "den_coeffs": [[1, 0], [-1e-5, 0]]}
 
 
 @pytest.mark.parametrize(
@@ -467,6 +483,7 @@ CONSTANT_GENERATOR = {"dim": 1, "num_coeffs": [[[[0.5, 0]]]]}
     [
         (CHAIN_GENERATOR, {"C1", "C3"}),
         (CONSTANT_GENERATOR, {"r", "radius_estimate"}),
+        (WIDE_RADIUS_GENERATOR, set()),
     ],
 )
 def test_non_finite_report_values_are_null(tmp_path, capsys, generator, nulls):
@@ -474,7 +491,7 @@ def test_non_finite_report_values_are_null(tmp_path, capsys, generator, nulls):
     data["generator"] = generator
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(data))
-    assert main(["linearize", "--scenario", str(path)]) == 0
+    assert main(["linearize", "--scenario", str(path), "--order", "64"]) == 0
     report = strict_json(capsys.readouterr().out)
     values = dict(report["diagnostics"], radius_estimate=report["radius_estimate"])
     assert {key for key, value in values.items() if value is None} == nulls

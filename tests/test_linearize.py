@@ -272,7 +272,7 @@ class TestLinearize:
                 assert res <= 1e-9
 
     def test_coefficient_growth_bound(self):
-        # the certificate ||m_k|| <= ((C3+1)/r)^k from the geometric fit
+        # the certificate ||m_k|| <= ((C3+1)/r)^k from ||b_k|| <= C2 / r^k
         for _ in range(10):
             n = int(RNG.integers(2, 4))
             eigs = 0.4 * RNG.random(n) + 0.3j * RNG.standard_normal(n)
@@ -285,12 +285,38 @@ class TestLinearize:
                     0.5 * (RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))),
                 ]
             )
-            out = linearize(LINEAR_MODEL, CocycleGenerator(coeffs), order=20)
+            gen = CocycleGenerator(coeffs)
+            out = linearize(LINEAR_MODEL, gen, order=20)
             assert out.status == "linearizable"
             d = out.diagnostics
+            assert out.radius_estimate == d["r"] / (d["C3"] + 1.0)
+            b = conjugated_generator(LINEAR_MODEL, gen, 20).coeffs
+            for k in range(1, b.shape[0]):
+                assert operator_norm(b[k]) <= d["C2"] * d["r"] ** -k * (1 + 1e-12)
             growth = (d["C3"] + 1.0) / d["r"]
             for k in range(out.m.coeffs.shape[0]):
                 assert operator_norm(out.m.coeffs[k]) <= growth**k * (1 + 1e-9)
+
+    def test_certified_radius_does_not_shrink_with_the_order(self):
+        # f = -z + 0.3 z^2, B0 = diag(0, 0.45): a least-squares fit of r
+        # certified 0.134 at order 12 and 0.010 at order 64
+        rng = np.random.default_rng(0)
+        b1, b2 = (0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+                  for _ in range(2))
+        gen = CocycleGenerator(np.stack([np.diag([0.0, 0.45]).astype(complex), b1, b2]))
+        f = RationalMap([0.0, -1.0, 0.3])
+        radii = [linearize(build_model(f, order=n), gen, order=n).radius_estimate
+                 for n in (12, 24, 40, 64)]
+        assert radii[0] >= 0.37
+        assert radii == pytest.approx([radii[0]] * 4, rel=1e-12)
+
+    def test_tail_ratio_without_radius_power(self):
+        # B = 0.5 / (1 - 1e-5 z): the radius is 6.7e4, and radius^64 overflows
+        gen = CocycleGenerator.scalar([0.5], [1.0, -1e-5])
+        out = linearize(build_model(RationalMap([0.0, -1.0]), order=64), gen, order=64)
+        assert out.status == "linearizable"
+        assert out.radius_estimate > 1e4
+        assert 0.0 <= out.diagnostics["tail_ratio"] <= 1.0
 
     def test_coboundary_detection(self):
         # B(0) = 0 <=> coboundary status

@@ -259,14 +259,15 @@ def _reference_mul(a, b):
 
 
 def _reference_compose(outer, inner):
-    """Horner composition as a loop of ``_reference_mul`` calls."""
+    """Horner composition as a loop of ``_reference_mul`` calls, each the
+    Toeplitz matrix of the inner series times the accumulator."""
     n = min(outer.shape[0], inner.shape[0])
     t = inner[:n].copy()
     t[0] = 0.0
     acc = np.zeros((n,) + outer.shape[1:], dtype=complex)
     acc[0] = outer[n - 1]
     for k in range(n - 2, -1, -1):
-        acc = _reference_mul(acc, t)
+        acc = _reference_mul(t, acc)
         acc[0] += outer[k]
     return acc
 
@@ -279,7 +280,7 @@ def _decaying(order, tail=()):
 
 
 class TestBitEqualToReference:
-    """compose and revert build each Toeplitz matrix once where they can; the
+    """compose and revert build the inner Toeplitz matrix once; the
     coefficients stay bit-equal to the per-step product loop."""
 
     @pytest.mark.parametrize("order", [1, 2, 24, 64])
