@@ -461,7 +461,7 @@ def main(argv=None) -> int:
             try:
                 report, passed = run_demo(args.name, order=args.order)
             except KeyError as exc:
-                print(f"error: {exc}", file=sys.stderr)
+                print(f"error: {exc.args[0]}", file=sys.stderr)
                 return 2
             _emit(report, args.out)
             return 0 if passed else 1
@@ -469,9 +469,6 @@ def main(argv=None) -> int:
         report, status = _COMMANDS[args.command][0](scn, args)
         _emit(report, args.out)
         return status
-    except ScenarioParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CocycleLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,11 @@ Gamma_0 = I.  Every such family solves the coupled evolution problem
 where B is the cocycle generator; conversely the solver below turns any
 holomorphic B into a semicocycle.  Growth is controlled by the logarithmic
 norm of B over invariant disks.
+
+``evolve_grid`` integrates every point in one state vector.  Its right-hand
+side calls B once on all the points and forms B(u) G for n <= 3 as n
+broadcast multiply-adds over the point axis; for larger n it uses numpy's
+stacked matmul.
 """
 
 from __future__ import annotations
@@ -41,6 +46,13 @@ _CAUCHY_THETAS = 2.0 * np.pi * np.arange(64) / 64
 #: (geometric convergence, as Gamma_s is analytic in s); 8 nodes would hide
 #: that the average of exp(20 pi i s) over [0, 0.1] is exactly singular
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+#: largest matrix size n for which ``evolve_grid`` forms B(u) G as n
+#: broadcast multiply-adds over the points: numpy's stacked matmul pays
+#: about 0.35 us per matrix, which outweighs the arithmetic of a small
+#: product (at 512 points, 41 us against 180 us for n = 2); the two cost
+#: about the same at n = 4, and matmul wins from n = 5
+_BROADCAST_MAX_DIM = 3
 
 
 class CocycleGenerator(_Rational):
@@ -118,7 +130,16 @@ def evolve_grid(
         u = y[:m]
         g = y[m:].reshape(m, n, n)
         bu = _generator_batch(B, u, n)
-        return np.concatenate([f(u), (bu @ g).ravel()])
+        out = np.empty_like(y)
+        out[:m] = f(u)
+        acc = out[m:].reshape(m, n, n)
+        if n > _BROADCAST_MAX_DIM:
+            np.matmul(bu, g, out=acc)
+        else:
+            np.multiply(bu[:, :, 0, None], g[:, None, 0, :], out=acc)
+            for j in range(1, n):
+                acc += bu[:, :, j, None] * g[:, None, j, :]
+        return out
 
     states = _int.integrate_at(rhs, ts, y0, tol=tol, guard=_disk_guard(m))
     return states[:, m:].reshape(len(ts), m, n, n)

@@ -67,6 +67,8 @@ class _Rational:
             raise ValueError(f"{self._what} has a pole inside the unit disk at {poles[0]:.6g}")
 
     def __call__(self, z):
+        if self.den.shape[0] == 1:
+            return horner(self.num, z) / self.den[0]
         return horner(self.num, z) / horner(self.den, z)[self._den_axes]
 
     def taylor(self, center: complex, order: int):
@@ -199,9 +201,11 @@ def build_model(f: RationalMap, order: int = 24) -> SemigroupModel:
 
     h = np.zeros(order + 1, dtype=complex)
     h[1] = 1.0
-    # Schroeder recursion from h' f = -lambda h
+    # Schroeder recursion from h' f = -lambda h:
+    # h_k = sum_{0<j<k} j h_j f_{k+1-j} / (lambda (k - 1))
+    js = np.arange(order + 1)
     for k in range(2, order + 1):
-        h[k] = sum(j * h[j] * f_c[k + 1 - j] for j in range(1, k)) / (lam * (k - 1))
+        h[k] = (js[1:k] * h[1:k]) @ f_c[k:1:-1] / (lam * (k - 1))
     koenigs = ScalarSeries(z0, h)
     koenigs_inv = revert(koenigs)
     return SemigroupModel(

@@ -11,6 +11,11 @@ inside an accepted step comes from the pair's quartic continuous extension
 stages, so output times cost no steps.  The last stage of an accepted step is
 the right-hand side at its end (first same as last), so a step makes six
 right-hand-side calls after the first.
+
+A step's seven stages live in one complex array of shape (7,) + y.shape.
+The tableau's weights are real, so every stage input, the fifth-order state,
+the error estimate and each interpolated state is one real matrix-vector
+product of a weight row with that array viewed as real numbers.
 """
 
 from __future__ import annotations
@@ -22,20 +27,22 @@ import numpy as np
 
 from .errors import NoConvergenceError
 
-# Dormand-Prince 5(4) tableau.  The fifth-order weights propagate the
+# Dormand-Prince 5(4) tableau.  Row i of _A weights the stages in the
+# input of stage i; the last row equals _B5, so the last stage is taken at
+# the fifth-order result itself.  The fifth-order weights propagate the
 # solution; the difference row estimates the local error of the embedded
-# fourth-order result.  The last stage is taken at the fifth-order result
-# itself (its row of the tableau equals _B5).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-]
+# fourth-order result.
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_A = np.array([
+    [0.0] * 7,
+    [1 / 5] + [0.0] * 6,
+    [3 / 40, 9 / 40] + [0.0] * 5,
+    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656] + [0.0] * 2,
+    _B5,
+])
 _ERR = _B5 - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
@@ -58,25 +65,31 @@ _MAX_FACTOR = 5.0
 _MAX_STEPS = 200_000
 
 
+def _combine(w, stages, shape):
+    """sum_i w[i] stages[i] as one real matrix-vector product: the weights
+    are real, so they act on the real and imaginary parts alike."""
+    n = len(w)
+    flat = stages[:n].reshape(n, -1).view(float)
+    return (w @ flat).view(complex).reshape(shape)
+
+
 def _step(rhs, t, y, h, k1):
     """One Dormand-Prince step from (t, y) with first stage k1 = rhs(t, y):
-    returns (y5, the unscaled local error estimate, the seven stages).  The
-    last stage is rhs(t + h, y5), the next step's first stage."""
-    k = [k1]
-    for i in range(1, 6):
-        yi = y + h * sum(a * ki for a, ki in zip(_A[i], k))
-        k.append(rhs(t + _C[i] * h, yi))
-    y5 = y + h * sum(b * ki for b, ki in zip(_B5, k) if b != 0.0)
-    k.append(rhs(t + h, y5))
-    err = h * sum(e * ki for e, ki in zip(_ERR, k) if e != 0.0)
-    return y5, err, k
+    returns (y5, the unscaled local error estimate, the seven stages stacked
+    in one array of shape (7,) + y.shape).  The last stage is
+    rhs(t + h, y5), the next step's first stage."""
+    k = np.empty((7,) + y.shape, dtype=complex)
+    k[0] = k1
+    for i in range(1, 7):  # the last stage input is y5: row 6 of _A is _B5
+        yi = y + h * _combine(_A[i, :i], k, y.shape)
+        k[i] = rhs(t + _C[i] * h, yi)
+    return yi, h * _combine(_ERR, k, y.shape), k
 
 
 def _dense(y, h, k, theta):
     """The state at t + theta h, 0 < theta < 1, of a step from (t, y) with
-    stages k, by the continuous extension."""
-    w = _DENSE @ theta ** np.arange(1, 5)
-    return y + h * sum(wi * ki for wi, ki in zip(w, k) if wi != 0.0)
+    stacked stages k, by the continuous extension."""
+    return y + h * _combine(_DENSE @ theta ** np.arange(1, 5), k, y.shape)
 
 
 def integrate(

@@ -29,9 +29,11 @@ def horner(coeffs: np.ndarray, u):
     """
     tail = coeffs.shape[1:]
     u = np.asarray(u, dtype=complex)
-    acc = np.full(u.shape + tail, coeffs[-1], dtype=complex)
+    if coeffs.shape[0] == 1:
+        return np.full(u.shape + tail, coeffs[0], dtype=complex)
     u = u.reshape(u.shape + (1,) * len(tail))
-    for k in range(coeffs.shape[0] - 2, -1, -1):
+    acc = coeffs[-1] * u + coeffs[-2]
+    for k in range(coeffs.shape[0] - 3, -1, -1):
         acc = acc * u + coeffs[k]
     return acc
 

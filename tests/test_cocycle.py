@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from cocycle_lab import integrate
 from cocycle_lab.algebra import mat_exp, operator_norm
 from cocycle_lab.cocycle import (
     CocycleGenerator,
@@ -20,13 +21,14 @@ from cocycle_lab.cocycle import (
     spatial_derivative_check,
 )
 from cocycle_lab.demos import demo_by_name
-from cocycle_lab.dynamics import RationalMap, build_model
+from cocycle_lab.dynamics import RationalMap, _disk_guard, build_model
 from cocycle_lab.errors import (
     DomainEscapeError,
     NotInvariantError,
     SamplePointIsFixedPointError,
     VNotInvertibleError,
 )
+from cocycle_lab.series import horner
 
 RNG = np.random.default_rng(424242)
 
@@ -96,6 +98,17 @@ class TestCocycleGenerator:
         assert np.allclose(s.coeffs[1], [[0.0, 1.0], [0.0, 0.0]])
         assert np.allclose(s.coeffs[2], 0.0)
 
+    @pytest.mark.parametrize("den", [[1.0], [2.0 - 0.5j]])
+    def test_constant_denominator_is_bit_identical_to_horner(self, den):
+        zs = np.array([0.3 + 0.1j, -0.5, 0.2j, 0.0, 0.7 - 0.6j])
+        rng = np.random.default_rng(7)
+        num = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        gen = CocycleGenerator(num, den)
+        f = RationalMap([0.1, -1.0, 0.3 + 0.2j], den)
+        for z in (zs, zs[0]):
+            assert np.array_equal(gen(z), horner(gen.num, z) / horner(gen.den, z)[..., None, None])
+            assert np.array_equal(f(z), horner(f.num, z) / horner(f.den, z))
+
     @pytest.mark.parametrize("make, den", _of_b_and_f([[1.0, -2.0], [1.0, 0.0, 4.0], [0.0, 1.0]]))
     def test_pole_inside_disk_refused(self, make, den):
         # poles at 0.5, at +-0.5i and at 0
@@ -130,6 +143,28 @@ class TestEvolve:
         target = mat_exp(1.3 * b0)
         assert operator_norm(g1 - target) <= 1e-9
         assert operator_norm(g2 - target) <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_per_point_matmul_reference(self, n):
+        # both sides of the size up to which B(u) G is broadcast
+        rng = np.random.default_rng(n)
+        num = 0.4 * (rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n)))
+        B = CocycleGenerator(num, [1.0, -0.3])
+        model = build_model(RationalMap([0.0, -1.0, 0.2]))
+        zs = 0.6 * np.sqrt(rng.random(6)) * np.exp(2j * np.pi * rng.random(6))
+        ts, m = (0.4, 1.0), zs.size
+
+        def rhs(_t, y):
+            u, g = y[:m], y[m:].reshape(m, n, n)
+            bu = B(u)
+            products = [np.matmul(bu[p], g[p]) for p in range(m)]
+            return np.concatenate([model.f(u), np.ravel(products)])
+
+        y0 = np.concatenate([zs, np.tile(np.eye(n, dtype=complex).ravel(), m)])
+        states = integrate.integrate_at(rhs, ts, y0, tol=1e-11, guard=_disk_guard(m))
+        reference = states[:, m:].reshape(len(ts), m, n, n)
+        out = evolve_grid(model, B, ts, zs)
+        assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_invalid_generator_escapes(self):
         repelling = build_model(RationalMap([0.0, 1.0]), order=2)

@@ -222,10 +222,16 @@ class TestCli:
         assert len(listing["available"]) >= 7
 
     def test_unknown_demo_is_input_error(self, capsys):
+        # the CLI's own line: no library error, so no class name
         assert main(["demo", "definitely-not-a-demo"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: unknown demo 'definitely-not-a-demo'"]
 
     def test_missing_scenario_is_input_error(self, capsys):
         assert main(["evolve", "--scenario", "/does/not/exist.json"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ScenarioParseError: cannot read scenario /does/not/exist.json")
 
     def test_malformed_scenario_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -341,7 +347,8 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main(["evolve", "--scenario", str(path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert len(err) == 1 and err[0].startswith("error: ScenarioParseError: ")
+        assert message in err[0]
 
     @pytest.mark.parametrize(
         "grid", [{"z_values": []}, {"disk_radius": 0.3, "nodes": 0}]
@@ -353,7 +360,7 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main(["check", "--scenario", str(path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: the z grid is empty"]
+        assert err == ["error: ScenarioParseError: the z grid is empty"]
 
     def test_growth_disk_outside_unit_disk_is_input_error(self, scenario_path, capsys):
         assert main(["growth", "--scenario", scenario_path, "--radius", "2"]) == 2

@@ -84,6 +84,20 @@ class TestBuildModel:
         assert m.rate == pytest.approx(1.0 - tau**2, abs=1e-13)
         assert np.max(np.abs(m.koenigs.coeffs)) > 1e15
 
+    def test_schroeder_recursion_matches_the_term_by_term_sum(self):
+        # a rational f has a Taylor term at every order, so each order of
+        # the recursion sums over every j
+        f = RationalMap([0.05, -1.0, 0.3 + 0.2j], [1.0, -0.4j, 0.1])
+        order = 64
+        m = build_model(f, order=order)
+        f_c = f.taylor(m.z0, order + 1).coeffs
+        assert np.all(f_c[2:] != 0.0)
+        h = np.zeros(order + 1, dtype=complex)
+        h[1] = 1.0
+        for k in range(2, order + 1):
+            h[k] = sum(j * h[j] * f_c[k + 1 - j] for j in range(1, k)) / (m.rate * (k - 1))
+        assert np.allclose(m.koenigs.coeffs, h, rtol=1e-14, atol=0.0)
+
     def test_boundary_generator_raises(self):
         with pytest.raises(NoInteriorFixedPointError):
             build_model(AFFINE)

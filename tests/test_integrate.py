@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab import integrate as integ
-from cocycle_lab.cocycle import CocycleGenerator, extract_generator_auto, make_evolve_oracle
+from cocycle_lab.cocycle import (
+    CocycleGenerator,
+    check_axioms,
+    evolve_grid,
+    extract_generator_auto,
+    growth_report,
+    make_evolve_oracle,
+)
 from cocycle_lab.demos import demo_by_name
 from cocycle_lab.dynamics import RationalMap, SemigroupModel, build_model
 from cocycle_lab.linearize import commutative_linearize_interior
@@ -120,6 +127,36 @@ def test_integration_backwards_is_refused():
         integ.integrate(evolution_rhs, (0.5, 0.2), Y0, tol=TOL)
 
 
+# every weight row a step or the continuous extension combines stages with
+WEIGHT_ROWS = (
+    [integ._A[i, :i] for i in range(1, 7)]
+    + [integ._ERR]
+    + [integ._DENSE @ theta ** np.arange(1, 5) for theta in (0.1, 0.5, 0.9)]
+)
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (325,), (40, 2, 2)])
+def test_stacked_stage_combination_matches_the_explicit_sum(shape):
+    rng = np.random.default_rng(len(shape) + shape[0])
+    k = rng.normal(size=(7,) + shape) + 1j * rng.normal(size=(7,) + shape)
+    eps = np.finfo(float).eps
+    for w in WEIGHT_ROWS:
+        stages = k[: len(w)]
+        explicit = sum(wi * ki for wi, ki in zip(w, stages))
+        combined = integ._combine(w, k, shape)
+        assert combined.shape == shape
+        for part in (np.real, np.imag):
+            bound = 4 * eps * sum(abs(wi) * np.abs(part(ki)) for wi, ki in zip(w, stages))
+            assert np.all(np.abs(part(combined) - part(explicit)) <= bound)
+
+
+def test_empty_state_steps_and_integrates():
+    y = np.zeros(0, dtype=complex)
+    y5, err, k = integ._step(lambda _t, v: -v, 0.0, y, 0.1, y)
+    assert y5.shape == err.shape == (0,) and k.shape == (7, 0)
+    assert integ.integrate(lambda _t, v: -v, (0.0, 0.5, 1.0), y).shape == (2, 0)
+
+
 # ascending time lists in [0, 1] that start at 0 and may repeat a time
 TIME_LISTS = (
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
@@ -190,3 +227,49 @@ def test_commutative_interior_steps_and_no_flow(monkeypatch, step_counter, z, re
     assert flow_calls == []
     assert step_counter.steps <= ceiling
     assert abs(value - reference) <= 1e-8
+
+
+def counting_generator(generator):
+    """``generator`` as a CocycleGenerator that records how many points each
+    call evaluates."""
+    points = []
+
+    class Counting(CocycleGenerator):
+        def __call__(self, z):
+            points.append(np.size(z))
+            return super().__call__(z)
+
+    return Counting(generator.num, generator.den), points
+
+
+# Work-counter pin: Dormand-Prince steps (accepted and rejected) and the
+# points B is evaluated at, for a 512-point jordan-obstruction evolve_grid
+# at five times and for one growth report plus axiom check.  The counts are
+# those of the step that summed its stages term by term; a kernel whose
+# rounding flips a step's acceptance moves them.
+PIN_RNG_SEED = 20240517
+PIN_COUNTS = {"evolve_grid": (126, 387_584), "growth+axioms": (197, 11_040)}
+
+
+def test_step_and_b_point_counts_are_pinned(step_counter):
+    rng = np.random.default_rng(PIN_RNG_SEED)
+    zs = 0.7 * np.sqrt(rng.random(512)) * np.exp(2j * np.pi * rng.random(512))
+    jordan = demo_by_name("jordan-obstruction")
+    B, points = counting_generator(jordan.generator)
+    _, steps = step_counter.run(evolve_grid, jordan.model(), B, (0.3, 0.6, 0.9, 1.2, 1.5), zs)
+    assert (steps, sum(points)) == PIN_COUNTS["evolve_grid"]
+
+    model = build_model(RationalMap([0.0, -1.0, 0.3 - 0.2j]))
+    scale = np.array([0.5, 0.3, 0.3])[:, None, None]
+    num = scale * (rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)))
+    B, points = counting_generator(CocycleGenerator(num))
+    zs = 0.5 * np.sqrt(rng.random(4)) * np.exp(2j * np.pi * rng.random(4))
+
+    def growth_and_axioms():
+        report = growth_report(model, B, 0.4)
+        axioms = check_axioms(model, make_evolve_oracle(model, B), (0.3, 0.7), zs, tol=1e-7)
+        return report, axioms
+
+    (report, axioms), steps = step_counter.run(growth_and_axioms)
+    assert report.max_violation <= 1e-9 and axioms.passed
+    assert (steps, sum(points)) == PIN_COUNTS["growth+axioms"]

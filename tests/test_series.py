@@ -222,6 +222,37 @@ class TestEvaluate:
         assert np.allclose(out[1], np.eye(2) + (0.2 + 0.1j) * E12)
 
 
+def _reference_horner(coeffs, u):
+    """Horner's rule from an array filled with the leading coefficient."""
+    tail = coeffs.shape[1:]
+    u = np.asarray(u, dtype=complex)
+    acc = np.full(u.shape + tail, coeffs[-1], dtype=complex)
+    u = u.reshape(u.shape + (1,) * len(tail))
+    for k in range(coeffs.shape[0] - 2, -1, -1):
+        acc = acc * u + coeffs[k]
+    return acc
+
+
+class TestHorner:
+    @pytest.mark.parametrize("tail", [(), (2, 2)])
+    def test_one_coefficient_gives_a_fresh_writable_array(self, tail):
+        coeffs = (1.0 + np.arange(int(np.prod(tail)))).reshape((1,) + tail).astype(complex)
+        u = np.zeros((3, 4), dtype=complex)
+        out = series.horner(coeffs, u)
+        assert out.shape == u.shape + tail and out.flags.writeable
+        assert np.array_equal(out, np.broadcast_to(coeffs[0], out.shape))
+        out[...] = 0.0
+        assert np.all(coeffs != 0.0)
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 9])
+    @pytest.mark.parametrize("tail", [(), (2, 2)])
+    def test_bit_equal_to_filled_start(self, terms, tail):
+        rng = np.random.default_rng(terms)
+        coeffs = rng.normal(size=(terms,) + tail) + 1j * rng.normal(size=(terms,) + tail)
+        for u in (0.3 - 0.4j, rng.normal(size=7) + 1j * rng.normal(size=7)):
+            assert np.array_equal(series.horner(coeffs, u), _reference_horner(coeffs, u))
+
+
 class TestAssociativity:
     def test_matrix_cauchy_product(self):
         for _ in range(10):
