@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -166,8 +167,12 @@ def _finite(obj):
 
 
 def _emit(report: dict, out_path) -> None:
-    """Write ``report`` as strict JSON: a non-finite float becomes null."""
-    text = json.dumps(_finite(report), indent=2, sort_keys=True, allow_nan=False)
+    """Write ``report`` as strict JSON: a non-finite float becomes null.
+    Only a report that holds one is walked by ``_finite``."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite(report), indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
     else:
@@ -408,8 +413,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """One sub-parser per subcommand, declaring only the flags it reads."""
+    """One sub-parser per subcommand, declaring only the flags it reads;
+    built once per process, as parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="cocycle-lab",
         description="Construct, verify, and linearize matrix-valued "

@@ -12,10 +12,11 @@ where B is the cocycle generator; conversely the solver below turns any
 holomorphic B into a semicocycle.  Growth is controlled by the logarithmic
 norm of B over invariant disks.
 
-``evolve_grid`` integrates every point in one state vector.  Its right-hand
-side calls B once on all the points and forms B(u) G for n <= 3 as n
-broadcast multiply-adds over the point axis; for larger n it uses numpy's
-stacked matmul.
+``evolve_grid`` integrates every point in one state vector with the
+DOP853 pair of ``integrate``, twelve right-hand-side calls per step.  Its
+right-hand side calls B once on all the points and forms B(u) G for n <= 3
+as n broadcast multiply-adds over the point axis; for larger n it uses
+numpy's stacked matmul.
 """
 
 from __future__ import annotations

@@ -53,8 +53,11 @@ def toeplitz_counter(monkeypatch):
 
 
 class StepCounter:
-    """Counts ``integrate._step`` calls (accepted and rejected steps), and
-    the calls of each right-hand side wrapped by ``counted``."""
+    """Counts ``integrate._step`` calls (accepted and rejected DOP853
+    steps, twelve right-hand-side calls each), and the calls of each
+    right-hand side wrapped by ``counted``.  A step count compares only
+    with counts of the same pair; the work gates count the points B is
+    evaluated at."""
 
     def __init__(self, monkeypatch):
         self.steps = 0

@@ -109,6 +109,26 @@ class TestCocycleGenerator:
             assert np.array_equal(gen(z), horner(gen.num, z) / horner(gen.den, z)[..., None, None])
             assert np.array_equal(f(z), horner(f.num, z) / horner(f.den, z))
 
+    def test_unit_denominator_matches_the_division_but_for_a_zero_sign(self):
+        # a polynomial map no longer divides by den = [1]: every value equals
+        # the quotient, and a bit pattern differs only where a part is zero
+        zs = np.array([0.3 + 0.1j, -0.5, 0.2j, 0.0, complex(-0.0, 0.5), 0.7 - 0.6j])
+        rng = np.random.default_rng(11)
+        num = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        num[:, 0, 1] = 0.0
+        maps = (CocycleGenerator(num), RationalMap([0.0, -1.0, 0.3j]), RationalMap([0.0, 1j]))
+        for m in maps:
+            for z in (zs, zs[4]):
+                value, quotient = m(z), horner(m.num, z) / (1.0 + 0.0j)
+                assert np.array_equal(value, quotient)
+                parts, quotient_parts = np.atleast_1d(value).view(float), np.atleast_1d(quotient).view(float)
+                moved = parts.view(np.int64) != quotient_parts.view(np.int64)
+                assert np.all(parts[moved] == 0.0)
+        # a -0.0 real part stays -0.0 where the division made it +0.0
+        negative_zero = CocycleGenerator.constant([[complex(-0.0, 1.0)]])
+        assert np.signbit(negative_zero(zs).real).all()
+        assert not np.signbit((horner(negative_zero.num, zs) / (1.0 + 0.0j)).real).any()
+
     @pytest.mark.parametrize("make, den", _of_b_and_f([[1.0, -2.0], [1.0, 0.0, 4.0], [0.0, 1.0]]))
     def test_pole_inside_disk_refused(self, make, den):
         # poles at 0.5, at +-0.5i and at 0

@@ -4,6 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +219,43 @@ class TestCli:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["passed"] is True
+
+    def test_consecutive_calls_match_fresh_processes(self, scenario_path, capsys, monkeypatch):
+        # the parser is built once per process: each call of a run of
+        # different subcommands and flags gives the exit code, stdout and
+        # stderr bytes of the same command in a new interpreter
+        runs = [
+            ["spectrum", "--scenario", scenario_path],
+            ["demo", "--list"],
+            ["linearize", "--scenario", scenario_path, "--order", "6"],
+            ["check", "--scenario", scenario_path, "--tol", "nan"],
+            ["evolve", "--scenario", scenario_path, "--radius", "0.3"],
+            ["growth", "--scenario", scenario_path, "--radius", "0.3", "--tmax", "0.5"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to this
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        capsys.readouterr()
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "cocycle_lab.cli", *argv], capture_output=True, env=env
+            )
+            assert (code, captured.out.encode(), captured.err.encode()) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+        assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize("report", [
+        {"b": [1.5, (2, "x")], "a": {"c": None, "d": -0.0}},
+        {"b": [1.5, (float("nan"), "x")], "a": {"c": float("inf"), "d": -float("inf")}},
+    ])
+    def test_emit_writes_the_bytes_of_the_walked_report(self, tmp_path, report):
+        # a finite report is encoded as it is, without the _finite walk
+        out = tmp_path / "report.json"
+        cli._emit(report, out)
+        walked = json.dumps(cli._finite(report), indent=2, sort_keys=True, allow_nan=False)
+        assert out.read_bytes() == (walked + "\n").encode()
 
     def test_demo_list(self, capsys):
         assert main(["demo", "--list"]) == 0
