@@ -181,12 +181,11 @@ def _emit(report: dict, out_path) -> None:
 
 def _cmd_evolve(scn: Scenario, args) -> tuple[dict, int]:
     model = scn.model()
-    ts = sorted(scn.t_values)
-    vals = evolve_grid(model, scn.generator, ts, scn.z_values, tol=scn.ode_tol)
+    vals = evolve_grid(model, scn.generator, scn.t_values, scn.z_values, tol=scn.ode_tol)
     zs = as_pairs(scn.z_values)
     samples = [
         {"t": t, "z": z, "gamma": g, "gamma_norm": g_norm}
-        for t, g_row, norm_row in zip(ts, as_pairs(vals), operator_norm(vals).tolist())
+        for t, g_row, norm_row in zip(scn.t_values, as_pairs(vals), operator_norm(vals).tolist())
         for z, g, g_norm in zip(zs, g_row, norm_row)
     ]
     if args.csv:
@@ -326,7 +325,7 @@ def run_demo(name: str, *, order: int = 24) -> tuple[dict, bool]:
                 fit.as_dict(),
             )
     if "boundedness_on_trajectory" in exp:
-        traj = [complex(model.flow(s, 0.0)) for s in (0.0, 1.0, 2.0, 3.0)]
+        traj = model.flow([0.0, 1.0, 2.0, 3.0], 0.0)
         fit = boundedness_classify(entry.oracle, [0.5, 1.0, 2.0, 3.0], traj)
         record(
             "unbounded_on_trajectory",

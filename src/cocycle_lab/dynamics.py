@@ -133,27 +133,33 @@ class SemigroupModel:
     def is_interior(self) -> bool:
         return self.z0 is not None
 
-    def flow(self, t: float, z):
-        """F_t(z); Koenigs route inside the validated region, ODE fallback.
-
-        ``z`` may be a complex scalar or an ndarray of points; ``t`` must be
-        finite and nonnegative, else ValueError.
-        """
-        if not (math.isfinite(t) and t >= 0):
-            raise ValueError(f"flow requires a finite t >= 0, got {t!r}")
-        zs = np.asarray(z, dtype=complex)
-        if np.any(np.abs(zs) >= 1.0):
-            raise OutOfDomainError("flow point outside the open unit disk")
-        if t == 0:
-            return zs if zs.shape else complex(zs)
+    def flow(self, t, z):
+        """F_t(z) on the outer-product grid of the times ``t`` (finite and
+        nonnegative) and the points ``z``: shape t.shape + z.shape, a complex
+        for two numbers, and exactly z at t = 0.  One Koenigs evaluation
+        when every point lies in the validated series region, else one
+        ``flow_ode`` integration, covers the grid."""
+        ts, zs = _flow_args(t, z)
         if self.is_interior and np.all(np.abs(zs - self.z0) <= self.koenigs_radius):
             hz = np.asarray(self.koenigs.evaluate(zs))
             if np.all(np.abs(hz) <= self.koenigs_inv_radius):
-                out = self.koenigs_inv.evaluate(np.exp(-self.rate * t) * hz)
-                if np.any(np.abs(np.asarray(out)) >= 1.0):
+                grid = ts.reshape(ts.shape + (1,) * zs.ndim)
+                out = np.where(grid == 0, zs, self.koenigs_inv.evaluate(np.exp(-self.rate * grid) * hz))
+                if np.any(np.abs(out) >= 1.0):
                     raise DomainEscapeError("flow left the unit disk")
-                return out if zs.shape else complex(out)
+                return out if out.shape else complex(out)
         return flow_ode(self.f, t, z)
+
+
+def _flow_args(t, z):
+    """The times and points of a flow grid as float and complex arrays,
+    after the checks both flow routes share."""
+    ts, zs = np.asarray(t, dtype=float), np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(ts) & (ts >= 0)):
+        raise ValueError(f"flow requires a finite t >= 0, got {t!r}")
+    if np.any(np.abs(zs) >= 1.0):
+        raise OutOfDomainError("flow point outside the open unit disk")
+    return ts, zs
 
 
 def _disk_guard(m: Optional[int] = None):
@@ -167,21 +173,15 @@ def _disk_guard(m: Optional[int] = None):
     return guard
 
 
-def flow_ode(f: RationalMap, t: float, z, *, tol: float = 1e-12):
-    """Direct integration of du/dt = f(u), u(0) = z.
-
-    Raises DomainEscapeError if the trajectory reaches the unit circle,
-    which signals that ``f`` is not a generator of disk self-maps.
-    """
-    if t < 0:
-        raise ValueError("flow requires t >= 0")
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(np.abs(zs) >= 1.0):
-        raise OutOfDomainError("flow point outside the open unit disk")
-
-    out = _int.integrate(lambda _t, y: f(y), (0.0, float(t)), zs, tol=tol, guard=_disk_guard())[-1]
-    out = out.reshape(np.shape(z))
-    return out if np.shape(z) else complex(out)
+def flow_ode(f: RationalMap, t, z, *, tol: float = 1e-12):
+    """Direct integration of du/dt = f(u), u(0) = z, on the (t, z) grid of
+    ``SemigroupModel.flow`` in one ``integrate_at`` call.  Raises
+    DomainEscapeError if the trajectory reaches the unit circle, which
+    signals that ``f`` is not a generator of disk self-maps."""
+    ts, zs = _flow_args(t, z)
+    out = _int.integrate_at(lambda _t, y: f(y), ts, zs.ravel(), tol=tol, guard=_disk_guard())
+    out = out.reshape(ts.shape + zs.shape)
+    return out if out.shape else complex(out)
 
 
 def build_model(f: RationalMap, order: int = 24) -> SemigroupModel:

@@ -9,8 +9,9 @@ solver.  States are flat complex ndarrays; the right-hand side receives
 The step sequence does not depend on the output times: only the last step is
 clipped, to land on the final time.  A state at an output time strictly
 inside an accepted step comes from the pair's order 7 continuous extension
-over that step's stages, so output times cost no steps.  A step makes twelve
-right-hand-side calls; the last is the right-hand side at its end, the next
+over that step's stages, so output times cost no steps.  A step makes eleven
+right-hand-side calls.  An accepted step makes a twelfth, at its end, once
+the error test and the guard have accepted that state; it is the next
 step's first stage (first same as last).  The extension costs three more,
 made once on each accepted step that holds an output time.  The first step
 comes from Hairer's starting-step rule (*Solving ODEs I*, sec. II.4), which
@@ -185,15 +186,14 @@ def _step(rhs, t, y, h, k1):
     """One DOP853 step from (t, y) with first stage k1 = rhs(t, y): returns
     (the eighth-order state, the unscaled fifth- and third-order error
     estimates stacked with shape (2,) + y.shape, the stages stacked in one
-    array of shape (16,) + y.shape).  Stages 0-12 are filled; stage 12 is
-    rhs(t + h, y_new), the next step's first stage, and rows 13-15 are
-    left to ``_extend``."""
+    array of shape (16,) + y.shape).  Stages 0-11 are filled.  Stage 12,
+    rhs(t + h, y_new), is left to the caller once it accepts y_new, and
+    rows 13-15 to ``_extend``."""
     k = np.empty((16,) + y.shape, dtype=complex)
     k[0] = k1
-    for i in range(1, 13):  # the last stage input is y_new: row 12 of _A is _B
-        yi = y + h * _combine(_A[i, :i], k, y.shape)
-        k[i] = rhs(t + _C[i] * h, yi)
-    return yi, h * _combine(_ERR, k, y.shape), k
+    for i in range(1, 12):
+        k[i] = rhs(t + _C[i] * h, y + h * _combine(_A[i, :i], k, y.shape))
+    return y + h * _combine(_B, k, y.shape), h * _combine(_ERR, k, y.shape), k
 
 
 def _error_norm(err, y_new, tol) -> float:
@@ -206,8 +206,8 @@ def _error_norm(err, y_new, tol) -> float:
 
 
 def _extend(rhs, t, y, h, k):
-    """Fill stages 13-15 of an accepted step's stack ``k``, the three
-    right-hand-side calls the continuous extension needs."""
+    """Fill stages 13-15 of an accepted step's stack ``k`` (stage 12 filled),
+    the three right-hand-side calls the continuous extension needs."""
     for i in range(13, 16):
         k[i] = rhs(t + _C[i] * h, y + h * _combine(_A[i, :i], k, y.shape))
 
@@ -266,12 +266,12 @@ def integrate(
     positive finite number and every time finite, else ValueError.
     ``_MAX_STEPS`` caps the steps of the whole call.
 
-    ``guard`` is called on every accepted state and may raise (used to detect
-    trajectories escaping the unit disk).  An interpolated state is not
-    guarded; it lies inside a step whose ends passed the guard.  The guard
-    also sees the starting-step probe's state, and a DomainEscapeError there
-    halves the probe step instead, so the probe is evaluated only at a state
-    the guard accepts.
+    ``guard`` is called on every accepted state, before the right-hand side
+    sees it, and may raise (used to detect trajectories escaping the unit
+    disk).  An interpolated state is not guarded; it lies inside a step
+    whose ends passed the guard.  The guard also sees the starting-step
+    probe's state, and a DomainEscapeError there halves the probe step
+    instead, so the probe is evaluated only at a state the guard accepts.
     """
     tol = float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -306,6 +306,9 @@ def integrate(
         err_norm = _error_norm(err, y_new, tol)
         if err_norm <= 1.0:
             t_new = t_end if last else t + h_step
+            if guard is not None:
+                guard(y_new)
+            k[12] = rhs(t + h_step, y_new)
             j = i
             while j < len(times) and times[j] < t_new:
                 j += 1
@@ -317,8 +320,6 @@ def integrate(
                 out[i - 1] = y_new
                 i += 1
             t, y, k1 = t_new, y_new, k[12]
-            if guard is not None:
-                guard(y)
             if i == len(times):
                 return out
             factor = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm ** -0.125
@@ -338,13 +339,12 @@ def integrate_at(
     tol: float = 1e-10,
     guard: Optional[Callable[[np.ndarray], None]] = None,
 ) -> np.ndarray:
-    """States at several nonnegative ascending times, starting from t = 0.
-
-    One continued ``integrate`` call from 0 to the last time in
-    ``t_values``; the other times are interpolated and cost no steps.
-    Returns an array of shape ``(len(t_values),) + y0.shape``.
-    """
-    times = [float(t) for t in t_values]
-    if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("t_values must be nonnegative and ascending")
-    return integrate(rhs, [0.0] + times, y0, tol=tol, guard=guard)
+    """States at nonnegative times in any order, repeats allowed, from t = 0:
+    shape ``(len(t_values),) + y0.shape``, rows in the order asked.  The one
+    place output times are ordered: one ``integrate`` call from 0 over the
+    distinct times, so every time but the last is interpolated at no extra
+    step.  A negative time raises ValueError, as ``integrate`` does a NaN."""
+    times, where = np.unique(np.asarray(t_values, dtype=float).ravel(), return_inverse=True)
+    if times.size and times[0] < 0:
+        raise ValueError(f"t_values must be nonnegative, got {float(times[0])!r}")
+    return integrate(rhs, np.concatenate([[0.0], times]), y0, tol=tol, guard=guard)[where]

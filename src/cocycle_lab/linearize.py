@@ -329,10 +329,10 @@ def reconstruct_error(
 ) -> float:
     """Max over samples (t, z) of ||Gamma_t(z) - M(F_t z)^{-1} e^{t B0} M(z)||.
 
-    Gamma comes from one ``evolve_grid`` call over the distinct times and
-    points (independent of the series route being validated), made once
-    every sample satisfies |h(z)|, |e^{-lam t} h(z)| <= 0.8 * radius so the
-    truncated series is trusted.  An empty ``samples`` raises ValueError.
+    Gamma comes from one ``evolve_grid`` call over the sample times, as they
+    come, and the distinct points (independent of the series route being
+    validated), made once every sample satisfies |h(z)|,
+    |e^{-lam t} h(z)| <= 0.8 * radius so the truncated series is trusted.  An empty ``samples`` raises ValueError.
     """
     if outcome.status == "obstructed":
         raise ValueError("obstructed outcomes cannot be reconstructed")
@@ -351,14 +351,14 @@ def reconstruct_error(
                 f"sample (t={t}, z={z}) leaves the certified region"
             )
         checked.append((t, z, hz, wt))
-    ts = sorted({t for t, _, _, _ in checked})
-    zs = list(dict.fromkeys(z for _, z, _, _ in checked))
+    ts = [t for t, _, _, _ in checked]
+    zs, where = np.unique([z for _, z, _, _ in checked], return_inverse=True)
     gammas = evolve_grid(model, B, ts, zs)
     exp_tb0 = {t: mat_exp(t * outcome.b0) for t in ts}
     err = 0.0
-    for t, z, hz, wt in checked:
+    for gamma_t, j, (t, _, hz, wt) in zip(gammas, where, checked):
         recon = mat_inv(outcome.m.evaluate(wt)) @ exp_tb0[t] @ outcome.m.evaluate(hz)
-        err = max(err, operator_norm(gammas[ts.index(t), zs.index(z)] - recon))
+        err = max(err, operator_norm(gamma_t[j] - recon))
     return err
 
 

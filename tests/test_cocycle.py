@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from cocycle_lab import cocycle as cocycle_module
 from cocycle_lab import integrate
 from cocycle_lab.algebra import mat_exp, operator_norm
 from cocycle_lab.cocycle import (
@@ -21,7 +22,7 @@ from cocycle_lab.cocycle import (
     spatial_derivative_check,
 )
 from cocycle_lab.demos import demo_by_name
-from cocycle_lab.dynamics import RationalMap, _disk_guard, build_model
+from cocycle_lab.dynamics import RationalMap, SemigroupModel, _disk_guard, build_model
 from cocycle_lab.errors import (
     DomainEscapeError,
     NotInvariantError,
@@ -212,7 +213,8 @@ class TestOracleProtocol:
 
         with pytest.raises(ValueError, match=re.escape("returned shape (1, 1, 3) for 3 times")):
             gamma_grid(scalar_only, [0.1, 0.2, 0.3], [0.1, 0.2j])
-        with pytest.raises(ValueError, match=re.escape("returned shape (2, 2) for 3 times")):
+        # check_axioms' first call asks for 0, the two times and their four sums
+        with pytest.raises(ValueError, match=re.escape("returned shape (2, 2) for 7 times")):
             check_axioms(LINEAR_MODEL, ident, [0.5, 1.0], [0.3])
 
     def test_evolve_oracle_has_outer_product_axes(self):
@@ -222,6 +224,20 @@ class TestOracleProtocol:
         assert grid.shape == (2, 3, 2, 2)
         assert np.array_equal(grid, evolve_grid(LINEAR_MODEL, JORDAN.generator, ts, zs))
         assert np.array_equal(oracle(1.0, 0.3), evolve(LINEAR_MODEL, JORDAN.generator, 1.0, 0.3))
+        assert oracle(ts, []).shape == (2, 0, 2, 2)
+
+    def test_evolve_oracle_is_one_evolve_grid_call(self, monkeypatch):
+        calls = []
+        evolve = cocycle_module.evolve_grid
+
+        def counting(model, B, ts, zs, **kwargs):
+            calls.append((list(ts), list(zs)))
+            return evolve(model, B, ts, zs, **kwargs)
+
+        monkeypatch.setattr(cocycle_module, "evolve_grid", counting)
+        oracle = make_evolve_oracle(LINEAR_MODEL, JORDAN.generator)
+        assert oracle([[1.0, 0.5], [1.0, 0.0]], [0.3, -0.2j]).shape == (2, 2, 2, 2, 2)
+        assert calls == [([1.0, 0.5, 1.0, 0.0], [0.3, -0.2j])]
 
     def test_evolve_oracle_takes_times_in_any_order(self):
         oracle = make_evolve_oracle(LINEAR_MODEL, JORDAN.generator)
@@ -231,6 +247,8 @@ class TestOracleProtocol:
         assert np.array_equal(oracle([1.0, 0.5, 1.0], zs), oracle([0.5, 1.0], zs)[[1, 0, 1]])
         with pytest.raises(ValueError, match="nonnegative"):
             oracle([1.0, -0.5], zs)
+        with pytest.raises(ValueError, match="times must be finite"):
+            oracle([1.0, float("nan")], zs)
 
 
 class TestCheckAxioms:
@@ -261,11 +279,12 @@ class TestCheckAxioms:
 
     @pytest.mark.parametrize("ts", [[0.4, 1.1], [1.1, 0.2, 0.7, 0.4]])
     def test_one_grid_call_per_part(self, ts):
-        # Gamma at 0 and ts, Gamma at ts over every F_s(z), Gamma at the sums
+        # Gamma at 0, at ts and at the sums t + s in [t, s] order, then Gamma
+        # at ts over every F_s(z); repeated times are left to the oracle
         oracle = CountingOracle(JORDAN.oracle)
         rep = check_axioms(LINEAR_MODEL, oracle, ts, [0.3, -0.2 + 0.4j], tol=1e-7)
         assert rep.passed
-        assert len(oracle.call_times) == 3
+        assert oracle.call_times == [[0.0] + ts + [t + s for t in ts for s in ts], ts]
 
     def test_matches_per_pair_loop(self):
         ts, zs = [0.4, 0.7, 1.1], np.array([0.3, -0.2 + 0.4j])
@@ -399,6 +418,25 @@ class TestGrowthReport:
         model = build_model(RationalMap(np.convolve([0.5, -1.0], [1.0, -0.5]) * (0.2 + 1j)))
         with pytest.raises(NotInvariantError):
             growth_report(model, SCALAR.generator, 0.4, t_values=(0.25,))
+
+    def test_non_invariance_names_the_first_time_given(self):
+        # the drift is 2.1e-3 at t = 0.1 and 5.4e-3 at t = 0.25
+        model = build_model(RationalMap(np.convolve([0.5, -1.0], [1.0, -0.5]) * (0.2 + 1j)))
+        with pytest.raises(NotInvariantError, match=r"by 5\.43e-03 at t = 0\.25$"):
+            growth_report(model, SCALAR.generator, 0.4, t_values=(0.0, 0.25, 0.1))
+
+    def test_one_flow_call_for_every_time(self, monkeypatch):
+        calls = []
+        flow = SemigroupModel.flow
+
+        def counting(self, t, z):
+            calls.append(np.shape(t) + np.shape(z))
+            return flow(self, t, z)
+
+        monkeypatch.setattr(SemigroupModel, "flow", counting)
+        growth_report(LINEAR_MODEL, SCALAR.generator, 0.4, gamma=SCALAR.oracle)
+        check_axioms(LINEAR_MODEL, SCALAR.oracle, [0.4, 0.9, 0.2], [0.3, 0.1j])
+        assert calls == [(5, 16), (3, 2)]
 
     def test_disk_must_fit_in_unit_disk(self):
         with pytest.raises(ValueError):

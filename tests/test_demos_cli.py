@@ -148,6 +148,17 @@ class TestCli:
         # report JSON round-trips exactly
         assert json.loads(json.dumps(report)) == report
 
+    def test_evolve_lists_samples_in_the_scenarios_time_order(self, tmp_path, capsys):
+        reports = []
+        for times in ([0.5, 1.0], [1.0, 0.5, 1.0]):
+            path = tmp_path / "scn.json"
+            path.write_text(json.dumps({**JORDAN_SCENARIO, "grid": {**JORDAN_SCENARIO["grid"], "t_values": times}}))
+            assert main(["evolve", "--scenario", str(path)]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["samples"])
+        ascending, given = reports
+        assert [s["t"] for s in given] == [1.0, 1.0, 0.5, 0.5, 1.0, 1.0]
+        assert given == ascending[2:] + ascending[:2] + ascending[2:]
+
     def test_check_passes(self, scenario_path):
         assert main(["check", "--scenario", scenario_path]) == 0
 

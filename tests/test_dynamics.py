@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cocycle_lab import dynamics, integrate
 from cocycle_lab.cocycle import CocycleGenerator, growth_report
 from cocycle_lab.dynamics import (
     RationalMap,
@@ -133,12 +134,12 @@ class TestFlow:
         with pytest.raises(OutOfDomainError):
             m.flow(1.0, 1.2)
 
-    @pytest.mark.parametrize("t", [-0.5, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("t", [-0.5, np.nan, np.inf, -np.inf, [0.5, -0.5], [0.5, np.nan]])
     @pytest.mark.parametrize(
         "model", [build_model(LINEAR), build_boundary_model(AFFINE)], ids=["koenigs", "ode"]
     )
     def test_bad_time_raises(self, model, t):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="flow requires a finite t"):
             model.flow(t, 0.3)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
@@ -209,3 +210,53 @@ class TestSemigroupInvariants:
         m = build_boundary_model(AFFINE)
         assert not m.is_interior
         assert m.flow(1.0, 0.0) == pytest.approx(1 - np.exp(-1), abs=1e-10)
+
+
+# times out of order, repeated and at 0, and points on both sides of the
+# real axis; F_t on their grid against one call per time
+GRID_TS = np.array([1.5, 0.0, 0.5, 3.0, 0.5])
+GRID_ZS = np.array([0.2, -0.25 + 0.2j, 0.3j, -0.1])
+
+
+def counting_integrations(monkeypatch):
+    """Record the output times of every ``integrate`` call."""
+    calls = []
+    integrate_fn = integrate.integrate
+
+    def counting(rhs, t_values, *args, **kwargs):
+        calls.append(list(t_values))
+        return integrate_fn(rhs, t_values, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "integrate", counting)
+    return calls
+
+
+class TestFlowGrid:
+    @pytest.mark.parametrize(
+        "flow", [build_model(QUADRATIC).flow, lambda t, z: flow_ode(QUADRATIC, t, z)], ids=["koenigs", "ode"]
+    )
+    def test_outer_product_shapes(self, flow):
+        assert isinstance(flow(0.5, 0.2), complex)
+        assert flow(0.5, GRID_ZS).shape == (4,)
+        assert flow(GRID_TS, 0.2).shape == (5,)
+        assert flow(GRID_TS, GRID_ZS).shape == (5, 4)
+        assert flow(GRID_TS.reshape(5, 1), GRID_ZS.reshape(2, 2)).shape == (5, 1, 2, 2)
+        assert flow([], GRID_ZS).shape == (0, 4)
+
+    def test_koenigs_grid_is_bit_equal_to_per_time_calls(self, monkeypatch):
+        model = build_model(QUADRATIC)
+        monkeypatch.setattr(dynamics, "flow_ode", None)  # the series route only
+        grid = model.flow(GRID_TS, GRID_ZS)
+        assert np.array_equal(grid, [model.flow(float(t), GRID_ZS) for t in GRID_TS])
+        assert np.array_equal(grid[1], GRID_ZS)
+
+    @pytest.mark.parametrize("model", [build_boundary_model(AFFINE), build_model(QUADRATIC, order=4)],
+                             ids=["boundary", "outside-series"])
+    def test_ode_grid_is_one_integration(self, monkeypatch, model):
+        zs = np.array([0.0, 0.85, -0.6j]) if model.is_interior else GRID_ZS
+        per_time = [model.flow(float(t), zs) for t in GRID_TS]
+        calls = counting_integrations(monkeypatch)
+        grid = model.flow(GRID_TS, zs)
+        assert calls == [[0.0, 0.0, 0.5, 1.5, 3.0]]
+        assert np.max(np.abs(grid - per_time)) <= 1e-12
+        assert np.array_equal(grid[1], zs)

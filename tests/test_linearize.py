@@ -368,15 +368,16 @@ class TestReconstruction:
         calls = []
         evolve_grid = linearize_module.evolve_grid
 
-        def counting(*args, **kwargs):
-            calls.append(args[2:4])
-            return evolve_grid(*args, **kwargs)
+        def counting(model, B, ts, zs, **kwargs):
+            calls.append((list(ts), list(zs)))
+            return evolve_grid(model, B, ts, zs, **kwargs)
 
         monkeypatch.setattr(linearize_module, "evolve_grid", counting)
         samples = [(t, z) for t in (1.5, 0.5) for z in (0.2, 0.1 + 0.1j)]
         err = reconstruct_error(model, entry.generator, out, samples, guard_radius=0.6)
         assert err <= 1e-6
-        assert calls == [([0.5, 1.5], [0.2, 0.1 + 0.1j])]
+        # the sample times as they come, the distinct points once each
+        assert calls == [([1.5, 1.5, 0.5, 0.5], [0.1 + 0.1j, 0.2])]
 
     def test_guard_region_enforced(self):
         out = linearize(LINEAR_MODEL, SCALAR.generator)
