@@ -1,6 +1,6 @@
 """Dense complex matrix kernel: inverses, exponentials, norms, spectra,
-and the vectorized commutator-resolvent solve behind the linearization
-recursion.
+the complex Schur form, and the commutator-resolvent solve behind the
+linearization recursion.
 
 Matrices are plain ``numpy.ndarray`` values of shape ``(n, n)`` and dtype
 complex; scalars are Python ``complex``.  The ambient norm is the spectral
@@ -153,6 +153,55 @@ def ad_matrix(b0) -> np.ndarray:
     return np.kron(m.T, ident) - np.kron(ident, m)
 
 
+def schur(a) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form ``a = q t q^H``: q unitary, t upper triangular
+    with the eigenvalues of ``a`` on its diagonal.
+
+    Deflation, one column at a time: an eigenvalue mu of the trailing block,
+    the right singular vector of ``block - mu`` for its smallest singular
+    value, and the Householder reflection that maps that vector to the first
+    axis.  What it leaves below the diagonal is that singular value, the
+    backward error of mu, so a unitary basis holds even for a badly
+    conditioned eigenbasis; t is returned with it zeroed.  The form is the
+    one of Bartels & Stewart, CACM 15 (1972).
+    """
+    t = as_matrix(a).copy()
+    n = t.shape[0]
+    q = np.eye(n, dtype=complex)
+    for j in range(n - 1):
+        block = t[j:, j:]
+        mu = np.linalg.eigvals(block)[0]
+        v = np.linalg.svd(block - mu * np.eye(n - j))[2][-1].conj()
+        # w = v - alpha e1 with |alpha| = 1 opposite in phase to v[0]: H v = alpha e1
+        w = v.copy()
+        w[0] += v[0] / abs(v[0]) if v[0] else 1.0
+        w /= np.linalg.norm(w)
+        t[j:] -= 2.0 * np.outer(w, w.conj() @ t[j:])
+        t[:, j:] -= 2.0 * np.outer(t[:, j:] @ w, w.conj())
+        q[:, j:] -= 2.0 * np.outer(q[:, j:] @ w, w.conj())
+    return q, np.triu(t)
+
+
+def _sweeper(t: np.ndarray):
+    """The column sweep for upper-triangular t: a function of (kl, rhs) that
+    solves ``kl x - (x t - t x) = rhs`` one column at a time,
+    (kl + t - t_jj) x_j = rhs_j + sum_{i<j} t_ij x_i.  Each call inverts
+    its n triangular blocks in one batched call; the blocks' fixed part
+    t - t_jj is built once here."""
+    n = t.shape[0]
+    eye = np.eye(n)
+    shifted = t - np.diagonal(t)[:, None, None] * eye
+
+    def sweep(kl: complex, rhs: np.ndarray) -> np.ndarray:
+        inv = np.linalg.inv(shifted + kl * eye)
+        x = np.empty_like(rhs)  # row j holds x_j, so each step reads whole rows
+        for j, r_j in enumerate(rhs.T):
+            x[j] = inv[j] @ (r_j + t[:j, j] @ x[:j])
+        return x.T
+
+    return sweep
+
+
 class _Resolvent(NamedTuple):
     """``k*lam*I - ad_matrix(b0)`` with its SVD and resonance cutoff.
 
@@ -184,12 +233,6 @@ def _cutoff(orders, lam: complex, ad_norm: float, resonance_rtol: float):
     return scale, resonance_rtol * np.maximum(scale, 1e-300)
 
 
-def _resolvent_matrix(orders, lam: complex, ad: np.ndarray) -> np.ndarray:
-    """``k*lam*I - ad`` at each order in ``orders`` (an int or an array of ints)."""
-    kl = np.asarray(orders) * complex(lam)
-    return kl[..., None, None] * np.eye(ad.shape[0]) - ad
-
-
 def _resolvent(
     orders, lam: complex, ad: np.ndarray, ad_norm: float, resonance_rtol: float, *,
     vectors: bool = True,
@@ -198,7 +241,7 @@ def _resolvent(
     at each order in ``orders`` (an int or an array of ints), given
     ``ad = ad_matrix(b0)`` and its 2-norm ``ad_norm``; with
     ``vectors=False`` only the singular values are computed."""
-    lhs = _resolvent_matrix(orders, lam, ad)
+    lhs = (np.asarray(orders) * complex(lam))[..., None, None] * np.eye(ad.shape[0]) - ad
     if vectors:
         u, sv, vh = np.linalg.svd(lhs)
     else:
@@ -231,44 +274,38 @@ def sylvester_resolve(
     *,
     resonance_rtol: float = RESONANCE_RTOL,
     ad: Optional[np.ndarray] = None, ad_norm: Optional[float] = None,
-    sigma_min: Optional[float] = None,
 ) -> SylvesterOutcome:
     """Solve ``k*lam*m - (m b0 - b0 m) = rhs`` for m.
 
-    A nonsingular vectorized system gives the unique solution.  A singular
-    one gives the minimum-norm least-squares solution (null-space components
-    zeroed) as "resonant_solvable" if its defect in the factored system is
-    at most tol * max(1, ||rhs||_F), else the outcome is "obstructed".  An
-    order whose lower bound on sigma_min(k lam - ad_B0), the caller's
-    ``sigma_min`` (then reported as ``smallest_singular_value``) or else
-    |k lam| - ||ad_B0||, lies above the resonance rule's ``_cutoff`` (which
-    refuses a bad ``resonance_rtol``) gets one LU solve, and singular values
-    when no ``sigma_min`` was passed; every other order takes a full SVD.
-    Callers solving many orders pass ad_B0 and its 2-norm as ``ad``, ``ad_norm``.
+    An order whose floor |k lam| - ||ad_B0|| on sigma_min(k lam - ad_B0)
+    lies above the resonance rule's ``_cutoff`` (which refuses a bad
+    ``resonance_rtol``) cannot be resonant and takes singular values only;
+    every other order takes a full SVD of k lam - ad_B0.  A resonant order
+    gets the minimum-norm least-squares solution from that SVD (null-space
+    components zeroed), "resonant_solvable" if its defect in the factored
+    system is at most tol * max(1, ||rhs||_F), else "obstructed".  Every
+    other order gets the unique solution from the column sweep in the Schur
+    basis of b0 (``schur``, ``_sweeper``).  Callers solving many orders pass
+    ad_B0 and its 2-norm as ``ad``, ``ad_norm``.
     """
     if k < 1:
         raise ValueError("order k must be a positive integer")
-    b = as_matrix(b0)
-    r = vec(as_matrix(rhs))
+    b, r = as_matrix(b0), as_matrix(rhs)
+    kl = k * complex(lam)
     ad = ad_matrix(b) if ad is None else ad
     ad_norm = float(np.linalg.norm(ad, 2)) if ad_norm is None else ad_norm
-    bound = abs(k * complex(lam)) - ad_norm if sigma_min is None else sigma_min
-    fast = bound > _cutoff(k, lam, ad_norm, resonance_rtol)[1]
-    if fast and sigma_min is not None:
-        lhs = _resolvent_matrix(k, lam, ad)
-    else:
-        res = _resolvent(k, lam, ad, ad_norm, resonance_rtol, vectors=not fast)
-        lhs = res.lhs
-        sigma_min = float(res.sv[-1])
-    resonant = not fast and bool(res.resonant)
-    if resonant:  # singular system: pseudo-inverse solve with the same cutoff
+    fast = abs(kl) - ad_norm > _cutoff(k, lam, ad_norm, resonance_rtol)[1]
+    res = _resolvent(k, lam, ad, ad_norm, resonance_rtol, vectors=not fast)
+    sigma_min = float(res.sv[-1])
+    if not fast and res.resonant:  # singular system: pseudo-inverse solve with the same cutoff
         keep = res.sv > res.cutoff
         inv_sv = np.where(keep, 1.0 / np.where(keep, res.sv, 1.0), 0.0)
-        x = res.vh.conj().T @ (inv_sv * (res.u.conj().T @ r))
-    else:
-        x = np.linalg.solve(lhs, r)
-    residual = float(np.linalg.norm(lhs @ x - r))
-    if resonant and residual > tol * max(1.0, np.linalg.norm(r)):
-        return SylvesterOutcome("obstructed", None, residual, sigma_min)
-    kind = "resonant_solvable" if resonant else "unique"
-    return SylvesterOutcome(kind, unvec(x, b.shape[0]), residual, sigma_min)
+        x = res.vh.conj().T @ (inv_sv * (res.u.conj().T @ vec(r)))
+        residual = float(np.linalg.norm(res.lhs @ x - vec(r)))
+        if residual > tol * max(1.0, np.linalg.norm(r)):
+            return SylvesterOutcome("obstructed", None, residual, sigma_min)
+        return SylvesterOutcome("resonant_solvable", unvec(x, b.shape[0]), residual, sigma_min)
+    q, t = schur(b)
+    m = q @ _sweeper(t)(kl, q.conj().T @ r @ q) @ q.conj().T
+    residual = float(np.linalg.norm(kl * m - (m @ b - b @ m) - r))
+    return SylvesterOutcome("unique", m, residual, sigma_min)

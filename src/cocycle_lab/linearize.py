@@ -30,6 +30,7 @@ from .algebra import (
     RESONANCE_RTOL,
     _cutoff,
     _resolvent,
+    _sweeper,
     ad_matrix,
     as_matrix,
     as_pairs,
@@ -37,6 +38,7 @@ from .algebra import (
     mat_exp,
     mat_inv,
     operator_norm,
+    schur,
     sylvester_resolve,
     unvec,
 )
@@ -222,11 +224,14 @@ def linearize(
     Halts at the first genuinely obstructed order; passes through resonant
     orders whose right-hand side stays in range using the minimum-norm
     solution (reported without a convergence certificate).  ad_B0 and its
-    norm are computed once.  Each order is one ``sylvester_resolve`` call,
-    given a lower bound on sigma_min(k lam - ad_B0) where one is at hand:
-    up to k_bound ``condition_check``'s batched sigma_min, so only the orders
-    in ``violated_k`` take a full SVD; beyond it |k lam| - ||ad_B0|| once
-    that cannot raise C1 = max 1 / sigma_min.  One batch of ||b_k|| serves
+    norm are computed once, and so is the Schur form B0 = Q T Q^H: the b_k
+    move into its basis in one product, and m back in one at the end.  An
+    order in ``violated_k`` is one ``sylvester_resolve`` call, the only full
+    SVD of k lam - ad_B0; every other order is one column sweep (``_sweeper``:
+    n triangular n x n systems, inverted in one batched call).  C1 =
+    max 1 / sigma_min(k lam - ad_B0) takes ``condition_check``'s batched
+    sigma_min up to k_bound, and beyond it singular values only where the
+    floor |k lam| - ||ad_B0|| could raise C1.  One batch of ||b_k|| serves
     the choice of C2 and r (``_certificate``) and the "coboundary" test
     ||B0|| <= 1e-10.  ``tail_ratio`` is ||m_N|| radius^N.
     """
@@ -243,34 +248,46 @@ def linearize(
     ad_norm = float(np.linalg.norm(ad, 2))
     cond = condition_check(b0, lam, resonance_rtol=resonance_rtol, ad=ad, ad_norm=ad_norm)
 
-    m_coeffs = np.zeros((order + 1, n, n), dtype=complex)
-    m_coeffs[0] = np.eye(n, dtype=complex)
+    # the recursion runs in the Schur basis of B0, where m'_0 = I too.  The
+    # m'_l sit side by side in one n x (N+1)n array and b'_N ... b'_1 are
+    # stacked, so each sum_{l<k} m'_l b'_{k-l} is one matrix product
+    q, t = schur(b0)
+    qh = q.conj().T
+    b_stack = (qh @ b.coeffs[:0:-1] @ q).reshape(-1, n)
+    sweep = _sweeper(t)
+    m_row = np.zeros((n, (order + 1) * n), dtype=complex)
+    m_row[:, :n] = np.eye(n)
     resonant_passed = False
     obstructed_at: Optional[int] = None
     c1 = 0.0
     for k in range(1, order + 1):
-        rhs = np.matmul(m_coeffs[:k], b.coeffs[k:0:-1]).sum(axis=0)
-        # up to k_bound the batch's sigma_min; beyond it the floor, positive
-        # there, once 1 / floor cannot raise C1
-        floor = abs(k * lam) - ad_norm
-        sigma_min = None
-        if k <= cond.k_bound:
-            sigma_min = cond.smallest_singular_values[k - 1]
-        elif 1.0 / floor <= c1:
-            sigma_min = floor
+        rhs = m_row[:, : k * n] @ b_stack[(order - k) * n :]
+        if k not in cond.violated_k:
+            # up to k_bound the batch's sigma_min; beyond it the floor
+            # |k lam| - ||ad_B0||, positive there, bounds 1 / sigma_min, so
+            # sigma_min is taken only where that bound tops C1
+            if k <= cond.k_bound:
+                c1 = max(c1, 1.0 / cond.smallest_singular_values[k - 1])
+            elif 1.0 / (abs(k * lam) - ad_norm) > c1:
+                res = _resolvent(k, lam, ad, ad_norm, resonance_rtol, vectors=False)
+                c1 = max(c1, 1.0 / float(res.sv[-1]))
+            m_row[:, k * n : (k + 1) * n] = sweep(k * lam, rhs)
+            continue
         out = sylvester_resolve(
-            k, lam, b0, rhs, tol=sylvester_tol, resonance_rtol=resonance_rtol, ad=ad,
-            ad_norm=ad_norm, sigma_min=sigma_min,
+            k, lam, b0, q @ rhs @ qh, tol=sylvester_tol, resonance_rtol=resonance_rtol,
+            ad=ad, ad_norm=ad_norm,
         )
         if out.kind == "obstructed":
             obstructed_at = k
-            m_coeffs = m_coeffs[:k]
+            m_row = m_row[:, : k * n]
             break
         if out.kind == "resonant_solvable":
             resonant_passed = True
         else:
             c1 = max(c1, 1.0 / out.smallest_singular_value)
-        m_coeffs[k] = out.solution
+        m_row[:, k * n : (k + 1) * n] = qh @ out.solution @ q
+    m_coeffs = q @ m_row.reshape(n, -1, n).swapaxes(0, 1) @ qh
+    m_coeffs[0] = np.eye(n)
 
     b_norms = operator_norm(b.coeffs)
     if obstructed_at is not None:

@@ -76,15 +76,19 @@ def _compose_coeffs(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     as 0; ``outer`` has scalar or matrix coefficients, ``inner`` scalar.
 
     Every Horner step multiplies the accumulator by the same Toeplitz matrix
-    of ``inner``, built once.
+    of ``inner``, built once.  Horner starts at the last nonzero coefficient
+    of ``outer``: the steps above it would only carry exact zeros, so a
+    polynomial of degree d takes d steps.
     """
     n = min(outer.shape[0], inner.shape[0])
     t = inner[:n].copy()
     t[0] = 0.0
     t_toeplitz = _toeplitz(t)
     acc = np.zeros((n,) + outer.shape[1:], dtype=complex)
-    acc[0] = outer[n - 1]
-    for k in range(n - 2, -1, -1):
+    nonzero = np.flatnonzero(np.any(outer[:n].reshape(n, -1), axis=1))
+    top = nonzero[-1] if nonzero.size else 0
+    acc[0] = outer[top]
+    for k in range(top - 1, -1, -1):
         acc = _apply_toeplitz(t_toeplitz, acc)
         acc[0] += outer[k]
     return acc
@@ -193,11 +197,14 @@ def compose(outer: _Series, inner: ScalarSeries) -> _Series:
 
 
 def _recip_coeffs(c: np.ndarray) -> np.ndarray:
-    """Coefficients of 1 / series for scalar coefficients, c[0] != 0."""
+    """Coefficients of 1 / series for scalar coefficients, c[0] != 0; a
+    constant series (a polynomial's denominator) returns at once."""
     if abs(c[0]) < 1e-300:
         raise NotInvertibleError("reciprocal of a series with zero constant term")
     out = np.zeros_like(c)
     out[0] = 1.0 / c[0]
+    if not np.any(c[1:]):
+        return out
     for k in range(1, c.shape[0]):
         out[k] = -np.dot(out[:k], c[k:0:-1]) / c[0]
     return out

@@ -9,18 +9,18 @@ from cocycle_lab import integrate, series
 
 
 class SvdCounter:
-    """Counts ``np.linalg.svd`` calls: ``full`` those that compute singular
-    vectors, ``by_size[n]`` every call (values only or not) on n x n
-    matrices or a stack of them.  ``np.linalg.norm(a, 2)`` reaches LAPACK
+    """Counts ``np.linalg.svd`` calls on n x n matrices or a stack of them:
+    ``full[n]`` those that compute singular vectors, ``by_size[n]`` every
+    call (values only or not).  ``np.linalg.norm(a, 2)`` reaches LAPACK
     without ``np.linalg.svd`` and is not counted."""
 
     def __init__(self, monkeypatch):
-        self.full = 0
+        self.full = collections.Counter()
         self.by_size = collections.Counter()
         svd = np.linalg.svd
 
         def counting(a, full_matrices=True, compute_uv=True, **kw):
-            self.full += bool(compute_uv)
+            self.full[np.shape(a)[-1]] += bool(compute_uv)
             self.by_size[np.shape(a)[-1]] += 1
             return svd(a, full_matrices, compute_uv, **kw)
 
@@ -30,6 +30,43 @@ class SvdCounter:
 @pytest.fixture
 def svd_counter(monkeypatch):
     return SvdCounter(monkeypatch)
+
+
+class SolveCounter:
+    """Counts ``np.linalg.solve`` and ``np.linalg.inv`` calls by the size n
+    of the n x n matrices (or stack of them) they factor."""
+
+    def __init__(self, monkeypatch):
+        self.by_size = collections.Counter()
+        for name in ("solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, self._counted(getattr(np.linalg, name)))
+
+    def _counted(self, fn):
+        def counting(a, *args, **kwargs):
+            self.by_size[np.shape(a)[-1]] += 1
+            return fn(a, *args, **kwargs)
+
+        return counting
+
+
+@pytest.fixture
+def solve_counter(monkeypatch):
+    return SolveCounter(monkeypatch)
+
+
+def non_normal_b0(n, n_scale):
+    """B0 = U (D + N) U^H: D diagonal with entries u + 0.3iv, u in [0.1, 0.4],
+    v in [-1, 1]; N = n_scale triu(normal, 1) / sqrt(n); U a random unitary.
+    Returns (D's entries, the generator numerator [B0, B1]) with B1 a
+    complex normal times 0.3 / n."""
+    rng = np.random.default_rng(0)
+    d = rng.uniform(0.1, 0.4, n) + 0.3j * rng.uniform(-1.0, 1.0, n)
+    upper = n_scale * np.triu(rng.standard_normal((n, n)), 1) / np.sqrt(n)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    num = np.empty((2, n, n), dtype=complex)
+    num[0] = u @ (np.diag(d) + upper) @ u.conj().T
+    num[1] = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
+    return d, num
 
 
 class ToeplitzCounter:

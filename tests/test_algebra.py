@@ -14,11 +14,13 @@ from cocycle_lab.algebra import (
     mat_exp,
     mat_inv,
     operator_norm,
+    schur,
     sylvester_resolve,
     unvec,
     vec,
 )
 from cocycle_lab.errors import SingularMatrixError
+from conftest import non_normal_b0
 
 RNG = np.random.default_rng(20240811)
 
@@ -270,12 +272,18 @@ def reference_solve(k, lam, b0, rhs):
     return res, unvec(np.linalg.solve(res.lhs, vec(rhs)), b0.shape[0])
 
 
+def assert_close(got, expected, rtol=1e-12):
+    assert np.linalg.norm(got - expected) <= rtol * np.linalg.norm(expected)
+
+
 class TestSylvesterFastPath:
     """Orders with |k lam| - ||ad_B0|| above the resonance cutoff cannot be
-    resonant; they take an LU solve plus singular values only."""
+    resonant and take singular values only.  Every non-resonant order is
+    solved by the column sweep in the Schur basis of b0, which agrees with
+    a direct solve of the Kronecker system."""
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
-    def test_matches_resolvent_solve(self, svd_counter, n):
+    def test_matches_resolvent_solve(self, svd_counter, solve_counter, n):
         b0, rhs = random_matrix(n, 0.3), random_matrix(n)
         lam = complex(0.9, 0.2)
         bound = np.linalg.norm(ad_matrix(b0), 2)
@@ -285,12 +293,14 @@ class TestSylvesterFastPath:
         ]
         assert len(orders) >= 30
         for k in orders:
-            before = svd_counter.full
+            before = svd_counter.full[n * n], solve_counter.by_size[n * n]
             out = sylvester_resolve(k, lam, b0, rhs)
-            assert svd_counter.full == before
+            assert svd_counter.full[n * n] == before[0]
+            # the sweep inverts n x n blocks: nothing of size n^2 > n is solved
+            assert n == 1 or solve_counter.by_size[n * n] == before[1]
             res, expected = reference_solve(k, lam, b0, rhs)
             assert out.kind == "unique"
-            assert out.solution.tobytes() == expected.tobytes()
+            assert_close(out.solution, expected)
             assert abs(out.smallest_singular_value - res.sv[-1]) <= 1e-12 * res.sv[-1]
 
     @pytest.mark.parametrize("k, fast", [(2, False), (3, True)])
@@ -300,10 +310,10 @@ class TestSylvesterFastPath:
         b0 = np.diag([0.0, 2.5]).astype(complex)
         rhs = np.array([[0.3, -1.0], [2.0, 0.5j]], dtype=complex)
         out = sylvester_resolve(k, 1.0, b0, rhs)
-        assert svd_counter.full == (0 if fast else 1)
+        assert svd_counter.full[4] == (0 if fast else 1)
         res, expected = reference_solve(k, 1.0, b0, rhs)
         assert out.kind == "unique"
-        assert out.solution.tobytes() == expected.tobytes()
+        assert_close(out.solution, expected)
         assert out.smallest_singular_value == pytest.approx(res.sv[-1], rel=1e-14)
 
     @pytest.mark.parametrize("rtol", [RESONANCE_RTOL, 0.0])
@@ -314,27 +324,10 @@ class TestSylvesterFastPath:
         b0 = np.diag([0.0, 2.0]).astype(complex)
         rhs = np.array([[0.3, -1.0], [2.0, 0.5j]], dtype=complex)
         out = sylvester_resolve(2, 1j, b0, rhs, resonance_rtol=rtol)
-        assert svd_counter.full == 1
+        assert svd_counter.full[4] == 1
         assert out.kind == "unique"
-        assert out.solution.tobytes() == reference_solve(2, 1j, b0, rhs)[1].tobytes()
+        assert_close(out.solution, reference_solve(2, 1j, b0, rhs)[1])
         assert out.smallest_singular_value == pytest.approx(2.0, rel=1e-14)
-
-    def test_passed_sigma_min_decides(self, svd_counter):
-        # sigma_min = 0.5 at orders 2 and 3.  A passed sigma_min above the
-        # cutoff takes the LU solve below the ||ad_B0|| bound, and is reported;
-        # one at or below it takes the full SVD above the bound, whose own
-        # value is reported
-        b0 = np.diag([0.0, 2.5]).astype(complex)
-        rhs = np.array([[0.3, -1.0], [2.0, 0.5j]], dtype=complex)
-        lu = sylvester_resolve(2, 1.0, b0, rhs, sigma_min=0.25)
-        # the defect is measured on the LU-solved system: no SVD of any size
-        assert sum(svd_counter.by_size.values()) == 0
-        full = sylvester_resolve(3, 1.0, b0, rhs, sigma_min=0.0)
-        assert svd_counter.full == 1
-        assert lu.smallest_singular_value == 0.25
-        assert lu.solution.tobytes() == reference_solve(2, 1.0, b0, rhs)[1].tobytes()
-        assert full.kind == "unique"
-        assert full.smallest_singular_value == pytest.approx(0.5, rel=1e-14)
 
     @pytest.mark.parametrize(
         "delta, rhs01, kind",
@@ -357,4 +350,50 @@ class TestSylvesterFastPath:
         assert out.kind == kind
         assert out.smallest_singular_value == float(res.sv[-1])
         if kind == "unique":
-            assert out.solution.tobytes() == reference_solve(1, 1.0, b0, rhs)[1].tobytes()
+            # sigma_min = 3e-8: the 1 / sigma_min of the (1, 2) entry is exact
+            # in both solves, so the agreement stays at rounding level
+            assert_close(out.solution, reference_solve(1, 1.0, b0, rhs)[1])
+
+
+class TestSchur:
+    """q unitary, q^H b0 q upper triangular to rounding, and the diagonal of
+    t the spectrum of b0, each to the accuracy its case allows."""
+
+    @staticmethod
+    def cases():
+        jordan = np.diag([0.5, 0.5, 0.5]) + np.diag([1.0, 1.0], 1)
+        # the Jordan block beside the eigenvalue -0.2i, in a random unitary basis
+        u = np.linalg.qr(random_matrix(4))[0]
+        rotated_spectrum = np.array([0.5, 0.5, 0.5, -0.2j])
+        rotated = u @ (np.diag(rotated_spectrum) + np.diag([1.0, 1.0, 0.0], 1)) @ u.conj().T
+        d, num = non_normal_b0(16, 2.0)
+        diag = np.array([0.3, -1.0 + 2.0j, 0.3, 5.0])
+        eps = np.finfo(float).eps
+        # (matrix, exact spectrum, tolerance on it): a defective eigenvalue of
+        # multiplicity 3 moves by about eps^(1/3) under rounding, and one of
+        # the n = 16 case (kappa(V) = 1.7e8) by about kappa(V) eps ||B0||
+        return {
+            "diagonal": (np.diag(diag), diag, 0.0),
+            "jordan": (jordan, np.full(3, 0.5), 0.0),
+            "jordan-rotated": (rotated, rotated_spectrum, 10 * eps ** (1 / 3)),
+            "scalar": (np.array([[2.0 - 1.0j]]), np.array([2.0 - 1.0j]), 0.0),
+            "non-normal-16": (num[0], d, 1e-6),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["diagonal", "jordan", "jordan-rotated", "scalar", "non-normal-16"]
+    )
+    def test_unitary_triangular_spectral(self, name):
+        b0, spectrum, tol = self.cases()[name]
+        b0 = b0.astype(complex)
+        q, t = schur(b0)
+        n = b0.shape[0]
+        assert operator_norm(q.conj().T @ q - np.eye(n)) <= 1e-14
+        assert np.array_equal(t, np.triu(t))
+        full = q.conj().T @ b0 @ q
+        scale = operator_norm(b0)
+        assert np.max(np.abs(np.tril(full, -1)), initial=0.0) <= 1e-13 * scale
+        assert operator_norm(full - t) <= 1e-13 * scale
+        match_multisets(np.diagonal(t), spectrum, tol)
+        if name == "non-normal-16":
+            assert np.linalg.cond(np.linalg.eig(b0)[1]) > 1e8

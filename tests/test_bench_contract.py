@@ -22,7 +22,7 @@ import workloads  # noqa: E402
 from cocycle_lab import cli, demos, series  # noqa: E402
 from cocycle_lab.cocycle import CocycleGenerator, growth_report  # noqa: E402
 from cocycle_lab.dynamics import RationalMap, build_model  # noqa: E402
-from cocycle_lab.linearize import linearize  # noqa: E402
+from cocycle_lab.linearize import linearize, sharpness_witness  # noqa: E402
 
 
 def test_every_traced_name_is_bound_and_restored():
@@ -43,18 +43,38 @@ def test_traced_calls_per_layer():
     counters = counting.Counters()
     recorder = spans.Recorder(counters)
     model = build_model(RationalMap([0.0, -1.0, 0.5]), order=8)
-    num = np.array([np.diag([0.3, 0.1]), [[0.0, 1.0], [0.2, 0.0]]], dtype=complex)
+    # lam = 1 meets the eigenvalue gap of B0 at order 1 alone, and the (0, 1)
+    # entry of B1 is 0, so the chain is resonant but solvable
+    num = np.array([np.diag([0.3, 1.3]), [[0.0, 0.0], [0.2, 0.1]]], dtype=complex)
     B = counting.wrap_generator(CocycleGenerator(num), counters)
     with spans.recording(recorder, "contract"):
         counters.active = True
-        linearize(model, B, order=6)
+        out = linearize(model, B, order=6)
         counters.active = False
         growth_report(model, B, 0.3, t_values=(0.25,))
     calls = recorder.summary()["calls"]
-    # one resolvent solve per order, and B expanded once (one Taylor point)
-    assert calls["algebra.sylvester_resolve"] == 6
+    # one resolvent solve per resonant order (the others are column sweeps),
+    # and B expanded once (one Taylor point)
+    assert out.status == "resonant_solvable" and out.violated_k == [1]
+    assert calls["algebra.sylvester_resolve"] == 1
     assert (counters.b_calls, counters.b_points) == (0, 1)
     assert calls["algebra.log_norm"] >= 1
+
+
+def test_traced_witness_linearize_reaches_the_selftest_layers():
+    # the self-test needs series.mul and sylvester_resolve non-zero on
+    # linearize-series, whose B are polynomials: B's Taylor series still
+    # takes one product with the reciprocal of its constant denominator,
+    # and the witness's resonant order one resolvent solve
+    recorder = spans.Recorder(counting.Counters())
+    model = build_model(RationalMap([0.0, -1.0, 0.6j]), order=12)
+    b0 = np.array([[0.2, 0.5], [0.0, 2.2]], dtype=complex)
+    with spans.recording(recorder, "contract"):
+        out = linearize(model, sharpness_witness(b0, 1.0, 2), order=12)
+    calls = recorder.summary()["calls"]
+    assert (out.status, out.obstructed_at) == ("obstructed", 2)
+    assert calls["series.mul"] >= 1
+    assert calls["algebra.sylvester_resolve"] == 1
 
 
 def test_demo_oracles_broadcast_bit_equal_to_scalar_calls():

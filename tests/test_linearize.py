@@ -35,6 +35,7 @@ from cocycle_lab.linearize import (
     reconstruct_error,
     sharpness_witness,
 )
+from conftest import non_normal_b0
 
 RNG = np.random.default_rng(91)
 
@@ -142,7 +143,7 @@ class TestConditionCheck:
             with pytest.raises(ValueError, match=r"resonance_rtol must lie in \[0, 1\)"):
                 call()
 
-    def test_builds_ad_matrix_once(self, monkeypatch, svd_counter):
+    def test_builds_ad_matrix_once(self, monkeypatch, svd_counter, solve_counter):
         # k_bound and the batched resolvent share one ad_B0 and one norm; the
         # report matches a resolvent that builds its own.  A linearize call
         # also builds ad_B0 and takes its norm once, for every order it solves
@@ -164,12 +165,15 @@ class TestConditionCheck:
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
         rep = condition_check(b0, 1.0)
         assert len(calls) == len(ad_norms) == 1
-        # order 1 is resonant and takes the one full SVD; every other order
-        # an LU solve
+        # order 1 is resonant and takes the one full 9 x 9 SVD; the Schur
+        # form takes one full SVD each of sizes 3 and 2; every other order is
+        # a column sweep, with no 9 x 9 solve or inverse
         out = linearize(LINEAR_MODEL, CocycleGenerator.constant(b0), order=12)
         assert out.status == "resonant_solvable"
         assert len(calls) == len(ad_norms) == 2
-        assert svd_counter.full == len(out.violated_k) == 1
+        assert svd_counter.full[9] == len(out.violated_k) == 1
+        assert (svd_counter.full[3], svd_counter.full[2]) == (1, 1)
+        assert solve_counter.by_size[9] == 0
         monkeypatch.undo()
         orders = np.arange(1, rep.k_bound + 1)
         ad = ad_matrix(b0)
@@ -561,11 +565,120 @@ def test_round_trip_with_nontrivial_koenigs():
     assert err <= 1e-5
 
 
+def kronecker_recursion(model, gen, order, tol=1e-10):
+    """Brute-force m_k, each from the n^2 x n^2 system k lam - ad_B0: a direct
+    solve where sigma_min clears the resonance cutoff, else the SVD
+    pseudo-inverse with its defect test.
+    Returns (m, sigma_min at each order, the obstructed order or None)."""
+    b = conjugated_generator(model, gen, order).coeffs
+    n, lam = b.shape[1], model.rate
+    ad = ad_matrix(b[0])
+    ad_norm = np.linalg.norm(ad, 2)
+    m, sigmas = [np.eye(n, dtype=complex)], []
+    for k in range(1, order + 1):
+        lhs = k * lam * np.eye(n * n) - ad
+        rhs = vec(sum(m[l] @ b[k - l] for l in range(k)))
+        cutoff = algebra.RESONANCE_RTOL * (abs(k * lam) + ad_norm)
+        sigmas.append(np.linalg.svd(lhs, compute_uv=False)[-1])
+        if sigmas[-1] > cutoff:
+            x = np.linalg.solve(lhs, rhs)
+        else:
+            u, sv, vh = np.linalg.svd(lhs)
+            inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
+            x = vh.conj().T @ (inv_sv * (u.conj().T @ rhs))
+            if np.linalg.norm(lhs @ x - rhs) > tol * max(1.0, np.linalg.norm(rhs)):
+                return np.array(m), sigmas, k
+        m.append(unvec(x, n))
+    return np.array(m), sigmas, None
+
+
+def assert_m_close(got, expected, rtol=1e-12):
+    """Each coefficient within rtol of the brute-force one, relative to the
+    largest coefficient after m_0 (some coefficients are exactly 0)."""
+    assert got.shape == expected.shape
+    norms = np.linalg.norm(expected, axis=(1, 2))
+    scale = norms[1:].max(initial=norms[0])
+    assert np.max(np.linalg.norm(got - expected, axis=(1, 2))) <= rtol * scale
+
+
+def similar_to(eig, rng):
+    """A matrix with eigenvalues ``eig`` in a random basis near the unit one,
+    and that basis change (s, s^-1)."""
+    n = len(eig)
+    s = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
+    s_inv = np.linalg.inv(s)
+    return s @ np.diag(eig) @ s_inv, s, s_inv
+
+
+def witness_case(n):
+    """The sharpness witness at order 2 for a B0 similar to diag(0.1, 2.1),
+    and, for n > 2, further eigenvalues off every resonance."""
+    eig = np.concatenate([[0.1, 2.1], 0.35 + 0.2j * np.arange(n - 2)])
+    return sharpness_witness(similar_to(eig, np.random.default_rng(n))[0], 1.0, 2)
+
+
+def resonant_chain_case(n):
+    """A B0 similar to diag(0, 1, ...) with lam = 1 resonant at order 1 only,
+    and a B1 whose (0, 1) entry in the eigenbasis is 0, so every order solves."""
+    rng = np.random.default_rng(n)
+    eig = np.concatenate([[0.0, 1.0], 0.35 + 0.2j * np.arange(n - 2)])
+    b0, s, s_inv = similar_to(eig, rng)
+    c = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
+    c[0, 1] = 0.0
+    return CocycleGenerator(np.stack([b0, s @ c @ s_inv]))
+
+
+def generic_case(n):
+    """B0 similar to a random diagonal off every resonance, two more terms."""
+    rng = np.random.default_rng(n)
+    eig = rng.uniform(0.1, 0.9, n) + 1j * rng.uniform(-0.2, 0.2, n)
+    num = np.empty((3, n, n), dtype=complex)
+    num[0] = similar_to(eig, rng)[0]
+    num[1:] = 0.3 * (rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))) / n
+    return CocycleGenerator(num)
+
+
+@pytest.mark.parametrize(
+    "case, n, status",
+    [
+        ("generic", 2, "linearizable"),
+        ("generic", 4, "linearizable"),
+        ("witness", 2, "obstructed"),
+        ("witness", 4, "obstructed"),
+        ("resonant", 2, "resonant_solvable"),
+        ("resonant", 4, "resonant_solvable"),
+        ("non-normal", 16, "linearizable"),
+    ],
+)
+def test_schur_recursion_matches_kronecker_recursion(case, n, status):
+    # f = -z (1 - c z) with |c| = 0.6, as in the benchmark's linearize tasks;
+    # the n = 16 case is B0 = U (D + N) U^H with N scale 0.5.  (At N scale 2,
+    # kappa(V) = 1.7e8 and C1 = 3.3e3, the two recursions differ by 6.6e-13:
+    # the conditioning of the problem, not a defect of either solve.)
+    model = build_model(RationalMap([0.0, -1.0, 0.6j]), order=32)
+    if case == "non-normal":
+        gen = CocycleGenerator(non_normal_b0(n, 0.5)[1])
+    else:
+        gen = {"generic": generic_case, "witness": witness_case,
+               "resonant": resonant_chain_case}[case](n)
+    out = linearize(model, gen, order=32)
+    m, sigmas, obstructed_at = kronecker_recursion(model, gen, 32)
+    assert out.status == status
+    assert out.obstructed_at == obstructed_at
+    assert out.violated_k == ([2] if case == "witness" else [1] if case == "resonant" else [])
+    assert_m_close(out.m.coeffs, m)
+    if status == "linearizable":
+        assert out.diagnostics["C1"] == pytest.approx(1.0 / min(sigmas), rel=1e-12)
+
+
 # Work-counter gate: SVDs with singular vectors in one order-64 linearize of
 # a generic 4x4 generator.  Only the orders in violated_k take the full
-# factorization; every other order takes an LU solve.  Measured: 0 full SVDs
-# (65 when every order took one).
-def test_full_svds_only_at_orders_that_may_resonate(svd_counter):
+# n^2-sized factorization; every other order is a column sweep in the Schur
+# basis of B0, whose deflation takes one full SVD of each size n ... 2.
+# Measured: 0 full 16x16 SVDs (65 when every order took one), and no 16x16
+# solve or inverse at any order (64 when every order took an LU solve): each
+# order inverts its n triangular 4x4 blocks in one batched call.
+def test_full_svds_only_at_orders_that_may_resonate(svd_counter, solve_counter):
     rng = np.random.default_rng(64)
     n = 4
     s = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / 2
@@ -574,9 +687,13 @@ def test_full_svds_only_at_orders_that_may_resonate(svd_counter):
     num[0] = s @ np.diag(eig) @ np.linalg.inv(s)
     num[1:] = 0.3 * (rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))) / n
     model = build_model(RationalMap([0.0, -1.0, 0.5]), order=64)
+    inverses = solve_counter.by_size[n]
     out = linearize(model, CocycleGenerator(num), order=64)
     assert out.status == "linearizable"
-    assert svd_counter.full == len(out.violated_k) == 0
+    assert svd_counter.full[n * n] == len(out.violated_k) == 0
+    assert [svd_counter.full[size] for size in (4, 3, 2)] == [1, 1, 1]
+    assert solve_counter.by_size[n * n] == 0
+    assert solve_counter.by_size[n] - inverses == 64
 
 
 # Work-counter gate on a 16x16 generator at order 64 (f = -z + 0.3 z^2, B0
@@ -584,11 +701,11 @@ def test_full_svds_only_at_orders_that_may_resonate(svd_counter):
 # condition_check's batch; beyond it C1 needs sigma_min(k lam - ad_B0) only at
 # orders whose bound 1 / (|k lam| - ||ad_B0||) tops the running max: here
 # none.  Measured: 1 256x256 SVD, the batch, against a bound of 1 (65 when
-# every order took sigma_min; 2 if order 1 took its own besides the batch).
-# Each order measures its defect on the system it factored, so the 16x16
-# SVDs are the batch of ||b_k|| and the norm of the last m_k: 2 (67 when every
-# order took the spectral norm of its matrix-form residual).
-def test_large_svds_only_where_c1_may_rise(svd_counter):
+# every order took sigma_min; 2 if order 1 took its own besides the batch),
+# and no 256x256 solve or inverse.  The 16x16 SVDs are the batch of ||b_k||,
+# the norm of the last m_k and the first deflation step of the Schur form: 3
+# (67 when every order took the spectral norm of its matrix-form residual).
+def test_large_svds_only_where_c1_may_rise(svd_counter, solve_counter):
     n, order = 16, 64
     rng = np.random.default_rng(0)
     num = np.zeros((2, n, n), dtype=complex)
@@ -599,18 +716,9 @@ def test_large_svds_only_where_c1_may_rise(svd_counter):
     out = linearize(model, gen, order=order)
     assert out.status == "linearizable"
     assert svd_counter.by_size[n * n] <= 1
-    assert svd_counter.by_size[n] <= 2
+    assert svd_counter.by_size[n] <= 3
+    assert solve_counter.by_size[n * n] == 0
 
-    # brute force: sigma_min at every order, and each m_k from its own solve
-    b = conjugated_generator(model, gen, order).coeffs
-    ad, lam = ad_matrix(b[0]), model.rate
-    m = np.zeros_like(out.m.coeffs)
-    m[0] = np.eye(n)
-    inv_sigma = []
-    for k in range(1, order + 1):
-        lhs = k * lam * np.eye(n * n) - ad
-        inv_sigma.append(1.0 / np.linalg.svd(lhs, compute_uv=False)[-1])
-        rhs = np.matmul(m[:k], b[k:0:-1]).sum(axis=0)
-        m[k] = unvec(np.linalg.solve(lhs, vec(rhs)), n)
-    assert out.diagnostics["C1"] == pytest.approx(max(inv_sigma), rel=1e-14, abs=0.0)
-    assert np.array_equal(out.m.coeffs, m)
+    m, sigmas, _ = kronecker_recursion(model, gen, order)
+    assert out.diagnostics["C1"] == pytest.approx(1.0 / min(sigmas), rel=1e-14, abs=0.0)
+    assert_m_close(out.m.coeffs, m)

@@ -303,6 +303,15 @@ def _reference_compose(outer, inner):
     return acc
 
 
+def _reference_recip(c):
+    """Reciprocal series by its recursion at every order."""
+    out = np.zeros_like(c)
+    out[0] = 1.0 / c[0]
+    for k in range(1, c.shape[0]):
+        out[k] = -np.dot(out[:k], c[k:0:-1]) / c[0]
+    return out
+
+
 def _decaying(order, tail=()):
     """Random coefficients of size about 0.7^k."""
     rng = np.random.default_rng(order)
@@ -311,8 +320,9 @@ def _decaying(order, tail=()):
 
 
 class TestBitEqualToReference:
-    """compose and revert build the inner Toeplitz matrix once; the
-    coefficients stay bit-equal to the per-step product loop."""
+    """compose and revert build the inner Toeplitz matrix once, and skip the
+    steps that would only carry exact zeros; the coefficients stay bit-equal
+    to the per-step product loop."""
 
     @pytest.mark.parametrize("order", [1, 2, 24, 64])
     @pytest.mark.parametrize("tail", [(), (3, 3)], ids=["scalar", "matrix"])
@@ -323,6 +333,33 @@ class TestBitEqualToReference:
         outer = outer_cls(0.0, _decaying(order + 3, tail)[: order + 1])
         got = compose(outer, ScalarSeries(0.0, inner)).coeffs
         expected = _reference_compose(outer.coeffs, inner)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("degree", [0, 1, 5])
+    @pytest.mark.parametrize("tail", [(), (3, 3)], ids=["scalar", "matrix"])
+    def test_compose_polynomial_outer(self, degree, tail, toeplitz_counter):
+        # trailing zero coefficients: Horner starts at the last nonzero one,
+        # so a polynomial of degree d takes d Toeplitz steps, not 24
+        inner = _decaying(24)
+        inner[0] = 0.0
+        coeffs = np.zeros((25,) + tail, dtype=complex)
+        coeffs[: degree + 1] = _decaying(degree + 3, tail)[: degree + 1]
+        outer = (MatrixSeries if tail else ScalarSeries)(0.0, coeffs)
+        got = compose(outer, ScalarSeries(0.0, inner)).coeffs
+        assert toeplitz_counter.calls == degree
+        assert got.tobytes() == _reference_compose(coeffs, inner).tobytes()
+
+    @pytest.mark.parametrize("den", [1.0, -1.0, 2.0 - 3.0j, -0.5 + 0.1j])
+    def test_polynomial_taylor(self, den, monkeypatch):
+        # a constant denominator skips the reciprocal's recursion; the Taylor
+        # coefficients of a polynomial with zero entries stay bit-equal
+        num = _decaying(3, (2, 2))
+        num[:, 0, 1] = 0.0
+        num[1:, 1, 0] = 0.0
+        den = np.array([den], dtype=complex)
+        got = series._rational_taylor(num, den, 0.3 - 0.1j, 24).coeffs
+        monkeypatch.setattr(series, "_recip_coeffs", _reference_recip)
+        expected = series._rational_taylor(num, den, 0.3 - 0.1j, 24).coeffs
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("order", [1, 2, 24, 64])
