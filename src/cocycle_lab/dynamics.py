@@ -3,9 +3,8 @@
 A model bundles the generator f, its interior fixed point z0 (the one zero
 of f inside the disk), the rate lambda = -f'(z0), and the Koenigs series h
 solving the Schroeder equation h(F_t(z)) = exp(-lambda t) h(z) with
-h(z0) = 0, h'(z0) = 1.  Flow evaluation prefers the Koenigs route and falls
-back to direct integration of du/dt = f(u) outside the validated series
-region.
+h(z0) = 0, h'(z0) = 1.  The flow F_t is always the direct integration of
+du/dt = f(u); the Koenigs series serve the linearization.
 """
 
 from __future__ import annotations
@@ -25,7 +24,8 @@ from .errors import (
 )
 from .series import ScalarSeries, _rational_taylor, horner, revert
 
-#: safety factor applied to the ratio-test estimate of a series radius
+#: safety factor applied to the ratio-test estimate of a series radius (read
+#: only by ``reconstruct_error``'s sample guard)
 RADIUS_SAFETY = 0.8
 
 #: how close to the unit circle a fixed point (or a generator's pole) stops
@@ -102,7 +102,9 @@ class RationalMap(_Rational):
 
 def _ratio_radius(coeffs: np.ndarray) -> float:
     """RADIUS_SAFETY / limsup |c_k|^(1/k), estimated from the high-order
-    coefficients; infinite when they all vanish."""
+    coefficients; infinite when they all vanish.  An estimate, not a bound:
+    it sets ``koenigs_radius``, which only ``reconstruct_error``'s sample
+    guard reads."""
     n = coeffs.shape[0] - 1
     lo = max(2, n // 2)
     best = 0.0
@@ -117,8 +119,11 @@ def _ratio_radius(coeffs: np.ndarray) -> float:
 
 @dataclass
 class SemigroupModel:
-    """Semigroup data around an interior fixed point (or a boundary model
-    with ``z0 is None``, for which only the ODE flow is available)."""
+    """Semigroup data around an interior fixed point, or a boundary model
+    with ``z0 is None`` and no Koenigs data.  Both kinds flow by the ODE.
+
+    ``koenigs_radius`` is the ratio-test estimate of h's radius about z0,
+    kept for ``reconstruct_error``'s sample guard alone."""
 
     f: RationalMap
     z0: Optional[complex]
@@ -126,7 +131,6 @@ class SemigroupModel:
     koenigs: Optional[ScalarSeries]
     koenigs_inv: Optional[ScalarSeries]
     koenigs_radius: float
-    koenigs_inv_radius: float
     order: int
 
     @property
@@ -136,30 +140,9 @@ class SemigroupModel:
     def flow(self, t, z):
         """F_t(z) on the outer-product grid of the times ``t`` (finite and
         nonnegative) and the points ``z``: shape t.shape + z.shape, a complex
-        for two numbers, and exactly z at t = 0.  One Koenigs evaluation
-        when every point lies in the validated series region, else one
-        ``flow_ode`` integration, covers the grid."""
-        ts, zs = _flow_args(t, z)
-        if self.is_interior and np.all(np.abs(zs - self.z0) <= self.koenigs_radius):
-            hz = np.asarray(self.koenigs.evaluate(zs))
-            if np.all(np.abs(hz) <= self.koenigs_inv_radius):
-                grid = ts.reshape(ts.shape + (1,) * zs.ndim)
-                out = np.where(grid == 0, zs, self.koenigs_inv.evaluate(np.exp(-self.rate * grid) * hz))
-                if np.any(np.abs(out) >= 1.0):
-                    raise DomainEscapeError("flow left the unit disk")
-                return out if out.shape else complex(out)
+        for two numbers, and exactly z at t = 0.  One ``flow_ode``
+        integration covers the grid."""
         return flow_ode(self.f, t, z)
-
-
-def _flow_args(t, z):
-    """The times and points of a flow grid as float and complex arrays,
-    after the checks both flow routes share."""
-    ts, zs = np.asarray(t, dtype=float), np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(ts) & (ts >= 0)):
-        raise ValueError(f"flow requires a finite t >= 0, got {t!r}")
-    if np.any(np.abs(zs) >= 1.0):
-        raise OutOfDomainError("flow point outside the open unit disk")
-    return ts, zs
 
 
 def _disk_guard(m: Optional[int] = None):
@@ -178,7 +161,11 @@ def flow_ode(f: RationalMap, t, z, *, tol: float = 1e-12):
     ``SemigroupModel.flow`` in one ``integrate_at`` call.  Raises
     DomainEscapeError if the trajectory reaches the unit circle, which
     signals that ``f`` is not a generator of disk self-maps."""
-    ts, zs = _flow_args(t, z)
+    ts, zs = np.asarray(t, dtype=float), np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(ts) & (ts >= 0)):
+        raise ValueError(f"flow requires a finite t >= 0, got {t!r}")
+    if np.any(np.abs(zs) >= 1.0):
+        raise OutOfDomainError("flow point outside the open unit disk")
     out = _int.integrate_at(lambda _t, y: f(y), ts, zs.ravel(), tol=tol, guard=_disk_guard())
     out = out.reshape(ts.shape + zs.shape)
     return out if out.shape else complex(out)
@@ -218,7 +205,6 @@ def build_model(f: RationalMap, order: int = 24) -> SemigroupModel:
         koenigs=koenigs,
         koenigs_inv=koenigs_inv,
         koenigs_radius=_ratio_radius(h),
-        koenigs_inv_radius=_ratio_radius(koenigs_inv.coeffs),
         order=order,
     )
 
@@ -226,7 +212,7 @@ def build_model(f: RationalMap, order: int = 24) -> SemigroupModel:
 def build_boundary_model(f: RationalMap) -> SemigroupModel:
     """Model for a semigroup without an interior fixed point.
 
-    Only the ODE flow is available; the series linearizer is disabled.
+    It has no Koenigs data, so the series linearizer is disabled.
     """
     return SemigroupModel(
         f=f,
@@ -235,6 +221,5 @@ def build_boundary_model(f: RationalMap) -> SemigroupModel:
         koenigs=None,
         koenigs_inv=None,
         koenigs_radius=0.0,
-        koenigs_inv_radius=0.0,
         order=0,
     )

@@ -190,9 +190,12 @@ def _step(rhs, t, y, h, k1):
     rhs(t + h, y_new), is left to the caller once it accepts y_new, and
     rows 13-15 to ``_extend``."""
     k = np.empty((16,) + y.shape, dtype=complex)
+    # k's real rows, viewed once: each stage input is ``_combine`` without
+    # its per-call reshapes
+    real = k.reshape(16, -1).view(float)
     k[0] = k1
     for i in range(1, 12):
-        k[i] = rhs(t + _C[i] * h, y + h * _combine(_A[i, :i], k, y.shape))
+        k[i] = rhs(t + _C[i] * h, y + h * (_A[i, :i] @ real[:i]).view(complex).reshape(y.shape))
     return y + h * _combine(_B, k, y.shape), h * _combine(_ERR, k, y.shape), k
 
 

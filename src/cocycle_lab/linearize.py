@@ -347,9 +347,12 @@ def reconstruct_error(
     """Max over samples (t, z) of ||Gamma_t(z) - M(F_t z)^{-1} e^{t B0} M(z)||.
 
     Gamma comes from one ``evolve_grid`` call over the sample times, as they
-    come, and the distinct points (independent of the series route being
-    validated), made once every sample satisfies |h(z)|,
-    |e^{-lam t} h(z)| <= 0.8 * radius so the truncated series is trusted.  An empty ``samples`` raises ValueError.
+    come, and the distinct points, independent of the series being tested.
+    That call is made once every sample passes the guard: |z - z0| <=
+    ``model.koenigs_radius`` and |h(z)|, |e^{-lam t} h(z)| <= 0.8 * radius.
+    ``koenigs_radius`` is a ratio-test estimate, not a bound, so the guard
+    does not prove that the truncated h converges at z.  An empty
+    ``samples`` raises ValueError.
     """
     if outcome.status == "obstructed":
         raise ValueError("obstructed outcomes cannot be reconstructed")

@@ -31,10 +31,13 @@ def horner(coeffs: np.ndarray, u):
     u = np.asarray(u, dtype=complex)
     if coeffs.shape[0] == 1:
         return np.full(u.shape + tail, coeffs[0], dtype=complex)
-    u = u.reshape(u.shape + (1,) * len(tail))
-    acc = coeffs[-1] * u + coeffs[-2]
+    if tail:
+        u = u.reshape(u.shape + (1,) * len(tail))
+    acc = coeffs[-1] * u
+    acc += coeffs[-2]
     for k in range(coeffs.shape[0] - 3, -1, -1):
-        acc = acc * u + coeffs[k]
+        acc *= u
+        acc += coeffs[k]
     return acc
 
 

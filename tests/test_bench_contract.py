@@ -21,7 +21,7 @@ import workloads  # noqa: E402
 
 from cocycle_lab import cli, demos, series  # noqa: E402
 from cocycle_lab.cocycle import CocycleGenerator, growth_report  # noqa: E402
-from cocycle_lab.dynamics import RationalMap, build_model  # noqa: E402
+from cocycle_lab.dynamics import RationalMap, SemigroupModel, build_model  # noqa: E402
 from cocycle_lab.linearize import linearize, sharpness_witness  # noqa: E402
 
 
@@ -37,6 +37,22 @@ def test_series_methods_live_on_their_classes():
     assert "__mul__" in vars(series._Series)
     for cls in (series.ScalarSeries, series.MatrixSeries):
         assert {"evaluate", "__call__"} <= set(vars(cls))
+
+
+def test_every_traced_flow_is_one_ode_integration():
+    # the harness wraps ``flow`` on the class and reads
+    # dynamics.flow.ode_share from the flow -> flow_ode edges, so the method
+    # must stay on the class and look up flow_ode at call time
+    assert "flow" in vars(SemigroupModel)
+    recorder = spans.Recorder(counting.Counters())
+    model = build_model(RationalMap([0.0, -1.0, 0.9]), order=24)
+    B = CocycleGenerator(np.array([np.diag([0.2, 0.5]), [[0.0, 1.0], [0.3, 0.0]]], dtype=complex))
+    with spans.recording(recorder, "contract"):
+        growth_report(model, B, 0.3, t_values=(0.1, 0.5))
+    summary = recorder.summary()
+    flows = summary["calls"]["dynamics.flow"]
+    assert flows >= 1
+    assert summary["edges"][("dynamics.flow", "dynamics.flow_ode")] == flows
 
 
 def test_traced_calls_per_layer():

@@ -290,8 +290,8 @@ class TestCheckAxioms:
         ts, zs = [0.4, 0.7, 1.1], np.array([0.3, -0.2 + 0.4j])
         gamma = JORDAN.oracle
         chain, min_sv = 0.0, np.inf
-        for s in ts:
-            fs = LINEAR_MODEL.flow(s, zs)
+        # F_s from one integration over every s, as check_axioms takes it
+        for s, fs in zip(ts, LINEAR_MODEL.flow(ts, zs)):
             for t in ts:
                 for z, fz in zip(zs, fs):
                     lhs = gamma(t + s, z)

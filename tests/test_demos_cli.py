@@ -162,6 +162,23 @@ class TestCli:
     def test_check_passes(self, scenario_path):
         assert main(["check", "--scenario", scenario_path]) == 0
 
+    def test_check_does_not_depend_on_the_truncation_order(self, tmp_path, capsys):
+        # f = -z + 0.9 z^2 at z = -0.88, at 0.79 of the Koenigs radius, where
+        # the inverse Koenigs series truncated at order 24 or 48 is off by
+        # 1.8e-3 or 6.8e-6: the flow, and so the check, must not read it
+        scenario = {
+            "semigroup": {"f_num": [0, -1, 0.9]},
+            "generator": {"dim": 2, "num_coeffs": [[[0.2, 0], [0, 0.5]], [[0, 1], [0.3, 0]]]},
+            "grid": {"t_values": [0.1, 0.5], "z_values": [-0.88, 0.3]},
+        }
+        residuals = []
+        for order in (12, 24, 48):
+            path = tmp_path / f"order{order}.json"
+            path.write_text(json.dumps({**scenario, "truncation_order": order}))
+            assert main(["check", "--scenario", str(path)]) == 0
+            residuals.append(json.loads(capsys.readouterr().out)["chain_residual"])
+        assert residuals[0] == residuals[1] == residuals[2]
+
     def test_linearize_reports_obstruction(self, scenario_path, tmp_path):
         out = tmp_path / "lin.json"
         code = main(["linearize", "--scenario", scenario_path, "--out", str(out)])
