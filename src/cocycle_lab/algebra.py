@@ -277,16 +277,15 @@ def sylvester_resolve(
 ) -> SylvesterOutcome:
     """Solve ``k*lam*m - (m b0 - b0 m) = rhs`` for m.
 
-    An order whose floor |k lam| - ||ad_B0|| on sigma_min(k lam - ad_B0)
-    lies above the resonance rule's ``_cutoff`` (which refuses a bad
-    ``resonance_rtol``) cannot be resonant and takes singular values only;
-    every other order takes a full SVD of k lam - ad_B0.  A resonant order
-    gets the minimum-norm least-squares solution from that SVD (null-space
-    components zeroed), "resonant_solvable" if its defect in the factored
-    system is at most tol * max(1, ||rhs||_F), else "obstructed".  Every
-    other order gets the unique solution from the column sweep in the Schur
-    basis of b0 (``schur``, ``_sweeper``).  Callers solving many orders pass
-    ad_B0 and its 2-norm as ``ad``, ``ad_norm``.
+    Every order first takes the singular values of k lam - ad_B0, which the
+    resonance rule's ``_cutoff`` (which refuses a bad ``resonance_rtol``)
+    judges.  Only a resonant order then takes the full SVD and gets the
+    minimum-norm least-squares solution from it (null-space components
+    zeroed), "resonant_solvable" if its defect in the factored system is at
+    most tol * max(1, ||rhs||_F), else "obstructed".  Every other order gets
+    the unique solution from the column sweep in the Schur basis of b0
+    (``schur``, ``_sweeper``).  Callers solving many orders pass ad_B0 and
+    its 2-norm as ``ad``, ``ad_norm``.
     """
     if k < 1:
         raise ValueError("order k must be a positive integer")
@@ -294,10 +293,10 @@ def sylvester_resolve(
     kl = k * complex(lam)
     ad = ad_matrix(b) if ad is None else ad
     ad_norm = float(np.linalg.norm(ad, 2)) if ad_norm is None else ad_norm
-    fast = abs(kl) - ad_norm > _cutoff(k, lam, ad_norm, resonance_rtol)[1]
-    res = _resolvent(k, lam, ad, ad_norm, resonance_rtol, vectors=not fast)
+    res = _resolvent(k, lam, ad, ad_norm, resonance_rtol, vectors=False)
     sigma_min = float(res.sv[-1])
-    if not fast and res.resonant:  # singular system: pseudo-inverse solve with the same cutoff
+    if res.resonant:  # singular system: pseudo-inverse solve with the same cutoff
+        res = _resolvent(k, lam, ad, ad_norm, resonance_rtol)
         keep = res.sv > res.cutoff
         inv_sv = np.where(keep, 1.0 / np.where(keep, res.sv, 1.0), 0.0)
         x = res.vh.conj().T @ (inv_sv * (res.u.conj().T @ vec(r)))

@@ -20,6 +20,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -167,16 +168,27 @@ def _finite(obj):
 
 
 def _emit(report: dict, out_path) -> None:
-    """Write ``report`` as strict JSON: a non-finite float becomes null.
-    Only a report that holds one is walked by ``_finite``."""
+    """Write ``report`` as one line of strict JSON with sorted keys: a
+    non-finite float becomes null.  Only a report that holds one is walked
+    by ``_finite``.  Compact output lets ``json.dumps`` use its C encoder.
+
+    A reader that closes stdout early (``| head``) ends the write quietly:
+    stdout is pointed at the null device, so the interpreter's exit flush
+    raises nothing, and the command keeps its own exit status."""
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
     except ValueError:
-        text = json.dumps(_finite(report), indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(_finite(report), sort_keys=True, allow_nan=False)
     if out_path:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
-    else:
+        return
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_evolve(scn: Scenario, args) -> tuple[dict, int]:

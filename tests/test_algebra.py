@@ -277,10 +277,9 @@ def assert_close(got, expected, rtol=1e-12):
 
 
 class TestSylvesterFastPath:
-    """Orders with |k lam| - ||ad_B0|| above the resonance cutoff cannot be
-    resonant and take singular values only.  Every non-resonant order is
-    solved by the column sweep in the Schur basis of b0, which agrees with
-    a direct solve of the Kronecker system."""
+    """A non-resonant order takes singular values only and is solved by the
+    column sweep in the Schur basis of b0, which agrees with a direct solve
+    of the Kronecker system; only a resonant order takes a full SVD."""
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_matches_resolvent_solve(self, svd_counter, solve_counter, n):
@@ -303,28 +302,30 @@ class TestSylvesterFastPath:
             assert_close(out.solution, expected)
             assert abs(out.smallest_singular_value - res.sv[-1]) <= 1e-12 * res.sv[-1]
 
-    @pytest.mark.parametrize("k, fast", [(2, False), (3, True)])
-    def test_either_side_of_the_bound(self, svd_counter, k, fast):
-        # ||ad_B0|| = 2.5: order 2 falls below the bound and takes a full
-        # SVD; order 3 clears it by 0.5 (2 ||B0|| = 5 would not clear it)
+    @pytest.mark.parametrize("k, clears", [(2, False), (3, True)])
+    def test_either_side_of_the_bound(self, svd_counter, k, clears):
+        # ||ad_B0|| = 2.5: the floor |k lam| - ||ad_B0|| of order 2 falls
+        # below the cutoff and that of order 3 clears it by 0.5; neither
+        # order is resonant, so both take singular values only
         b0 = np.diag([0.0, 2.5]).astype(complex)
         rhs = np.array([[0.3, -1.0], [2.0, 0.5j]], dtype=complex)
+        assert (k - 2.5 > RESONANCE_RTOL * (k + 2.5)) == clears
         out = sylvester_resolve(k, 1.0, b0, rhs)
-        assert svd_counter.full[4] == (0 if fast else 1)
+        assert (svd_counter.full[4], svd_counter.by_size[4]) == (0, 1)
         res, expected = reference_solve(k, 1.0, b0, rhs)
         assert out.kind == "unique"
         assert_close(out.solution, expected)
         assert out.smallest_singular_value == pytest.approx(res.sv[-1], rel=1e-14)
 
     @pytest.mark.parametrize("rtol", [RESONANCE_RTOL, 0.0])
-    def test_on_the_bound_takes_full_svd(self, svd_counter, rtol):
+    def test_on_the_bound_takes_singular_values_only(self, svd_counter, rtol):
         # |k lam| = ||ad_B0|| = 2: the floor is 0, which does not clear the
-        # cutoff even at rtol = 0, so order 2 takes the full SVD although 2i
-        # is no eigenvalue of ad_B0 (sigma_min = 2)
+        # cutoff even at rtol = 0, but 2i is no eigenvalue of ad_B0
+        # (sigma_min = 2), so order 2 takes no singular vectors
         b0 = np.diag([0.0, 2.0]).astype(complex)
         rhs = np.array([[0.3, -1.0], [2.0, 0.5j]], dtype=complex)
         out = sylvester_resolve(2, 1j, b0, rhs, resonance_rtol=rtol)
-        assert svd_counter.full[4] == 1
+        assert (svd_counter.full[4], svd_counter.by_size[4]) == (0, 1)
         assert out.kind == "unique"
         assert_close(out.solution, reference_solve(2, 1j, b0, rhs)[1])
         assert out.smallest_singular_value == pytest.approx(2.0, rel=1e-14)
@@ -341,13 +342,16 @@ class TestSylvesterFastPath:
             (3e-8, 1.0, "unique"),
         ],
     )
-    def test_resonant_and_near_cutoff_orders(self, delta, rhs01, kind):
+    def test_resonant_and_near_cutoff_orders(self, svd_counter, delta, rhs01, kind):
         b0 = np.diag([0.0, 1.0 + delta]).astype(complex)
         rhs = np.array([[0.4, rhs01], [1.0, -0.7]], dtype=complex)
         res = resolvent(1, 1.0, b0)
         assert bool(res.resonant) == (kind != "unique")
+        before = svd_counter.full[4]
         out = sylvester_resolve(1, 1.0, b0, rhs)
         assert out.kind == kind
+        # singular vectors only for the pseudo-inverse solve
+        assert svd_counter.full[4] - before == (kind != "unique")
         assert out.smallest_singular_value == float(res.sv[-1])
         if kind == "unique":
             # sigma_min = 3e-8: the 1 / sigma_min of the (1, 2) entry is exact

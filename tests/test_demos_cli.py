@@ -274,6 +274,24 @@ class TestCli:
             ), argv
         assert _build_parser() is _build_parser()
 
+    def test_closed_stdout_pipe_ends_quietly(self, tmp_path):
+        # 2 times x 256 points: the report outgrows a 64 KiB pipe buffer, so
+        # the write meets the closed pipe
+        data = dict(JORDAN_SCENARIO, grid={"t_values": [0.5, 1.0], "nodes": 256})
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(data))
+        argv = [sys.executable, "-m", "cocycle_lab.cli", "evolve", "--scenario", str(path)]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        full = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert len(full.stdout) > 1 << 16
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert len(proc.stdout.read(16)) == 16
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert b"Traceback" not in err and err == full.stderr
+        assert code == full.returncode == 0
+
     @pytest.mark.parametrize("report", [
         {"b": [1.5, (2, "x")], "a": {"c": None, "d": -0.0}},
         {"b": [1.5, (float("nan"), "x")], "a": {"c": float("inf"), "d": -float("inf")}},
@@ -282,8 +300,32 @@ class TestCli:
         # a finite report is encoded as it is, without the _finite walk
         out = tmp_path / "report.json"
         cli._emit(report, out)
-        walked = json.dumps(cli._finite(report), indent=2, sort_keys=True, allow_nan=False)
+        walked = json.dumps(cli._finite(report), sort_keys=True, allow_nan=False)
         assert out.read_bytes() == (walked + "\n").encode()
+
+    def test_reports_use_the_c_encoder(self, scenario_path, capsys, monkeypatch):
+        # json's pure-Python encoder runs only for indented output; a report
+        # that reaches it fails here
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder called")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        capsys.readouterr()
+        reports = []
+        for emit in (
+            lambda: cli._emit({"b": [1.5, (2, "x")], "a": {"c": None}}, None),
+            lambda: cli._emit({"b": [math.nan], "a": {"c": math.inf, "d": -math.inf}}, None),
+            lambda: main(["evolve", "--scenario", scenario_path]),
+        ):
+            assert not emit()  # None from _emit, exit status 0 from main
+            out = capsys.readouterr().out
+            assert out.count("\n") == 1 and out.endswith("\n")
+            reports.append(strict_json(out))
+        assert reports[:2] == [
+            {"a": {"c": None}, "b": [1.5, [2, "x"]]},
+            {"a": {"c": None, "d": None}, "b": [None]},
+        ]
+        assert reports[2]["command"] == "evolve"
 
     def test_demo_list(self, capsys):
         assert main(["demo", "--list"]) == 0
