@@ -15,8 +15,10 @@ norm of B over invariant disks.
 ``evolve_grid`` integrates every point in one state vector with the
 DOP853 pair of ``integrate``, twelve right-hand-side calls per accepted
 step and eleven per rejected one.  Its right-hand side calls B once on all
-the points and forms B(u) G for n <= 3 as n broadcast multiply-adds over
-the point axis; for larger n it uses numpy's stacked matmul.
+the points.  For n <= 3 the state holds G as (n, n, m), the point axis
+last, and B(u) G is n broadcast multiply-adds, each one contiguous loop over
+the m points; for larger n the state holds G as (m, n, n) and B(u) G is
+numpy's stacked matmul.  Either way the result has shape (T, m, n, n).
 """
 
 from __future__ import annotations
@@ -49,10 +51,19 @@ _CAUCHY_THETAS = 2.0 * np.pi * np.arange(64) / 64
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 #: largest matrix size n for which ``evolve_grid`` forms B(u) G as n
-#: broadcast multiply-adds over the points: numpy's stacked matmul pays
-#: about 0.35 us per matrix, which outweighs the arithmetic of a small
-#: product (at 512 points, 41 us against 180 us for n = 2); the two cost
-#: about the same at n = 4, and matmul wins from n = 5
+#: broadcast multiply-adds over the point axis, in its (n, n, m) layout;
+#: numpy's stacked matmul over (m, n, n) pays about 0.3 us per matrix.
+#: Microseconds per product, broadcast / matmul, best of 9 (2-vCPU Xeon,
+#: numpy 2.4, one BLAS thread):
+#:
+#:       m     n = 2        n = 3        n = 4        n = 5
+#:      16    5.5 / 6.3    7.1 / 6.7   10.7 / 6.8   15.0 / 7.5
+#:      65    5.2 / 19.0   9.8 / 22.3  16.9 / 22.3  36.8 / 25.9
+#:     128    7.0 / 36.7  14.5 / 46.7  26.8 / 39.1  45.5 / 46.0
+#:     512   12.8 / 141   34.0 / 160    105 / 260    848 / 295
+#:
+#: n = 4 wins from 65 points (one extraction) up but loses at 16; no
+#: workload integrates an n = 4 cocycle, so the cut stays at 3
 _BROADCAST_MAX_DIM = 3
 
 
@@ -125,25 +136,34 @@ def evolve_grid(
     m = zs.shape[0]
     f = model.f
 
-    y0 = np.concatenate([zs, np.tile(np.eye(n, dtype=complex).ravel(), m)])
+    # Gamma's block of the state: (n, n, m), the point axis innermost, when
+    # B(u) G is broadcast; (m, n, n) for numpy's stacked matmul
+    broadcast = n <= _BROADCAST_MAX_DIM
+    eye = np.eye(n, dtype=complex).ravel()
+    y0 = np.concatenate([zs, np.repeat(eye, m) if broadcast else np.tile(eye, m)])
 
     def rhs(_t, y):
         u = y[:m]
-        g = y[m:].reshape(m, n, n)
         bu = _generator_batch(B, u, n)
         out = np.empty_like(y)
         out[:m] = f(u)
-        acc = out[m:].reshape(m, n, n)
-        if n > _BROADCAST_MAX_DIM:
-            np.matmul(bu, g, out=acc)
-        else:
-            np.multiply(bu[:, :, 0, None], g[:, None, 0, :], out=acc)
+        if broadcast:
+            # (B G)[i, k, p] = sum_j B[i, j, p] G[j, k, p], one loop over p
+            g, acc = y[m:].reshape(n, n, m), out[m:].reshape(n, n, m)
+            bu = np.ascontiguousarray(bu.transpose(1, 2, 0))
+            np.multiply(bu[:, 0, None], g[None, 0], out=acc)
             for j in range(1, n):
-                acc += bu[:, :, j, None] * g[:, None, j, :]
+                acc += bu[:, j, None] * g[None, j]
+        else:
+            np.matmul(bu, y[m:].reshape(m, n, n), out=out[m:].reshape(m, n, n))
         return out
 
-    states = _int.integrate_at(rhs, t_values, y0, tol=tol, guard=_disk_guard(m))
-    return states[:, m:].reshape(len(states), m, n, n)
+    states = _int.integrate_at(rhs, t_values, y0, tol=tol, guard=_disk_guard(m))[:, m:]
+    if broadcast:
+        # one copy back to point-major order, so the result is not a
+        # transposed view
+        return np.ascontiguousarray(states.reshape(len(states), n, n, m).transpose(0, 3, 1, 2))
+    return states.reshape(len(states), m, n, n)
 
 
 def evolve(model: SemigroupModel, B, t: float, z: complex, tol: float = 1e-11) -> np.ndarray:
@@ -217,8 +237,11 @@ def check_axioms(
     """Verify the chain rule, the identity at t = 0, and invertibility on a
     sample grid.  ``gamma`` is an oracle (see ``gamma_grid``), a closed form
     or ``make_evolve_oracle``, called twice for any grid: once on the points
-    at 0, at every t and at every t + s, once on every F_s(z) at every t."""
+    at 0, at every t and at every t + s, once on every F_s(z) at every t.
+    An empty point grid is refused (ValueError) before any call."""
     zs = np.asarray(list(z_values), dtype=complex)
+    if not zs.size:
+        raise ValueError("check_axioms needs at least one point in z_values")
     ts = np.asarray([float(t) for t in t_values])
     k = ts.size
 
@@ -379,9 +402,9 @@ def growth_report(
 
     Refuses an ``r`` that is not a positive finite number and an empty
     ``t_values`` (ValueError).  Checks forward invariance on sampled
-    trajectories (NotInvariantError when one leaves the disk by more than
-    1e-7), computes k_mu = sup of log_norm(B) over 256 points of the
-    boundary circle, and records any excess of sampled ||Gamma_t(z)|| over
+    trajectories, flowed at tol 1e-10 (NotInvariantError when one leaves the
+    disk by more than 1e-7), computes k_mu = sup of log_norm(B) over 256
+    points of the boundary circle, and records any excess of sampled ||Gamma_t(z)|| over
     exp(k_mu t) at every 16th of those points, from one call of the oracle
     ``gamma`` (see ``gamma_grid``), the only way Gamma is chosen; the
     default is ``make_evolve_oracle`` at tol 1e-10.
@@ -402,7 +425,7 @@ def growth_report(
     k_mu = float(np.max(log_norm(_generator_batch(B, ring, n))))
 
     sample_ring = ring[::16]
-    drift = np.max(np.abs(model.flow(t_values, sample_ring) - z0), axis=1) - r
+    drift = np.max(np.abs(model.flow(t_values, sample_ring, tol=1e-10) - z0), axis=1) - r
     for t, d in zip(t_values, drift):
         if d > 1e-7:
             raise NotInvariantError(f"trajectory left the disk by {d:.2e} at t = {t}")

@@ -137,12 +137,12 @@ class SemigroupModel:
     def is_interior(self) -> bool:
         return self.z0 is not None
 
-    def flow(self, t, z):
+    def flow(self, t, z, *, tol: float = 1e-12):
         """F_t(z) on the outer-product grid of the times ``t`` (finite and
         nonnegative) and the points ``z``: shape t.shape + z.shape, a complex
         for two numbers, and exactly z at t = 0.  One ``flow_ode``
-        integration covers the grid."""
-        return flow_ode(self.f, t, z)
+        integration at local error ``tol`` covers the grid."""
+        return flow_ode(self.f, t, z, tol=tol)
 
 
 def _disk_guard(m: Optional[int] = None):

@@ -21,7 +21,10 @@ A step's stages live in one complex array of shape (16,) + y.shape: twelve
 for the step, its end stage, and three for the extension.  The tableau's
 weights are real, so every stage input, the eighth-order state, the error
 estimates and each interpolated state is one real matrix-vector product of
-a weight row with that array viewed as real numbers.
+a weight row with that array viewed as real numbers.  A step's eleven stage
+inputs share one buffer, overwritten stage by stage, so a right-hand side
+must not keep its ``y`` argument (returning it is fine: its value is copied
+into the stage array).
 """
 
 from __future__ import annotations
@@ -188,14 +191,20 @@ def _step(rhs, t, y, h, k1):
     estimates stacked with shape (2,) + y.shape, the stages stacked in one
     array of shape (16,) + y.shape).  Stages 0-11 are filled.  Stage 12,
     rhs(t + h, y_new), is left to the caller once it accepts y_new, and
-    rows 13-15 to ``_extend``."""
+    rows 13-15 to ``_extend``.  Stage inputs 1-11 are formed in place in
+    one buffer, bit for bit y + h (_A[i, :i] . k[:i]), and passed to rhs
+    in turn, so rhs must not keep its argument past the call."""
     k = np.empty((16,) + y.shape, dtype=complex)
-    # k's real rows, viewed once: each stage input is ``_combine`` without
-    # its per-call reshapes
+    # k's real rows, viewed once, and the one stage-input buffer
     real = k.reshape(16, -1).view(float)
+    stage = np.empty(y.shape, dtype=complex)
+    stage_real = stage.reshape(-1).view(float)
     k[0] = k1
     for i in range(1, 12):
-        k[i] = rhs(t + _C[i] * h, y + h * (_A[i, :i] @ real[:i]).view(complex).reshape(y.shape))
+        np.matmul(_A[i, :i], real[:i], out=stage_real)
+        stage *= h
+        stage += y
+        k[i] = rhs(t + _C[i] * h, stage)
     return y + h * _combine(_B, k, y.shape), h * _combine(_ERR, k, y.shape), k
 
 
@@ -267,7 +276,8 @@ def integrate(
     time strictly inside an accepted step is interpolated from its stages
     (order 7, not controlled by the error estimate).  ``tol`` must be a
     positive finite number and every time finite, else ValueError.
-    ``_MAX_STEPS`` caps the steps of the whole call.
+    ``_MAX_STEPS`` caps the steps of the whole call.  ``rhs`` must not keep
+    its ``y`` argument: a step's stage inputs share one buffer.
 
     ``guard`` is called on every accepted state, before the right-hand side
     sees it, and may raise (used to detect trajectories escaping the unit

@@ -167,25 +167,31 @@ class TestEvolve:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_per_point_matmul_reference(self, n):
-        # both sides of the size up to which B(u) G is broadcast
+        # both sides of the size up to which B(u) G is broadcast with the
+        # point axis last, at unordered and repeated times and from no point
+        # to many
+        assert 1 <= cocycle_module._BROADCAST_MAX_DIM < 5
         rng = np.random.default_rng(n)
         num = 0.4 * (rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n)))
         B = CocycleGenerator(num, [1.0, -0.3])
         model = build_model(RationalMap([0.0, -1.0, 0.2]))
-        zs = 0.6 * np.sqrt(rng.random(6)) * np.exp(2j * np.pi * rng.random(6))
-        ts, m = (0.4, 1.0), zs.size
+        ts = (1.0, 0.4, 0.0, 1.0, 0.7)
+        for m in (0, 1, 7, 64):
+            zs = 0.6 * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
 
-        def rhs(_t, y):
-            u, g = y[:m], y[m:].reshape(m, n, n)
-            bu = B(u)
-            products = [np.matmul(bu[p], g[p]) for p in range(m)]
-            return np.concatenate([model.f(u), np.ravel(products)])
+            def rhs(_t, y, m=m):
+                u, g = y[:m], y[m:].reshape(m, n, n)
+                bu = B(u)
+                products = [np.matmul(bu[p], g[p]) for p in range(m)]
+                return np.concatenate([model.f(u), np.ravel(products)])
 
-        y0 = np.concatenate([zs, np.tile(np.eye(n, dtype=complex).ravel(), m)])
-        states = integrate.integrate_at(rhs, ts, y0, tol=1e-11, guard=_disk_guard(m))
-        reference = states[:, m:].reshape(len(ts), m, n, n)
-        out = evolve_grid(model, B, ts, zs)
-        assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
+            y0 = np.concatenate([zs, np.tile(np.eye(n, dtype=complex).ravel(), m)])
+            states = integrate.integrate_at(rhs, ts, y0, tol=1e-11, guard=_disk_guard(m))
+            reference = states[:, m:].reshape(len(ts), m, n, n)
+            out = evolve_grid(model, B, ts, zs)
+            assert out.shape == (len(ts), m, n, n)
+            scale = np.max(np.abs(reference), initial=0.0)
+            assert np.max(np.abs(out - reference), initial=0.0) <= 1e-13 * scale
 
     def test_invalid_generator_escapes(self):
         repelling = build_model(RationalMap([0.0, 1.0]), order=2)
@@ -285,6 +291,16 @@ class TestCheckAxioms:
         rep = check_axioms(LINEAR_MODEL, oracle, ts, [0.3, -0.2 + 0.4j], tol=1e-7)
         assert rep.passed
         assert oracle.call_times == [[0.0] + ts + [t + s for t in ts for s in ts], ts]
+
+    def test_no_points_refused(self, monkeypatch):
+        def no_flow(*args, **kw):
+            raise AssertionError("flow called")
+
+        monkeypatch.setattr(SemigroupModel, "flow", no_flow)
+        oracle = CountingOracle(JORDAN.oracle)
+        with pytest.raises(ValueError, match="at least one point"):
+            check_axioms(LINEAR_MODEL, oracle, [0.4, 1.1], [])
+        assert oracle.call_times == []
 
     def test_matches_per_pair_loop(self):
         ts, zs = [0.4, 0.7, 1.1], np.array([0.3, -0.2 + 0.4j])
@@ -426,17 +442,19 @@ class TestGrowthReport:
             growth_report(model, SCALAR.generator, 0.4, t_values=(0.0, 0.25, 0.1))
 
     def test_one_flow_call_for_every_time(self, monkeypatch):
+        # growth's invariance flow runs at the Gamma oracle's tol, the axiom
+        # check's at flow_ode's default
         calls = []
         flow = SemigroupModel.flow
 
-        def counting(self, t, z):
-            calls.append(np.shape(t) + np.shape(z))
-            return flow(self, t, z)
+        def counting(self, t, z, **kw):
+            calls.append((np.shape(t) + np.shape(z), kw))
+            return flow(self, t, z, **kw)
 
         monkeypatch.setattr(SemigroupModel, "flow", counting)
         growth_report(LINEAR_MODEL, SCALAR.generator, 0.4, gamma=SCALAR.oracle)
         check_axioms(LINEAR_MODEL, SCALAR.oracle, [0.4, 0.9, 0.2], [0.3, 0.1j])
-        assert calls == [(5, 16), (3, 2)]
+        assert calls == [((5, 16), {"tol": 1e-10}), ((3, 2), {})]
 
     def test_disk_must_fit_in_unit_disk(self):
         with pytest.raises(ValueError):
