@@ -1,6 +1,6 @@
-"""Dense complex matrix kernel: inverses, exponentials, norms, spectra,
-the complex Schur form, and the commutator-resolvent solve behind the
-linearization recursion.
+"""Dense complex matrix kernel: inverses, exponentials, norms, the
+commutator matrix, the complex Schur form, and the commutator-resolvent
+solve behind the linearization recursion.
 
 Matrices are plain ``numpy.ndarray`` values of shape ``(n, n)`` and dtype
 complex; scalars are Python ``complex``.  The ambient norm is the spectral
@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NoConvergenceError, SingularMatrixError
+from .errors import DimensionTooLargeError, SingularMatrixError
 
 #: relative threshold below which a singular value counts as zero
 SINGULARITY_RTOL = 1e-10
@@ -23,8 +23,8 @@ SINGULARITY_RTOL = 1e-10
 #: relative threshold below which k*lambda counts as a spectral point of ad_B0
 RESONANCE_RTOL = 1e-8
 
-#: largest matrix dimension accepted by the eigensolver
-MAX_EIG_DIM = 32
+#: largest n for which the n^2 x n^2 matrix of ad_B0 is built
+MAX_AD_DIM = 32
 
 
 def as_matrix(a) -> np.ndarray:
@@ -121,18 +121,6 @@ def log_norm(a):
     return float(top[0]) if single else top
 
 
-def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues with multiplicity (dense QR-based solver); a matrix
-    larger than MAX_EIG_DIM is refused with ValueError."""
-    m = as_matrix(a)
-    if m.shape[0] > MAX_EIG_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds the cap {MAX_EIG_DIM}")
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK cap
-        raise NoConvergenceError(str(exc)) from exc
-
-
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(m, dtype=complex).flatten(order="F")
@@ -146,9 +134,15 @@ def ad_matrix(b0) -> np.ndarray:
     """Matrix of the commutator map m -> m b0 - b0 m under column stacking.
 
     Its spectrum, in finite dimensions, is exactly the multiset of pairwise
-    eigenvalue differences of ``b0``.
+    eigenvalue differences of ``b0``.  It is n^2 x n^2, so a ``b0`` larger
+    than MAX_AD_DIM is refused with DimensionTooLargeError (a ValueError)
+    before anything of that size is allocated.
     """
     m = as_matrix(b0)
+    if m.shape[0] > MAX_AD_DIM:
+        raise DimensionTooLargeError(
+            f"dimension {m.shape[0]} exceeds the cap {MAX_AD_DIM} on ad_B0"
+        )
     ident = np.eye(m.shape[0], dtype=complex)
     return np.kron(m.T, ident) - np.kron(ident, m)
 

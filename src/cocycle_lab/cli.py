@@ -10,7 +10,8 @@ runs the series pipeline, ``spectrum`` reports the resonance condition,
 Each subcommand accepts only the flags it reads; argparse refuses any
 other flag with exit status 2.  Scenario files are JSON; complex numbers are
 ``[re, im]`` pairs and matrices are row-major nested arrays.  Exit status: 0
-on success, 1 when a verification check fails, 2 on input errors.
+on success, 1 when a verification check fails, 2 on input errors, an output
+path that cannot be written among them.
 """
 
 from __future__ import annotations
@@ -487,7 +488,7 @@ def main(argv=None) -> int:
         report, status = _COMMANDS[args.command][0](scn, args)
         _emit(report, args.out)
         return status
-    except CocycleLabError as exc:
+    except (CocycleLabError, OSError) as exc:  # an OSError: an --out or --csv path not written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

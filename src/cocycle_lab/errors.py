@@ -10,7 +10,7 @@ class SingularMatrixError(CocycleLabError):
 
 
 class NoConvergenceError(CocycleLabError):
-    """An iterative kernel (eigensolver, ODE stepper) hit its iteration cap."""
+    """The adaptive ODE stepper hit its step cap or a step-size underflow."""
 
 
 class CenterMismatchError(CocycleLabError):
@@ -52,6 +52,11 @@ class VNotInvertibleError(CocycleLabError):
 
 class NotInvariantError(CocycleLabError):
     """A sampled trajectory exited the disk the growth report assumes invariant."""
+
+
+class DimensionTooLargeError(CocycleLabError, ValueError):
+    """The n^2 x n^2 commutator matrix ad_B0 was requested above the
+    dimension cap."""
 
 
 class NotResonantError(CocycleLabError):

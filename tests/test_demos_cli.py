@@ -193,7 +193,7 @@ class TestCli:
         assert main(["spectrum", "--scenario", scenario_path, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["violated_k"] == [1]
-        assert report["rank_route_agrees"] is True
+        assert "difference_set" not in report and "rank_route_agrees" not in report
 
     def test_growth_with_radius(self, scenario_path, tmp_path):
         out = tmp_path / "growth.json"
@@ -355,6 +355,22 @@ class TestCli:
         path = tmp_path / "boundary.json"
         path.write_text(json.dumps(data))
         assert main(["spectrum", "--scenario", str(path)]) == 2
+
+    def test_generator_above_the_dimension_cap(self, tmp_path, capsys):
+        # ad_B0 of a 33 x 33 B0 is 1089 x 1089: linearize and spectrum refuse
+        # it before building it; evolve builds no commutator matrix
+        data = json.loads(json.dumps(JORDAN_SCENARIO))
+        data["generator"] = {"dim": 33, "num_coeffs": [np.diag(0.01 * np.arange(1, 34)).tolist()]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        for command in ("linearize", "spectrum"):
+            assert main([command, "--scenario", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "error: DimensionTooLargeError: dimension 33 exceeds the cap 32 on ad_B0"
+            ]
+        assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
     def test_zero_generator_evolves_to_identity(self, tmp_path):
         data = dict(JORDAN_SCENARIO)
@@ -688,3 +704,24 @@ def test_scenario_commands_keep_the_exit_contract(tmp_path_factory, mutations):
         assert code in ((0, 1, 2) if command in ("check", "growth", "extract") else (0, 2))
         if code != 2:
             strict_json(out.getvalue())
+
+
+# each report and CSV file a command writes, aimed into a directory that does not exist
+UNWRITABLE = [
+    *([command, "--out"] for command in SCENARIO_COMMANDS),
+    ["demo", "jordan-obstruction", "--out"],
+    ["demo", "--list", "--out"],
+    ["evolve", "--csv"],
+    ["growth", "--csv"],
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE, ids=" ".join)
+def test_unwritable_output_path_is_input_error(scenario_path, tmp_path, capsys, argv):
+    target = tmp_path / "missing" / ("r.csv" if argv[-1] == "--csv" else "r.json")
+    head = [] if argv[0] == "demo" else ["--scenario", scenario_path]
+    assert main(argv[:1] + head + argv[1:] + [str(target)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: FileNotFoundError:") and str(target) in err[0]
