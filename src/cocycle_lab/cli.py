@@ -11,7 +11,8 @@ Each subcommand accepts only the flags it reads; argparse refuses any
 other flag with exit status 2.  Scenario files are JSON; complex numbers are
 ``[re, im]`` pairs and matrices are row-major nested arrays.  Exit status: 0
 on success, 1 when a verification check fails, 2 on input errors, an output
-path that cannot be written among them.
+path that cannot be written among them; a CSV written before a report that
+cannot be written is removed.
 """
 
 from __future__ import annotations
@@ -486,7 +487,12 @@ def main(argv=None) -> int:
             return 0 if passed else 1
         scn = _load_scenario(args.scenario)
         report, status = _COMMANDS[args.command][0](scn, args)
-        _emit(report, args.out)
+        try:
+            _emit(report, args.out)
+        except OSError:  # no report: the CSV written before it goes too
+            if getattr(args, "csv", None):
+                Path(args.csv).unlink(missing_ok=True)
+            raise
         return status
     except (CocycleLabError, OSError) as exc:  # an OSError: an --out or --csv path not written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -68,7 +68,7 @@ class PoleOnPathError(CocycleLabError):
 
 
 class TailNotConvergingError(CocycleLabError):
-    """The improper linearization integral has no decaying tail (Re rate <= 0)."""
+    """The interior linearizer's time integral has no decaying tail: no z0, or Re lam <= 0."""
 
 
 class OutsideConvergenceRegionError(CocycleLabError):

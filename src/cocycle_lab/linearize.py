@@ -14,8 +14,8 @@ obstructions.  This module implements the spectral condition check, the
 recursion with obstruction/resonance handling, a convergence-radius
 estimate, reconstruction validation against the evolution solver, the
 integral linearizers M = exp(integral) of the commutative (scalar) case,
-integrated as ODEs, and a sharpness construction that turns any resonant B0
-into a non-linearizable generator.
+each one ODE solve along a segment, and a sharpness construction that turns
+any resonant B0 into a non-linearizable generator.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .algebra import (
     sylvester_resolve,
     unvec,
 )
-from .cocycle import CocycleGenerator, _generator_batch, _generator_dim, evolve_grid
-from .dynamics import SemigroupModel, _disk_guard
+from .cocycle import _CAUCHY_THETAS, CocycleGenerator, _generator_batch, _generator_dim, evolve_grid
+from .dynamics import SemigroupModel
 from .errors import (
     NoInteriorFixedPointError,
     NotAttractingError,
@@ -372,74 +372,67 @@ def reconstruct_error(
     return err
 
 
-def commutative_linearize_interior(
-    model: SemigroupModel,
-    B,
-    z: complex,
-) -> complex:
-    """Scalar transfer map M(z) = exp of the improper integral of
-    B(F_t z) - B0 over t in [0, infinity), to an absolute error of about 1e-9.
-
-    ``integrate`` carries (F_t z, the integral up to t) in unit time chunks,
-    up to t = 500, at a per-step tolerance of 1e-10 relative to 1 + |y|.  It
-    stops after a chunk that adds at most 2.5e-10 once the tail after T,
-    bounded by |B(F_T z) - B0| / alpha with
-    alpha = Re(lam) (1 - |z|) / (1 + |z|), is at most 5e-10.
+def _segment_transfer(f, B, a: complex, c: complex, z: complex, tol: float, ring=0.0) -> complex:
+    """exp(-I), I the integral of g(u) = (B(u) - c) / f(u) du along the
+    segment u = a + s (z - a), s in [0, 1], by one ``integrate`` call at
+    per-step tolerance ``tol``, relative to 1 + |I|.  A ``ring`` > 0 marks a
+    removable singularity of g at a = z0: g(a) is then the mean of g over the
+    64 ``_CAUCHY_THETAS`` nodes on the circle of that radius about a, exact by
+    the mean-value property up to an error geometric in the node count.
     """
-    if _generator_dim(B, complex(z)) != 1:
+    d = z - a
+
+    def g(u):
+        return (_generator_batch(B, u, 1)[:, 0, 0] - c) / f(u)
+
+    g0 = np.mean(g(a + ring * np.exp(1j * _CAUCHY_THETAS)), keepdims=True) if ring else None
+
+    def rhs(s, _y):
+        return (g0 if s == 0.0 and ring else g(np.array([a + s * d]))) * d
+
+    integral = integrate(rhs, (0.0, 1.0), np.zeros(1, dtype=complex), tol=tol)[-1, 0]
+    return complex(np.exp(-integral))
+
+
+def commutative_linearize_interior(model: SemigroupModel, B, z: complex) -> complex:
+    """Scalar transfer map M(z) = exp(-integral of (B(u) - B0) / f(u) du
+    along [z0, z]), B0 = B(z0), by ``_segment_transfer`` at tol 1e-10.
+
+    z0 is f's one zero in the disk, a simple one, so the integrand is
+    holomorphic there but for a removable singularity at z0: the integral
+    does not depend on the path, and equals minus the improper integral of
+    B(F_t z) - B0 over t in [0, infinity) along the trajectory.
+    """
+    z = complex(z)
+    if _generator_dim(B, z) != 1:
         raise ValueError("the closed-form interior linearizer is scalar-only")
     if not model.is_interior:
         raise TailNotConvergingError("interior fixed point required")
-    lam = model.rate
-    if lam.real <= 0:
+    if model.rate.real <= 0:
         raise TailNotConvergingError("Re(-f'(z0)) <= 0: no decay toward z0")
-    z = complex(z)
     if abs(z) >= 1.0:
         raise OutOfDomainError("flow point outside the open unit disk")
     if z == model.z0:
         return 1.0 + 0.0j
     b0 = _generator_batch(B, np.array([model.z0]), 1)[0, 0, 0]
-    alpha = lam.real * (1.0 - abs(z)) / (1.0 + abs(z))
-
-    def rhs(_t, y):  # (f(u), B(u) - B0) for y = (u, integral)
-        return np.concatenate([model.f(y[:1]), _generator_batch(B, y[:1], 1)[:, 0, 0] - b0])
-
-    y = np.array([z, 0.0], dtype=complex)
-    for t_lo in range(500):
-        before = y[1]
-        y = integrate(rhs, (t_lo, t_lo + 1.0), y, tol=1e-10, guard=_disk_guard(1))[-1]
-        if abs(y[1] - before) <= 2.5e-10 and abs(rhs(0.0, y)[1]) / alpha <= 5e-10:
-            return complex(np.exp(y[1]))
-    raise TailNotConvergingError("integral tail did not fall below tolerance")
+    return _segment_transfer(model.f, B, model.z0, b0, z, 1e-10, 0.1 * (1.0 - abs(model.z0)))
 
 
-def commutative_linearize_nofix(
-    f,
-    B,
-    z: complex,
-    *,
-    tol: float = 1e-10,
-) -> complex:
+def commutative_linearize_nofix(f, B, z: complex, *, tol: float = 1e-10) -> complex:
     """Scalar transfer map M(z) = exp(-integral of B/f along [0, z]) for
     semigroups without an interior fixed point.
 
     The cocycle is then the coboundary Gamma_t(z) = M(F_t z)^{-1} M(z).
-    One ``integrate`` call carries d/ds log M(sz) = -z B(sz) / f(sz) over
-    [0, 1]; ``tol`` is its per-step tolerance, relative to 1 + |log M|, not
-    an absolute quadrature error.  f must not vanish at 65 probes of [0, z].
+    ``tol`` is ``_segment_transfer``'s per-step tolerance, relative to
+    1 + |log M|, not an absolute quadrature error.  f must not vanish at 65
+    probes of [0, z].
     """
     z = complex(z)
     if _generator_dim(B, z / 2 if z else 0.0) != 1:
         raise ValueError("the closed-form linearizer is scalar-only")
     if np.min(np.abs(f(np.linspace(0.0, 1.0, 65) * z))) <= 1e-8:
         raise PoleOnPathError("generator vanishes on the integration segment")
-
-    def rhs(s, _y):
-        w = np.array([s * z])
-        return _generator_batch(B, w, 1)[:, 0, 0] / f(w) * z
-
-    integral = integrate(rhs, (0.0, 1.0), np.zeros(1, dtype=complex), tol=tol)[-1, 0]
-    return complex(np.exp(-integral))
+    return _segment_transfer(f, B, 0.0, 0.0, z, tol)
 
 
 def sharpness_witness(

@@ -93,6 +93,16 @@ def test_traced_witness_linearize_reaches_the_selftest_layers():
     assert calls["algebra.sylvester_resolve"] == 1
 
 
+def test_traced_affine_demo_reaches_the_commutative_layer():
+    # the self-test needs linearize.commutative non-zero on cli-demos, whose
+    # one route to it is the affine-scalar demo's transfer-map check
+    recorder = spans.Recorder(counting.Counters())
+    with spans.recording(recorder, "contract"):
+        _report, passed = cli.run_demo("affine-scalar")
+    assert passed
+    assert recorder.summary()["calls"].get("linearize.commutative", 0) >= 1
+
+
 def test_demo_oracles_broadcast_bit_equal_to_scalar_calls():
     # the evolve-wide check stacks scalar oracle calls; the CLI demos call the
     # oracle once on the whole grid

@@ -706,13 +706,16 @@ def test_scenario_commands_keep_the_exit_contract(tmp_path_factory, mutations):
             strict_json(out.getvalue())
 
 
-# each report and CSV file a command writes, aimed into a directory that does not exist
+# each report and CSV file a command writes, aimed into a directory that does
+# not exist, alone or beside a writable ok.* file of the other kind
 UNWRITABLE = [
     *([command, "--out"] for command in SCENARIO_COMMANDS),
     ["demo", "jordan-obstruction", "--out"],
     ["demo", "--list", "--out"],
     ["evolve", "--csv"],
     ["growth", "--csv"],
+    *([command, "--csv", "ok.csv", "--out"] for command in ("evolve", "growth")),
+    *([command, "--out", "ok.json", "--csv"] for command in ("evolve", "growth")),
 ]
 
 
@@ -720,8 +723,11 @@ UNWRITABLE = [
 def test_unwritable_output_path_is_input_error(scenario_path, tmp_path, capsys, argv):
     target = tmp_path / "missing" / ("r.csv" if argv[-1] == "--csv" else "r.json")
     head = [] if argv[0] == "demo" else ["--scenario", scenario_path]
-    assert main(argv[:1] + head + argv[1:] + [str(target)]) == 2
+    rest = [str(tmp_path / a) if a.startswith("ok.") else a for a in argv[1:]]
+    assert main(argv[:1] + head + rest + [str(target)]) == 2
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
     assert captured.out == "" and len(err) == 1
     assert err[0].startswith("error: FileNotFoundError:") and str(target) in err[0]
+    # a run that exits 2 leaves no output file, whichever write failed
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]

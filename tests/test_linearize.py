@@ -441,6 +441,24 @@ class TestCommutativeInterior:
         with pytest.raises(TailNotConvergingError):
             commutative_linearize_interior(model, gen, 0.3)
 
+    def test_plain_callable_off_center_matches_series(self):
+        # f = (0.3 - z)(1 - 0.3 z) puts z0 at 0.3; B = 1/(2 - z) reaches the
+        # segment integral as a plain callable, without ``taylor``, and the
+        # first point sits 1e-3 from the removable singularity at z0
+        model = build_model(RationalMap([0.3, -1.09, 0.3]))
+        out = linearize(model, CocycleGenerator.scalar([1.0], [2.0, -1.0]))
+        assert model.z0 == pytest.approx(0.3) and out.status == "linearizable"
+
+        def plain(u):
+            return (1.0 / (2.0 - np.asarray(u, dtype=complex)))[..., None, None]
+
+        for z in (model.z0 + 1e-3, 0.1, 0.3 + 0.25j, -0.5, 0.9j):
+            hz = model.koenigs.evaluate(z)
+            assert abs(z - model.z0) <= model.koenigs_radius
+            assert abs(hz) <= 0.8 * out.radius_estimate
+            m_series = out.m.evaluate(hz)[0, 0]
+            assert abs(commutative_linearize_interior(model, plain, z) - m_series) <= 1e-8
+
 
 class TestCommutativeNoFix:
     AFFINE = RationalMap([1.0, -1.0])
