@@ -176,18 +176,20 @@ def schur(a) -> tuple[np.ndarray, np.ndarray]:
     return q, np.triu(t)
 
 
-def _sweeper(t: np.ndarray):
-    """The column sweep for upper-triangular t: a function of (kl, rhs) that
-    solves ``kl x - (x t - t x) = rhs`` one column at a time,
-    (kl + t - t_jj) x_j = rhs_j + sum_{i<j} t_ij x_i.  Each call inverts
-    its n triangular blocks in one batched call; the blocks' fixed part
-    t - t_jj is built once here."""
+def _sweeper(t: np.ndarray, lam: complex, orders):
+    """The column sweep for upper-triangular t: a function of (k, rhs), k one
+    of ``orders``, that solves ``k lam x - (x t - t x) = rhs`` one column at
+    a time, (k lam + t - t_jj) x_j = rhs_j + sum_{i<j} t_ij x_i.  The n
+    triangular blocks of every order are inverted here, in one batched call
+    (order n^3 complex values), so a singular block must not be among them."""
     n = t.shape[0]
     eye = np.eye(n)
     shifted = t - np.diagonal(t)[:, None, None] * eye
+    kls = np.asarray(orders) * complex(lam)
+    invs = dict(zip(orders, np.linalg.inv(shifted + kls[:, None, None, None] * eye)))
 
-    def sweep(kl: complex, rhs: np.ndarray) -> np.ndarray:
-        inv = np.linalg.inv(shifted + kl * eye)
+    def sweep(k: int, rhs: np.ndarray) -> np.ndarray:
+        inv = invs[k]
         x = np.empty_like(rhs)  # row j holds x_j, so each step reads whole rows
         for j, r_j in enumerate(rhs.T):
             x[j] = inv[j] @ (r_j + t[:j, j] @ x[:j])
@@ -278,8 +280,8 @@ def sylvester_resolve(
     zeroed), "resonant_solvable" if its defect in the factored system is at
     most tol * max(1, ||rhs||_F), else "obstructed".  Every other order gets
     the unique solution from the column sweep in the Schur basis of b0
-    (``schur``, ``_sweeper``).  Callers solving many orders pass ad_B0 and
-    its 2-norm as ``ad``, ``ad_norm``.
+    (``schur``, and ``_sweeper`` for the one order k).  Callers solving many
+    orders pass ad_B0 and its 2-norm as ``ad``, ``ad_norm``.
     """
     if k < 1:
         raise ValueError("order k must be a positive integer")
@@ -299,6 +301,6 @@ def sylvester_resolve(
             return SylvesterOutcome("obstructed", None, residual, sigma_min)
         return SylvesterOutcome("resonant_solvable", unvec(x, b.shape[0]), residual, sigma_min)
     q, t = schur(b)
-    m = q @ _sweeper(t)(kl, q.conj().T @ r @ q) @ q.conj().T
+    m = q @ _sweeper(t, lam, [k])(k, q.conj().T @ r @ q) @ q.conj().T
     residual = float(np.linalg.norm(kl * m - (m @ b - b @ m) - r))
     return SylvesterOutcome("unique", m, residual, sigma_min)

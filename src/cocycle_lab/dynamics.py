@@ -176,10 +176,12 @@ def build_model(f: RationalMap, order: int = 24) -> SemigroupModel:
     the disk, the rate lambda = -f'(z0) from f's Taylor series there, and
     assemble the Koenigs series and its reversion.
 
-    Raises NoInteriorFixedPointError when f has no zero with
-    |z0| < 1 - BOUNDARY_MARGIN, and ZeroRateError when lambda is
-    numerically zero (f identically zero counts as fixing z0 = 0).
+    Raises ValueError for an order below 1, NoInteriorFixedPointError when
+    f has no zero with |z0| < 1 - BOUNDARY_MARGIN, and ZeroRateError when
+    lambda is numerically zero (f identically zero counts as fixing z0 = 0).
     """
+    if order < 1:
+        raise ValueError(f"series order must be at least 1, got {order!r}")
     zeros = _interior_roots(f.num) if np.any(f.num) else np.zeros(1)
     if not zeros.size:
         raise NoInteriorFixedPointError("f has no zero inside the unit disk")

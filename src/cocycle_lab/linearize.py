@@ -217,13 +217,16 @@ def linearize(
     move into its basis in one product, and m back in one at the end.  An
     order in ``violated_k`` is one ``sylvester_resolve`` call, the only full
     SVD of k lam - ad_B0; every other order is one column sweep (``_sweeper``:
-    n triangular n x n systems, inverted in one batched call).  C1 =
-    max 1 / sigma_min(k lam - ad_B0) takes ``condition_check``'s batched
-    sigma_min up to k_bound, and beyond it singular values only where the
-    floor |k lam| - ||ad_B0|| could raise C1.  One batch of ||b_k|| serves
-    the choice of C2 and r (``_certificate``) and the "coboundary" test
-    ||B0|| <= 1e-10.  ``tail_ratio`` is ||m_N|| radius^N.
+    the n triangular n x n blocks of all those orders are inverted in one
+    batched call before the loop).  C1 = max 1 / sigma_min(k lam - ad_B0)
+    takes ``condition_check``'s batched sigma_min up to k_bound, and beyond
+    it singular values only where the floor |k lam| - ||ad_B0|| could raise
+    C1.  One batch of ||b_k|| serves the choice of C2 and r (``_certificate``)
+    and the "coboundary" test ||B0|| <= 1e-10.  ``tail_ratio`` is
+    ||m_N|| radius^N.  An order below 1 raises ValueError.
     """
+    if order < 1:
+        raise ValueError(f"series order must be at least 1, got {order!r}")
     if not model.is_interior:
         raise NoInteriorFixedPointError("series linearization requires an interior fixed point")
     lam = model.rate
@@ -243,7 +246,7 @@ def linearize(
     q, t = schur(b0)
     qh = q.conj().T
     b_stack = (qh @ b.coeffs[:0:-1] @ q).reshape(-1, n)
-    sweep = _sweeper(t)
+    sweep = _sweeper(t, lam, [k for k in range(1, order + 1) if k not in cond.violated_k])
     m_row = np.zeros((n, (order + 1) * n), dtype=complex)
     m_row[:, :n] = np.eye(n)
     resonant_passed = False
@@ -260,7 +263,7 @@ def linearize(
             elif 1.0 / (abs(k * lam) - ad_norm) > c1:
                 res = _resolvent(k, lam, ad, ad_norm, resonance_rtol, vectors=False)
                 c1 = max(c1, 1.0 / float(res.sv[-1]))
-            m_row[:, k * n : (k + 1) * n] = sweep(k * lam, rhs)
+            m_row[:, k * n : (k + 1) * n] = sweep(k, rhs)
             continue
         out = sylvester_resolve(
             k, lam, b0, q @ rhs @ qh, tol=sylvester_tol, resonance_rtol=resonance_rtol,

@@ -252,6 +252,9 @@ def revert(s: ScalarSeries) -> ScalarSeries:
     up to w^(p-1), then s(g) - w = s'(g) (g - g*) + O(w^(2p)), so one step
     leaves g exact up to w^(2p-1): p exact coefficients become 2p, and each
     size is at most twice the previous one.  g = w / c_1 starts with 2.
+    Each step composes once and takes 1 / s'(g) as g' / (s(g))' (chain
+    rule), exact to w^(size-2), past the w^(size-p) that s(g) - w = O(w^p)
+    needs (Brent & Kung, J. ACM 25, 1978).
     """
     c = s.coeffs
     scale = max(1.0, *np.abs(c[:2]))
@@ -260,19 +263,19 @@ def revert(s: ScalarSeries) -> ScalarSeries:
     if s.order < 1 or abs(c[1]) <= 1e-12 * scale:
         raise NotInvertibleError("linear coefficient below tolerance")
     n = s.order
-    ident = np.zeros(n + 1, dtype=complex)
-    ident[1] = 1.0
-    ds = np.zeros(n + 1, dtype=complex)
-    ds[: n] = c[1:] * np.arange(1, n + 1)
-    g = ident / c[1]
+    ks = np.arange(1, n + 1)
+    g = np.zeros(n + 1, dtype=complex)
+    g[1] = 1.0 / c[1]
     sizes = []
     size = n + 1
     while size > 2:
         sizes.append(size)
         size = (size + 1) // 2
     for size in reversed(sizes):
-        err = _compose_coeffs(c[:size], g[:size]) - ident[:size]
-        slope = _compose_coeffs(ds[:size], g[:size])
-        g[:size] -= _mul_coeffs(err, _recip_coeffs(slope))
+        # s(g) - w is w times sg[1:] less 1 at w^0: c_0 is taken as 0
+        sg = _compose_coeffs(c[:size], g[:size])
+        slope = _mul_coeffs(g[1:size] * ks[: size - 1], _recip_coeffs(sg[1:] * ks[: size - 1]))
+        sg[1] -= 1.0
+        g[1:size] -= _mul_coeffs(sg[1:], slope)
     g[0] = s.center
     return ScalarSeries(0.0, g)

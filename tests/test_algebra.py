@@ -8,6 +8,7 @@ import pytest
 from cocycle_lab.algebra import (
     RESONANCE_RTOL,
     _resolvent,
+    _sweeper,
     ad_matrix,
     log_norm,
     mat_exp,
@@ -387,3 +388,26 @@ class TestSchur:
         match_multisets(np.diagonal(t), spectrum, tol)
         if name == "non-normal-16":
             assert np.linalg.cond(np.linalg.eig(b0)[1]) > 1e8
+
+
+def _single_order_sweep(t, kl, rhs):
+    """The column sweep with the blocks of one order inverted on their own."""
+    n = t.shape[0]
+    inv = np.linalg.inv(t - np.diagonal(t)[:, None, None] * np.eye(n) + kl * np.eye(n))
+    x = np.empty_like(rhs)
+    for j, r_j in enumerate(rhs.T):
+        x[j] = inv[j] @ (r_j + t[:j, j] @ x[:j])
+    return x.T
+
+
+def test_batched_sweep_bit_equal_to_single_order_inverses():
+    # a stacked inverse runs the same LAPACK solve on each matrix
+    _, t = schur(non_normal_b0(8, 0.5)[1][0])
+    lam = complex(0.9, 0.2)
+    orders = [1, 2, 3, 7, 16, 33, 64]
+    sweep = _sweeper(t, lam, orders)
+    for k in orders:
+        rhs = random_matrix(8)
+        expected = _single_order_sweep(t, k * lam, rhs)
+        assert sweep(k, rhs).tobytes() == expected.tobytes()
+        assert _sweeper(t, lam, [k])(k, rhs).tobytes() == expected.tobytes()

@@ -111,6 +111,14 @@ class TestBuildModel:
         with pytest.raises(ZeroRateError):
             build_model(RationalMap([0.0]))
 
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_order_below_one_refused(self, order):
+        # the order is judged first: AFFINE, which has no interior fixed
+        # point, gets the order's error, not NoInteriorFixedPointError
+        for f in (LINEAR, AFFINE):
+            with pytest.raises(ValueError, match=f"order must be at least 1, got {order}$"):
+                build_model(f, order=order)
+
 
 class TestFlow:
     def test_linear_closed_form(self):

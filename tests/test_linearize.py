@@ -343,6 +343,18 @@ class TestLinearize:
         shifted = CocycleGenerator.scalar([0.2, 0.3], [1.0, 0.3])
         assert linearize(LINEAR_MODEL, shifted).status == "linearizable"
 
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_order_below_one_refused(self, order, monkeypatch):
+        # order 0 would certify "linearizable" with radius inf from no
+        # computed order; the refusal comes before the conjugated generator
+        def unreachable(*args):
+            raise AssertionError("conjugated_generator reached")
+
+        monkeypatch.setattr(linearize_module, "conjugated_generator", unreachable)
+        for model in (LINEAR_MODEL, build_boundary_model(RationalMap([1.0, -1.0]))):
+            with pytest.raises(ValueError, match=f"order must be at least 1, got {order}$"):
+                linearize(model, SCALAR.generator, order=order)
+
     def test_near_resonance_flagged(self):
         b0 = np.diag([0.0, 1.0 + 5e-5]).astype(complex)
         gen = CocycleGenerator(np.stack([b0, 0.1 * E12]))
@@ -711,8 +723,9 @@ def test_schur_recursion_matches_kronecker_recursion(case, n, status):
 # n^2-sized factorization; every other order is a column sweep in the Schur
 # basis of B0, whose deflation takes one full SVD of each size n ... 2.
 # Measured: 0 full 16x16 SVDs (65 when every order took one), and no 16x16
-# solve or inverse at any order (64 when every order took an LU solve): each
-# order inverts its n triangular 4x4 blocks in one batched call.
+# solve or inverse at any order (64 when every order took an LU solve).  The
+# n triangular 4x4 blocks of all 64 orders are inverted in one batched call
+# (64 calls when each order inverted its own).
 def test_full_svds_only_at_orders_that_may_resonate(svd_counter, solve_counter):
     rng = np.random.default_rng(64)
     n = 4
@@ -728,7 +741,7 @@ def test_full_svds_only_at_orders_that_may_resonate(svd_counter, solve_counter):
     assert svd_counter.full[n * n] == len(out.violated_k) == 0
     assert [svd_counter.full[size] for size in (4, 3, 2)] == [1, 1, 1]
     assert solve_counter.by_size[n * n] == 0
-    assert solve_counter.by_size[n] - inverses == 64
+    assert solve_counter.by_size[n] - inverses == 1
 
 
 # Work-counter gate on a 16x16 generator at order 64 (f = -z + 0.3 z^2, B0
@@ -757,3 +770,44 @@ def test_large_svds_only_where_c1_may_rise(svd_counter, solve_counter):
     m, sigmas, _ = kronecker_recursion(model, gen, order)
     assert out.diagnostics["C1"] == pytest.approx(1.0 / min(sigmas), rel=1e-14, abs=0.0)
     assert_m_close(out.m.coeffs, m)
+
+
+class TestBatchedSweep:
+    """``linearize`` inverts the triangular blocks of every order it sweeps in
+    one batched call before the recursion, and never those of an order in
+    ``violated_k``, whose blocks may be exactly singular."""
+
+    def test_jordan_blocks_singular_at_the_violated_order(self):
+        # B0 = diag(1, 2) and lam = 1: the block 1 + t - t_jj of order 1 is
+        # singular, so inverting it in the batch would raise for every order
+        _, t = algebra.schur(JORDAN.generator(0.0))
+        with pytest.raises(np.linalg.LinAlgError):
+            algebra._sweeper(t, 1.0, [1, 2])
+        out = linearize(LINEAR_MODEL, JORDAN.generator, order=24)
+        assert (out.status, out.obstructed_at, out.violated_k) == ("obstructed", 1, [1])
+
+    def test_resonant_chain_sweeps_all_but_its_violated_order(self, monkeypatch):
+        built, swept, resolved = [], [], []
+        sweeper, resolve = linearize_module._sweeper, linearize_module.sylvester_resolve
+
+        def recording_sweeper(t, lam, orders):
+            built.append(list(orders))
+            sweep = sweeper(t, lam, orders)
+
+            def recording(k, rhs):
+                swept.append(k)
+                return sweep(k, rhs)
+
+            return recording
+
+        def recording_resolve(k, *args, **kwargs):
+            resolved.append(k)
+            return resolve(k, *args, **kwargs)
+
+        monkeypatch.setattr(linearize_module, "_sweeper", recording_sweeper)
+        monkeypatch.setattr(linearize_module, "sylvester_resolve", recording_resolve)
+        out = linearize(LINEAR_MODEL, demo_by_name("resonant-solvable").generator, order=24)
+        assert (out.status, out.violated_k) == ("resonant_solvable", [1])
+        assert built == [list(range(2, 25))]
+        assert swept == list(range(2, 25))
+        assert resolved == [1]
