@@ -13,12 +13,18 @@ holomorphic B into a semicocycle.  Growth is controlled by the logarithmic
 norm of B over invariant disks.
 
 ``evolve_grid`` integrates every point in one state vector with the
-DOP853 pair of ``integrate``, twelve right-hand-side calls per accepted
-step and eleven per rejected one.  Its right-hand side calls B once on all
-the points.  For n <= 3 the state holds G as (n, n, m), the point axis
-last, and B(u) G is n broadcast multiply-adds, each one contiguous loop over
-the m points; for larger n the state holds G as (m, n, n) and B(u) G is
-numpy's stacked matmul.  Either way the result has shape (T, m, n, n).
+DOP853 pair of ``integrate``, as the skew product it is: the base u is
+integrated alone, calling f at each stage, and Gamma is its ``integrate.
+Fiber``.  B is called once per step, on the base states of all eleven
+stages, and once each for the first stage, the starting-step probe, an
+accepted step's end stage and an extended step's three stages, so an
+integration makes 2 + steps + accepted + extended B calls.  Neither B nor
+f may keep its argument.  A ``CocycleGenerator`` evaluates with the point
+axis innermost and returns a strided (m, n, n) view.  For n <= 4 the
+state holds G as (n, n, m), the point axis last, and B(u) G is one
+broadcast multiply and one sum, each a contiguous loop over the m points;
+for larger n the state holds G as (m, n, n) and B(u) G is numpy's stacked
+matmul.  Either way the result has shape (T, m, n, n).
 """
 
 from __future__ import annotations
@@ -49,27 +55,31 @@ _CAUCHY_THETAS = 2.0 * np.pi * np.arange(64) / 64
 #: that the average of exp(20 pi i s) over [0, 0.1] is exactly singular
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-#: largest matrix size n for which ``evolve_grid`` forms B(u) G as n
-#: broadcast multiply-adds over the point axis, in its (n, n, m) layout;
-#: numpy's stacked matmul over (m, n, n) pays about 0.3 us per matrix.
-#: Microseconds per product, broadcast / matmul, best of 9 (2-vCPU Xeon,
-#: numpy 2.4, one BLAS thread):
+#: largest matrix size n for which ``evolve_grid`` holds Gamma as (n, n, m)
+#: and forms B(u) G as one broadcast multiply over the point axis and one
+#: in-order sum over j; above it Gamma is (m, n, n) and B(u) G is numpy's
+#: stacked matmul, which pays about 0.3 us per matrix.  Microseconds per
+#: stage product, broadcast / matmul, with B from one point-last call on
+#: eleven stages of m points, best of 15 (2-vCPU Xeon, numpy 2.4, one BLAS
+#: thread):
 #:
 #:       m     n = 2        n = 3        n = 4        n = 5
-#:      16    5.5 / 6.3    7.1 / 6.7   10.7 / 6.8   15.0 / 7.5
-#:      65    5.2 / 19.0   9.8 / 22.3  16.9 / 22.3  36.8 / 25.9
-#:     128    7.0 / 36.7  14.5 / 46.7  26.8 / 39.1  45.5 / 46.0
-#:     512   12.8 / 141   34.0 / 160    105 / 260    848 / 295
+#:      16    5.2 / 8.1    6.2 / 8.9    8.3 / 9.3   12.0 / 11.6
+#:      65    5.6 / 24.7   9.3 / 30.2  14.8 / 31.5  26.2 / 33.1
+#:     128    7.0 / 41.4  13.1 / 53.9  23.7 / 60.6  42.4 / 77.6
+#:     512   14.6 / 126   31.2 / 138   57.3 / 144    130 / 294
 #:
-#: n = 4 wins from 65 points (one extraction) up but loses at 16; no
-#: workload integrates an n = 4 cocycle, so the cut stays at 3
-_BROADCAST_MAX_DIM = 3
+#: n = 4 wins at every size; n = 5 wins from 65 points (one extraction) up
+#: but not at 16, so the cut is 4
+_BROADCAST_MAX_DIM = 4
 
 
 class CocycleGenerator(_Rational):
     """Matrix-valued rational map z -> P(z) / q(z) with square matrix
     polynomial coefficients ``num[k]`` and scalar denominator ``den``; one
-    n x n matrix ``num`` is the constant P."""
+    n x n matrix ``num`` is the constant P.  Called on points of shape S
+    it returns shape S + (n, n), evaluated with the point axes innermost
+    (see ``series.horner``): a strided view, not a C-contiguous array."""
 
     _what = "generator"
     _den_axes = (..., None, None)
@@ -127,8 +137,10 @@ def evolve_grid(
     One ``integrate_at`` call carries all the z-points simultaneously to
     every time, so the times are nonnegative, in any order and may repeat;
     returns an array of shape (len(t_values), len(z_values), n, n).  ``B``
-    is called on the whole batch at once: given an array of m points it
-    must return an array of shape (m, n, n), else ValueError is raised.
+    is called on whole batches, the points of every stage of a step at
+    once: given an array of points it must return an array of shape
+    (len(points), n, n), which may be a strided view, else ValueError is
+    raised.
     """
     zs = np.asarray(list(z_values), dtype=complex)
     n = _generator_dim(B, complex(zs[0]) if zs.size else 0.0)
@@ -141,23 +153,25 @@ def evolve_grid(
     eye = np.eye(n, dtype=complex).ravel()
     y0 = np.concatenate([zs, np.repeat(eye, m) if broadcast else np.tile(eye, m)])
 
-    def rhs(_t, y):
-        u = y[:m]
-        bu = _generator_batch(B, u, n)
-        out = np.empty_like(y)
-        out[:m] = f(u)
-        if broadcast:
-            # (B G)[i, k, p] = sum_j B[i, j, p] G[j, k, p], one loop over p
-            g, acc = y[m:].reshape(n, n, m), out[m:].reshape(n, n, m)
-            bu = np.ascontiguousarray(bu.transpose(1, 2, 0))
-            np.multiply(bu[:, 0, None], g[None, 0], out=acc)
-            for j in range(1, n):
-                acc += bu[:, j, None] * g[None, j]
-        else:
-            np.matmul(bu, y[m:].reshape(m, n, n), out=out[m:].reshape(m, n, n))
-        return out
+    def lift(u):
+        # B at the base states of every stage at once: a CocycleGenerator
+        # returns (r m, n, n) as a view of its point-last (n, n, r m) block
+        bu = _generator_batch(B, u.ravel(), n).reshape(u.shape + (n, n))
+        if not broadcast:
+            return lambda i, g, out: np.matmul(bu[i], g.reshape(m, n, n), out=out.reshape(m, n, n))
+        bu = bu.transpose(0, 2, 3, 1)
+        terms = np.empty((n, n, n, m), dtype=complex)
 
-    states = _int.integrate_at(rhs, t_values, y0, tol=tol, guard=_disk_guard(m))[:, m:]
+        def times(i, g, out):
+            # (B G)[i, k, p] = sum_j B[i, j, p] G[j, k, p]: every product in
+            # one loop over p, then the sum over j in order
+            np.multiply(bu[i][:, :, None], g.reshape(1, n, n, m), out=terms)
+            np.add.reduce(terms, axis=1, out=out.reshape(n, n, m))
+
+        return times
+
+    states = _int.integrate_at(lambda _t, u: f(u), t_values, y0, tol=tol, guard=_disk_guard(m),
+                               fiber=_int.Fiber(m, lift))[:, m:]
     if broadcast:
         # one copy back to point-major order, so the result is not a
         # transposed view
@@ -286,7 +300,7 @@ def extract_generator(
     half = 0.5 * t0
     s_nodes = np.append(half * (_GAUSS_NODES + 1.0), t0)
     vals = gamma_grid(gamma, s_nodes, points)  # (17, 65, n, n)
-    v_vals = half * np.tensordot(_GAUSS_WEIGHTS, vals[:-1], axes=(0, 0))
+    v_vals = half * (_GAUSS_WEIGHTS @ vals[:-1].reshape(16, -1)).reshape(vals.shape[1:])
     gamma_t0 = vals[-1, 0]
 
     v_z = v_vals[0]
@@ -296,7 +310,7 @@ def extract_generator(
         raise VNotInvertibleError(f"V(t0={t0}, z={z}) is numerically singular")
     # dV/dz at the circle center: the trapezoid Cauchy integral on the ring
     weights = np.exp(-1j * _CAUCHY_THETAS) / (radius * _CAUCHY_THETAS.shape[0])
-    dv = np.tensordot(weights, v_vals[1:], axes=(0, 0))
+    dv = (weights @ v_vals[1:].reshape(64, -1)).reshape(v_vals.shape[1:])
     return np.linalg.solve(v_z, gamma_t0 - np.eye(len(v_z), dtype=complex) - complex(f(z)) * dv)
 
 

@@ -4,11 +4,13 @@ A model bundles the generator f, its interior fixed point z0 (the one zero
 of f inside the disk), the rate lambda = -f'(z0), and the Koenigs series h
 solving the Schroeder equation h(F_t(z)) = exp(-lambda t) h(z) with
 h(z0) = 0, h'(z0) = 1.  The flow F_t is always the direct integration of
-du/dt = f(u); the Koenigs series serve the linearization.
+du/dt = f(u); the Koenigs series serve the linearization alone, so a model
+builds them on their first read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -122,16 +124,44 @@ class SemigroupModel:
     """Semigroup data around an interior fixed point, or a boundary model
     with ``z0 is None`` and no Koenigs data.  Both kinds flow by the ODE.
 
-    ``koenigs_radius`` is the ratio-test estimate of h's radius about z0,
-    kept for ``reconstruct_error``'s sample guard alone."""
+    The Koenigs series ``koenigs`` (h about z0), its reversion
+    ``koenigs_inv`` and ``koenigs_radius``, the ratio-test estimate of h's
+    radius kept for ``reconstruct_error``'s sample guard alone, are built
+    from ``f_taylor``, f's Taylor coefficients about z0 to order + 1, on the
+    first read of any of them; a boundary model reads None, None and 0."""
 
     f: RationalMap
     z0: Optional[complex]
     rate: Optional[complex]
-    koenigs: Optional[ScalarSeries]
-    koenigs_inv: Optional[ScalarSeries]
-    koenigs_radius: float
     order: int
+    f_taylor: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @functools.cached_property
+    def _koenigs_data(self) -> tuple:
+        if self.z0 is None:
+            return None, None, 0.0
+        f_c, lam, order = self.f_taylor, self.rate, self.order
+        h = np.zeros(order + 1, dtype=complex)
+        h[1] = 1.0
+        # Schroeder recursion from h' f = -lambda h:
+        # h_k = sum_{0<j<k} j h_j f_{k+1-j} / (lambda (k - 1))
+        js = np.arange(order + 1)
+        for k in range(2, order + 1):
+            h[k] = (js[1:k] * h[1:k]) @ f_c[k:1:-1] / (lam * (k - 1))
+        koenigs = ScalarSeries(self.z0, h)
+        return koenigs, revert(koenigs), _ratio_radius(h)
+
+    @property
+    def koenigs(self) -> Optional[ScalarSeries]:
+        return self._koenigs_data[0]
+
+    @property
+    def koenigs_inv(self) -> Optional[ScalarSeries]:
+        return self._koenigs_data[1]
+
+    @property
+    def koenigs_radius(self) -> float:
+        return self._koenigs_data[2]
 
     @property
     def is_interior(self) -> bool:
@@ -173,8 +203,8 @@ def flow_ode(f: RationalMap, t, z, *, tol: float = 1e-12):
 
 def build_model(f: RationalMap, order: int = 24) -> SemigroupModel:
     """Take the interior fixed point z0 as the zero of f's numerator inside
-    the disk, the rate lambda = -f'(z0) from f's Taylor series there, and
-    assemble the Koenigs series and its reversion.
+    the disk and the rate lambda = -f'(z0) from f's Taylor series there;
+    the Koenigs series and its reversion wait for their first read.
 
     Raises ValueError for an order below 1, NoInteriorFixedPointError when
     f has no zero with |z0| < 1 - BOUNDARY_MARGIN, and ZeroRateError when
@@ -190,25 +220,7 @@ def build_model(f: RationalMap, order: int = 24) -> SemigroupModel:
     lam = -f_c[1]
     if abs(lam) < 1e-12:
         raise ZeroRateError("rate -f'(z0) is numerically zero")
-
-    h = np.zeros(order + 1, dtype=complex)
-    h[1] = 1.0
-    # Schroeder recursion from h' f = -lambda h:
-    # h_k = sum_{0<j<k} j h_j f_{k+1-j} / (lambda (k - 1))
-    js = np.arange(order + 1)
-    for k in range(2, order + 1):
-        h[k] = (js[1:k] * h[1:k]) @ f_c[k:1:-1] / (lam * (k - 1))
-    koenigs = ScalarSeries(z0, h)
-    koenigs_inv = revert(koenigs)
-    return SemigroupModel(
-        f=f,
-        z0=z0,
-        rate=lam,
-        koenigs=koenigs,
-        koenigs_inv=koenigs_inv,
-        koenigs_radius=_ratio_radius(h),
-        order=order,
-    )
+    return SemigroupModel(f=f, z0=z0, rate=lam, order=order, f_taylor=f_c)
 
 
 def build_boundary_model(f: RationalMap) -> SemigroupModel:
@@ -216,12 +228,4 @@ def build_boundary_model(f: RationalMap) -> SemigroupModel:
 
     It has no Koenigs data, so the series linearizer is disabled.
     """
-    return SemigroupModel(
-        f=f,
-        z0=None,
-        rate=None,
-        koenigs=None,
-        koenigs_inv=None,
-        koenigs_radius=0.0,
-        order=0,
-    )
+    return SemigroupModel(f=f, z0=None, rate=None, order=0)

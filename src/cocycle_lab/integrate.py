@@ -3,7 +3,7 @@
 A single Dormand-Prince 8(5,3) pair, DOP853 (Prince & Dormand, J. Comput.
 Appl. Math. 7, 1981; Hairer, Norsett & Wanner, *Solving ODEs I*, secs. II.5
 and II.10), drives both the semigroup flow and the cocycle evolution
-solver.  States are flat complex ndarrays; the right-hand side receives
+solver.  States are complex ndarrays; the right-hand side receives
 ``(t, y)`` and returns an array of the same shape.
 
 The step sequence does not depend on the output times: only the last step is
@@ -17,20 +17,34 @@ made once on each accepted step that holds an output time.  The first step
 comes from Hairer's starting-step rule (*Solving ODEs I*, sec. II.4), which
 costs one probe call.
 
+A skew product y = (u, G), u' = rhs(t, u) and G' = B(u) G, passes a
+``Fiber``: the base u = y[:size] never depends on G, so a step forms its
+eleven base stage inputs first, calling ``rhs`` on u alone at each, then
+makes one ``lift`` call on all eleven base states, which evaluates B, and
+forms the fiber stages in turn.  The first stage, the probe, the end stage
+and the extension's three stages take one ``lift`` call each, so an
+integration calls ``lift`` 2 + steps + accepted steps + extended steps
+times, and ``rhs`` as often as without a fiber.  Without a fiber the base
+is all of y.
+
 A step's stages live in one complex array of shape (16,) + y.shape: twelve
-for the step, its end stage, and three for the extension.  The tableau's
+for the step, its end stage, and three for the extension; one such array
+serves every step of an integration.  The tableau's
 weights are real, so every stage input, the eighth-order state, the error
 estimates and each interpolated state is one real matrix-vector product of
-a weight row with that array viewed as real numbers.  A step's eleven stage
-inputs share one buffer, overwritten stage by stage, so a right-hand side
-must not keep its ``y`` argument (returning it is fine: its value is copied
-into the stage array).
+a weight row, with the step size folded in, and that array viewed as real
+numbers.  The base stage inputs are the rows of one array, which ``lift``
+receives whole, and a step's fiber stage inputs share one buffer,
+overwritten stage by stage.  The integrator owns all of them, so neither
+``rhs``, nor ``lift``, nor the function ``lift`` returns may keep an array
+argument past its call (returning it is fine: its value is copied into the
+stage array).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -172,6 +186,17 @@ _MAX_FACTOR = 5.0
 _MAX_STEPS = 200_000
 
 
+class Fiber(NamedTuple):
+    """The linear fiber G' = B(u) G of a skew product y = (u, G) whose base
+    u = y[:size] solves u' = rhs(t, u) alone.  ``lift(u)``, for base states
+    stacked in rows of shape (r, size), returns ``times(i, g, out)``, which
+    writes B(u[i]) g, a derivative of the fiber state g = y[size:], into
+    ``out``."""
+
+    size: int
+    lift: Callable
+
+
 def _combine(w, stages, shape):
     """sum_i w[..., i] stages[i] as one real matrix product: the weights
     are real, so they act on the real and imaginary parts alike.  A weight
@@ -185,43 +210,86 @@ def _rms_norm(v) -> float:
     return float(np.linalg.norm(v)) / math.sqrt(max(v.size, 1))
 
 
-def _step(rhs, t, y, h, k1):
-    """One DOP853 step from (t, y) with first stage k1 = rhs(t, y): returns
-    (the eighth-order state, the unscaled fifth- and third-order error
-    estimates stacked with shape (2,) + y.shape, the stages stacked in one
-    array of shape (16,) + y.shape).  Stages 0-11 are filled.  Stage 12,
-    rhs(t + h, y_new), is left to the caller once it accepts y_new, and
-    rows 13-15 to ``_extend``.  Stage inputs 1-11 are formed in place in
-    one buffer, bit for bit y + h (_A[i, :i] . k[:i]), and passed to rhs
-    in turn, so rhs must not keep its argument past the call."""
-    k = np.empty((16,) + y.shape, dtype=complex)
-    # k's real rows, viewed once, and the one stage-input buffer
-    real = k.reshape(16, -1).view(float)
-    stage = np.empty(y.shape, dtype=complex)
-    stage_real = stage.reshape(-1).view(float)
+def _derivative(rhs, fiber, t, y, out):
+    """The whole right-hand side at the one state y, written into ``out``:
+    rhs(t, y) without a fiber; with one, rhs on the base and one lift call
+    for the fiber."""
+    if fiber is None:
+        out[...] = rhs(t, y)
+    else:
+        m = fiber.size
+        out[:m] = rhs(t, y[:m])
+        fiber.lift(y[None, :m])(0, y[m:], out[m:])
+    return out
+
+
+def _stages(rhs, fiber, t, y, h, ha, k, first, stop):
+    """Fill stages first .. stop-1 of ``k``, whose earlier stages are filled;
+    ``ha`` is h _A.  The base stage inputs y + ha[i] . k come first, each
+    passed to rhs, then, with a fiber, one lift call on all of them and the
+    fiber stage inputs in turn, formed in one buffer."""
+    m = len(y) if fiber is None else fiber.size
+    base, rows = y[:m], range(first, stop)
+    k_base = k[:, :m]
+    base_real = k_base.reshape(16, -1).view(float)
+    u = np.empty((len(rows),) + base.shape, dtype=complex)
+    u_real = u.reshape(len(rows), -1).view(float)
+    for r, i in enumerate(rows):
+        np.matmul(ha[i, :i], base_real[:i], out=u_real[r])
+        u[r] += base
+        k_base[i] = rhs(t + _C[i] * h, u[r])
+    if fiber is None:
+        return
+    times, g0 = fiber.lift(u), y[m:]
+    k_fiber = k[:, m:]
+    fiber_real = k_fiber.view(float)
+    g = np.empty_like(g0)
+    g_real = g.view(float)
+    for r, i in enumerate(rows):
+        np.matmul(ha[i, :i], fiber_real[:i], out=g_real)
+        g += g0
+        times(r, g, k_fiber[i])
+
+
+def _step(rhs, t, y, h, k1, fiber=None, k=None):
+    """One DOP853 step from (t, y) with first stage k1, the right-hand side
+    at (t, y): returns (the eighth-order state, the unscaled fifth- and
+    third-order error estimates stacked with shape (2,) + y.shape, the
+    stages stacked in one array of shape (16,) + y.shape, ``k`` when given,
+    which k1 may be a row of).  Stages 0-11 are filled.  Stage 12, at
+    (t + h, y_new), is left to the caller once it accepts y_new, and rows
+    13-15 to ``_extend``.  Stage input i is bit for bit
+    y + (h _A[i, :i]) . k[:i], and no callee may keep its argument."""
+    if k is None:
+        k = np.empty((16,) + y.shape, dtype=complex)
     k[0] = k1
-    for i in range(1, 12):
-        np.matmul(_A[i, :i], real[:i], out=stage_real)
-        stage *= h
-        stage += y
-        k[i] = rhs(t + _C[i] * h, stage)
-    return y + h * _combine(_B, k, y.shape), h * _combine(_ERR, k, y.shape), k
+    ha = h * _A
+    _stages(rhs, fiber, t, y, h, ha, k, 1, 12)
+    y_new = _combine(ha[12, :12], k, y.shape)
+    y_new += y
+    return y_new, _combine(h * _ERR, k, y.shape), k
 
 
 def _error_norm(err, y_new, tol) -> float:
     """The largest entry of r5^2 / hypot(r5, 0.1 r3), where r5 and r3 are
     the fifth- and third-order estimates scaled by tol (1 + |y_new|)."""
-    r5, r3 = np.abs(err) / (tol * (1.0 + np.abs(y_new)))
-    den = np.hypot(r5, 0.1 * r3)
+    scale = np.abs(y_new)
+    scale += 1.0
+    scale *= tol
+    r = np.abs(err)
+    r /= scale
+    r5, r3 = r
+    r3 *= 0.1
+    den = np.hypot(r5, r3, out=r3)
     ratio = np.divide(r5, den, out=np.zeros_like(den), where=den > 0.0)
-    return float(np.max(r5 * ratio, initial=0.0))
+    ratio *= r5
+    return float(np.max(ratio, initial=0.0))
 
 
-def _extend(rhs, t, y, h, k):
+def _extend(rhs, t, y, h, k, fiber=None):
     """Fill stages 13-15 of an accepted step's stack ``k`` (stage 12 filled),
     the three right-hand-side calls the continuous extension needs."""
-    for i in range(13, 16):
-        k[i] = rhs(t + _C[i] * h, y + h * _combine(_A[i, :i], k, y.shape))
+    _stages(rhs, fiber, t, y, h, h * _A, k, 13, 16)
 
 
 def _dense(y, h, k, theta):
@@ -229,10 +297,12 @@ def _dense(y, h, k, theta):
     ``theta``, of a step from (t, y) whose stages ``k`` are all filled."""
     s = 1.0 - theta
     basis = np.cumprod([theta, s, theta, s, theta, s, theta], axis=0)
-    return y + h * _combine(basis.T @ _DENSE, k, y.shape)
+    out = _combine(h * (basis.T @ _DENSE), k, y.shape)
+    out += y
+    return out
 
 
-def _first_step(rhs, t, y, k1, span, tol, guard) -> float:
+def _first_step(rhs, t, y, k1, span, tol, guard, fiber=None) -> float:
     """Hairer's starting step (*Solving ODEs I*, sec. II.4) for an eighth-
     order pair, in his root-mean-square norm with the error test's scale
     tol (1 + |y|); the norms below leave out the factor 1 / tol, so a tiny
@@ -251,7 +321,8 @@ def _first_step(rhs, t, y, k1, span, tol, guard) -> float:
             h0 *= 0.5
             if h0 < 1e-14 * span:
                 raise
-    d2 = _rms_norm((rhs(t + h0, y + h0 * k1) - k1) / weight) / h0
+    probe = _derivative(rhs, fiber, t + h0, y + h0 * k1, np.empty_like(y))
+    d2 = _rms_norm((probe - k1) / weight) / h0
     d = max(d1, d2)
     h1 = max(1e-6, 1e-3 * h0) if d <= 1e-15 * tol else (0.01 * tol / d) ** (1 / 8)
     return min(100.0 * h0, h1, span)
@@ -264,6 +335,7 @@ def integrate(
     *,
     tol: float = 1e-10,
     guard: Optional[Callable[[np.ndarray], None]] = None,
+    fiber: Optional[Fiber] = None,
 ) -> np.ndarray:
     """Integrate y' = rhs(t, y) from ``t_values[0]`` through the later times.
 
@@ -277,7 +349,9 @@ def integrate(
     (order 7, not controlled by the error estimate).  ``tol`` must be a
     positive finite number and every time finite, else ValueError.
     ``_MAX_STEPS`` caps the steps of the whole call.  ``rhs`` must not keep
-    its ``y`` argument: a step's stage inputs share one buffer.
+    its ``y`` argument: a step's stage inputs are overwritten.  With a
+    ``fiber``, y = (u, G) is a skew product: ``rhs`` sees and returns the
+    base u alone, and the fiber's lift gives G' (see ``Fiber``).
 
     ``guard`` is called on every accepted state, before the right-hand side
     sees it, and may raise (used to detect trajectories escaping the unit
@@ -310,23 +384,26 @@ def integrate(
         return out
     if guard is not None:
         guard(y)
-    k1 = rhs(t, y)
-    h = _first_step(rhs, t, y, k1, span, tol, guard)
+    k1 = _derivative(rhs, fiber, t, y, np.empty_like(y))
+    h = _first_step(rhs, t, y, k1, span, tol, guard, fiber)
+    # one stage array for every step: a fresh one per step costs page
+    # faults once the state outgrows the allocator's cached blocks
+    stack = np.empty((16,) + y.shape, dtype=complex)
     for _ in range(_MAX_STEPS):
         last = t_end - t <= h
         h_step = t_end - t if last else h
-        y_new, err, k = _step(rhs, t, y, h_step, k1)
+        y_new, err, k = _step(rhs, t, y, h_step, k1, fiber, stack)
         err_norm = _error_norm(err, y_new, tol)
         if err_norm <= 1.0:
             t_new = t_end if last else t + h_step
             if guard is not None:
                 guard(y_new)
-            k[12] = rhs(t + h_step, y_new)
+            _derivative(rhs, fiber, t + h_step, y_new, k[12])
             j = i
             while j < len(times) and times[j] < t_new:
                 j += 1
             if j > i:
-                _extend(rhs, t, y, h_step, k)
+                _extend(rhs, t, y, h_step, k, fiber)
                 out[i - 1 : j - 1] = _dense(y, h_step, k, (np.array(times[i:j]) - t) / h_step)
                 i = j
             while i < len(times) and times[i] <= t_new + slack:
@@ -351,6 +428,7 @@ def integrate_at(
     *,
     tol: float = 1e-10,
     guard: Optional[Callable[[np.ndarray], None]] = None,
+    fiber: Optional[Fiber] = None,
 ) -> np.ndarray:
     """States at nonnegative times in any order, repeats allowed, from t = 0:
     shape ``(len(t_values),) + y0.shape``, rows in the order asked.  The one
@@ -360,4 +438,5 @@ def integrate_at(
     times, where = np.unique(np.asarray(t_values, dtype=float).ravel(), return_inverse=True)
     if times.size and times[0] < 0:
         raise ValueError(f"t_values must be nonnegative, got {float(times[0])!r}")
-    return integrate(rhs, np.concatenate([[0.0], times]), y0, tol=tol, guard=guard)[where]
+    return integrate(rhs, np.concatenate([[0.0], times]), y0, tol=tol, guard=guard,
+                     fiber=fiber)[where]

@@ -25,20 +25,24 @@ def horner(coeffs: np.ndarray, u):
     """sum_k coeffs[k] u^k by Horner's rule.
 
     ``u`` is a point or an ndarray of points; coefficients of shape
-    ``(N+1,) + tail`` give a result of shape ``u.shape + tail``.
+    ``(N+1,) + tail`` give a result of shape ``u.shape + tail``.  Matrix
+    coefficients are evaluated with the point axes innermost, so each
+    multiply-add is one loop over the points per coefficient entry; the
+    result is then a strided view of that block, not a C-contiguous array.
     """
     tail = coeffs.shape[1:]
     u = np.asarray(u, dtype=complex)
     if coeffs.shape[0] == 1:
         return np.full(u.shape + tail, coeffs[0], dtype=complex)
-    if tail:
-        u = u.reshape(u.shape + (1,) * len(tail))
-    acc = coeffs[-1] * u
-    acc += coeffs[-2]
+    c = coeffs.reshape(coeffs.shape + (1,) * u.ndim) if tail else coeffs
+    acc = c[-1] * u
+    acc += c[-2]
     for k in range(coeffs.shape[0] - 3, -1, -1):
         acc *= u
-        acc += coeffs[k]
-    return acc
+        acc += c[k]
+    if not tail:
+        return acc
+    return acc.transpose(tuple(range(len(tail), acc.ndim)) + tuple(range(len(tail))))
 
 
 def _toeplitz(s: np.ndarray) -> np.ndarray:

@@ -120,7 +120,9 @@ class TestCocycleGenerator:
             for z in (zs, zs[4]):
                 value, quotient = m(z), horner(m.num, z) / (1.0 + 0.0j)
                 assert np.array_equal(value, quotient)
-                parts, quotient_parts = np.atleast_1d(value).view(float), np.atleast_1d(quotient).view(float)
+                # a matrix map's value is a point-last strided view
+                parts = np.atleast_1d(np.ascontiguousarray(value)).view(float)
+                quotient_parts = np.atleast_1d(np.ascontiguousarray(quotient)).view(float)
                 moved = parts.view(np.int64) != quotient_parts.view(np.int64)
                 assert np.all(parts[moved] == 0.0)
         # a -0.0 real part stays -0.0 where the division made it +0.0
@@ -363,6 +365,26 @@ class TestExtractGenerator:
         out = extract_generator(JORDAN.oracle, JORDAN.f, 0.5)
         assert svd_counter.by_size[2] == 1
         assert operator_norm(out - np.array([[1.0, 0.5], [0.0, 2.0]])) <= 1e-6
+
+    @pytest.mark.parametrize("demo", [SCALAR, JORDAN], ids=["n1", "n2"])
+    def test_stack_sums_bit_equal_to_tensordot(self, demo):
+        # the Gauss and Cauchy sums are matmuls on the reshaped 65-point
+        # stacks; the tensordot form they replaced gives the same bits
+        grids = []
+
+        def oracle(t, z):
+            grids.append(demo.oracle(t, z))
+            return grids[-1]
+
+        z, t0 = 0.3 - 0.2j, 0.1
+        out = extract_generator(oracle, demo.f, z, t0)
+        vals = grids[0]
+        radius = 0.1 * (1.0 - abs(z))
+        v_vals = 0.5 * t0 * np.tensordot(cocycle_module._GAUSS_WEIGHTS, vals[:-1], axes=(0, 0))
+        thetas = cocycle_module._CAUCHY_THETAS
+        dv = np.tensordot(np.exp(-1j * thetas) / (radius * len(thetas)), v_vals[1:], axes=(0, 0))
+        rhs = vals[-1, 0] - np.eye(demo.dim, dtype=complex) - complex(demo.f(z)) * dv
+        assert np.array_equal(out, np.linalg.solve(v_vals[0], rhs))
 
     def test_singular_average_retries(self):
         # exp(t b0) with b0 = 20 pi i makes V(0.1, z) exactly singular

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cocycle_lab import integrate
+from cocycle_lab import dynamics, integrate
 from cocycle_lab.cocycle import CocycleGenerator, growth_report
 from cocycle_lab.dynamics import (
     RationalMap,
@@ -98,6 +98,32 @@ class TestBuildModel:
         for k in range(2, order + 1):
             h[k] = sum(j * h[j] * f_c[k + 1 - j] for j in range(1, k)) / (m.rate * (k - 1))
         assert np.allclose(m.koenigs.coeffs, h, rtol=1e-14, atol=0.0)
+
+    def test_koenigs_data_built_on_first_read(self, monkeypatch):
+        # z0 and the rate come at once; the Schroeder series, its reversion
+        # and the radius estimate on the first read of any of the three
+        reverted = []
+        revert = dynamics.revert
+
+        def counted(s):
+            reverted.append(s)
+            return revert(s)
+
+        monkeypatch.setattr(dynamics, "revert", counted)
+        m = build_model(QUADRATIC, order=16)
+        assert m.z0 == 0 and m.rate == 1.0
+        m.flow(0.5, 0.3)
+        assert reverted == []
+        radius = m.koenigs_radius
+        assert len(reverted) == 1 and reverted[0] is m.koenigs
+        assert m.koenigs_inv is m.koenigs_inv and len(reverted) == 1
+        inv = revert(m.koenigs)
+        assert np.array_equal(m.koenigs_inv.coeffs, inv.coeffs)
+        assert radius == dynamics._ratio_radius(m.koenigs.coeffs)
+
+    def test_boundary_model_has_no_koenigs_data(self):
+        m = build_boundary_model(AFFINE)
+        assert (m.koenigs, m.koenigs_inv, m.koenigs_radius) == (None, None, 0.0)
 
     def test_boundary_generator_raises(self):
         with pytest.raises(NoInteriorFixedPointError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cocycle_lab import cocycle
 from cocycle_lab import integrate as integ
 from cocycle_lab.cocycle import (
     CocycleGenerator,
@@ -78,9 +79,9 @@ def test_rhs_calls_per_step_probe_and_extension(monkeypatch, step_counter):
     spans = []
     step = integ._step
 
-    def recording(rhs, t, y, h, k1):
+    def recording(rhs, t, y, h, *rest):
         spans.append((t, h))
-        return step(rhs, t, y, h, k1)
+        return step(rhs, t, y, h, *rest)
 
     monkeypatch.setattr(integ, "_step", recording)
     times = list(0.5 * (GAUSS_NODES + 1.0)) + [1.0]
@@ -283,8 +284,8 @@ def test_stacked_stage_combination_matches_the_explicit_sum(shape):
 
 
 def test_stage_inputs_match_the_allocating_expression():
-    # every stage input is formed in one buffer, bit for bit as
-    # y + h (_A[i, :i] . k[:i]) in a fresh array
+    # every stage input is formed in place, bit for bit as
+    # y + (h _A[i, :i]) . k[:i] in a fresh array: h is folded into the weights
     rng = np.random.default_rng(23)
     y = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
     h = 0.137
@@ -300,7 +301,7 @@ def test_stage_inputs_match_the_allocating_expression():
     real = k.reshape(16, -1).view(float)
     assert len(inputs) == 11
     for i, v in enumerate(inputs, start=1):
-        expected = y + h * (integ._A[i, :i] @ real[:i]).view(complex).reshape(y.shape)
+        expected = y + ((h * integ._A[i, :i]) @ real[:i]).view(complex).reshape(y.shape)
         assert v.tobytes() == expected.tobytes()
 
 
@@ -396,10 +397,10 @@ def test_commutative_interior_steps_and_no_flow(monkeypatch, step_counter, z, re
     assert abs(value - reference) <= 1e-10
 
 
-def counting_generator(generator):
-    """``generator`` as a CocycleGenerator that records how many points each
-    call evaluates."""
-    points = []
+def counting_generator(generator, points=None):
+    """``generator`` as a CocycleGenerator that records, in ``points`` (a
+    fresh list by default), how many points each call evaluates."""
+    points = [] if points is None else points
 
     class Counting(CocycleGenerator):
         def __call__(self, z):
@@ -418,27 +419,153 @@ def counting_generator(generator):
 # rounding flips a step's acceptance moves them.
 PIN_RNG_SEED = 20240517
 PIN_COUNTS = {"evolve_grid": (13, 87_040), "growth+axioms": (43, 3_792)}
+# B calls of the same two runs: one per step on all its stage states, not
+# one per stage (170 and 346 calls); the second includes growth_report's
+# one call on its ring for k_mu
+PIN_B_CALLS = {"evolve_grid": 32, "growth+axioms": 68}
 
 
-def test_step_and_b_point_counts_are_pinned(step_counter):
+def pin_cases(points):
+    """The two pinned runs, as functions of no arguments, with their
+    generators counting into ``points``."""
     rng = np.random.default_rng(PIN_RNG_SEED)
     zs = 0.7 * np.sqrt(rng.random(512)) * np.exp(2j * np.pi * rng.random(512))
     jordan = demo_by_name("jordan-obstruction")
-    B, points = counting_generator(jordan.generator)
-    _, steps = step_counter.run(evolve_grid, jordan.model(), B, (0.3, 0.6, 0.9, 1.2, 1.5), zs)
-    assert (steps, sum(points)) == PIN_COUNTS["evolve_grid"]
+    jordan_model = jordan.model()
+    jordan_b, _ = counting_generator(jordan.generator, points)
 
     model = build_model(RationalMap([0.0, -1.0, 0.3 - 0.2j]))
     scale = np.array([0.5, 0.3, 0.3])[:, None, None]
     num = scale * (rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)))
-    B, points = counting_generator(CocycleGenerator(num))
-    zs = 0.5 * np.sqrt(rng.random(4)) * np.exp(2j * np.pi * rng.random(4))
+    B, _ = counting_generator(CocycleGenerator(num), points)
+    axiom_zs = 0.5 * np.sqrt(rng.random(4)) * np.exp(2j * np.pi * rng.random(4))
+
+    def evolve():
+        evolve_grid(jordan_model, jordan_b, (0.3, 0.6, 0.9, 1.2, 1.5), zs)
 
     def growth_and_axioms():
         report = growth_report(model, B, 0.4)
-        axioms = check_axioms(model, make_evolve_oracle(model, B), (0.3, 0.7), zs, tol=1e-7)
-        return report, axioms
+        axioms = check_axioms(model, make_evolve_oracle(model, B), (0.3, 0.7), axiom_zs, tol=1e-7)
+        assert report.max_violation <= 1e-9 and axioms.passed
 
-    (report, axioms), steps = step_counter.run(growth_and_axioms)
-    assert report.max_violation <= 1e-9 and axioms.passed
-    assert (steps, sum(points)) == PIN_COUNTS["growth+axioms"]
+    return {"evolve_grid": evolve, "growth+axioms": growth_and_axioms}
+
+
+def test_step_and_b_point_counts_are_pinned(step_counter):
+    points = []
+    for name, run in pin_cases(points).items():
+        points.clear()
+        _, steps = step_counter.run(run)
+        assert (steps, sum(points)) == PIN_COUNTS[name]
+
+
+class IntegrationLog:
+    """Per ``integrate`` call: whether it had a fiber, the (t, h) of each
+    step, the steps it extended, and how many entries the lists
+    ``b_points`` and ``f_points`` gained during it."""
+
+    def __init__(self, monkeypatch, b_points, f_points):
+        self.calls = []
+        integrate, step, extend = integ.integrate, integ._step, integ._extend
+
+        def logged(*args, **kwargs):
+            call = {"fiber": kwargs.get("fiber") is not None, "steps": [], "extended": 0}
+            self.calls.append(call)
+            b0, f0 = len(b_points), len(f_points)
+            out = integrate(*args, **kwargs)
+            call["b_calls"], call["f_calls"] = len(b_points) - b0, len(f_points) - f0
+            return out
+
+        def logged_step(rhs, t, y, h, *rest):
+            self.calls[-1]["steps"].append((t, h))
+            return step(rhs, t, y, h, *rest)
+
+        def logged_extend(*args):
+            self.calls[-1]["extended"] += 1
+            return extend(*args)
+
+        monkeypatch.setattr(integ, "integrate", logged)
+        monkeypatch.setattr(integ, "_step", logged_step)
+        monkeypatch.setattr(integ, "_extend", logged_extend)
+
+
+def accepted_steps(steps):
+    """Steps of one finished integration whose successor starts later: a
+    rejected step is retried from its own start, and the last is accepted."""
+    starts = [t for t, _ in steps[1:]] + [None]
+    return sum(t != start for (t, _), start in zip(steps, starts))
+
+
+def test_b_and_f_calls_per_evolve_integration(monkeypatch):
+    # B once per step on all eleven stage states, and once each for the
+    # first stage, the probe, an accepted step's end and an extended step's
+    # three stages; f at every stage state, as without a fiber
+    f_points = []
+    call = RationalMap.__call__
+
+    def counted(self, z):
+        f_points.append(np.size(z))
+        return call(self, z)
+
+    monkeypatch.setattr(RationalMap, "__call__", counted)
+    points = []
+    log = IntegrationLog(monkeypatch, points, f_points)
+    for name, run in pin_cases(points).items():
+        points.clear()
+        log.calls.clear()
+        run()
+        evolves = [c for c in log.calls if c["fiber"]]
+        assert evolves and all(c["b_calls"] == 0 for c in log.calls if not c["fiber"])
+        for c in evolves:
+            steps, accepted, extended = len(c["steps"]), accepted_steps(c["steps"]), c["extended"]
+            assert 0 < accepted <= steps and extended <= accepted
+            assert c["b_calls"] == 2 + steps + accepted + extended
+            assert c["f_calls"] == 11 * steps + accepted + 2 + 3 * extended
+        assert len(points) == PIN_B_CALLS[name]
+
+
+def coupled_reference(model, B, times, zs, n, tol):
+    """evolve_grid's problem as one right-hand side with no fiber: Gamma
+    point-major in the state, and B called at every stage."""
+    m = len(zs)
+
+    def rhs(_t, y):
+        u = y[:m]
+        return np.concatenate([model.f(u), (np.asarray(B(u)) @ y[m:].reshape(m, n, n)).ravel()])
+
+    y0 = np.concatenate([zs, np.tile(np.eye(n, dtype=complex).ravel(), m)])
+    states = integ.integrate_at(rhs, times, y0, tol=tol, guard=_disk_guard(m))
+    return states[:, m:].reshape(len(times), m, n, n)
+
+
+def four_by_four():
+    rng = np.random.default_rng(4)
+    num = 0.4 * (rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)))
+    return build_model(RationalMap([0.0, -1.0, 0.3])), CocycleGenerator(num), 4
+
+
+def demo_case(name):
+    entry = demo_by_name(name)
+    return entry.model(), entry.generator, entry.dim
+
+
+FIBER_CASES = {
+    "n1": lambda: demo_case("linear-scalar-rational"),
+    "n2": lambda: demo_case("jordan-obstruction"),
+    "n4": four_by_four,
+    "callable": lambda: demo_case("sqrt-nonexp"),
+}
+
+
+@pytest.mark.parametrize("layout", ["point-last", "point-major"])
+@pytest.mark.parametrize("case", sorted(FIBER_CASES))
+def test_fiber_matches_the_coupled_right_hand_side(monkeypatch, step_counter, case, layout):
+    model, B, n = FIBER_CASES[case]()
+    monkeypatch.setattr(cocycle, "_BROADCAST_MAX_DIM", n if layout == "point-last" else n - 1)
+    rng = np.random.default_rng(len(case))
+    zs = 0.6 * np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
+    times = (0.7, 0.2, 1.1)
+    fiber, fiber_steps = step_counter.run(evolve_grid, model, B, times, zs, tol=1e-11)
+    reference, steps = step_counter.run(coupled_reference, model, B, times, zs, n, 1e-11)
+    assert fiber_steps == steps
+    assert np.max(np.abs(fiber - reference)) <= 1e-14 * np.max(np.abs(reference))

@@ -254,6 +254,16 @@ class TestHorner:
         for u in (0.3 - 0.4j, rng.normal(size=7) + 1j * rng.normal(size=7)):
             assert np.array_equal(series.horner(coeffs, u), _reference_horner(coeffs, u))
 
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_matrix_coefficients_give_the_point_shape_first(self, shape):
+        # evaluated point-last, returned as a view of shape u.shape + tail
+        rng = np.random.default_rng(len(shape))
+        coeffs = rng.normal(size=(4, 2, 3)) + 1j * rng.normal(size=(4, 2, 3))
+        u = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = series.horner(coeffs, u)
+        assert out.shape == shape + (2, 3)
+        assert np.array_equal(out, _reference_horner(coeffs, u))
+
 
 class TestAssociativity:
     def test_matrix_cauchy_product(self):
