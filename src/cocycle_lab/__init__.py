@@ -28,7 +28,6 @@ from .demos import DemoEntry, demo_by_name, demo_catalog
 from .dynamics import (
     RationalMap,
     SemigroupModel,
-    build_boundary_model,
     build_model,
     flow_ode,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "SylvesterOutcome",
     "ad_matrix",
     "boundedness_classify",
-    "build_boundary_model",
     "build_model",
     "check_axioms",
     "commutative_linearize_interior",

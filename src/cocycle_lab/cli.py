@@ -39,7 +39,7 @@ from .cocycle import (
     make_evolve_oracle,
 )
 from .demos import demo_by_name, demo_catalog
-from .dynamics import RationalMap, build_boundary_model, build_model
+from .dynamics import RationalMap, build_model
 from .errors import CocycleLabError, NoInteriorFixedPointError, ScenarioParseError
 from .linearize import (
     commutative_linearize_nofix,
@@ -141,13 +141,6 @@ class Scenario:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioParseError(f"bad scenario field: {exc}") from exc
 
-    def model(self, order=None):
-        order = self.order if order is None else order
-        try:
-            return build_model(self.f, order=order)
-        except NoInteriorFixedPointError:
-            return build_boundary_model(self.f)
-
 
 def _load_scenario(path: str) -> Scenario:
     try:
@@ -194,7 +187,7 @@ def _emit(report: dict, out_path) -> None:
 
 
 def _cmd_evolve(scn: Scenario, args) -> tuple[dict, int]:
-    model = scn.model()
+    model = build_model(scn.f, scn.order)
     vals = evolve_grid(model, scn.generator, scn.t_values, scn.z_values, tol=scn.ode_tol)
     zs = as_pairs(scn.z_values)
     samples = [
@@ -212,7 +205,7 @@ def _cmd_evolve(scn: Scenario, args) -> tuple[dict, int]:
 
 
 def _cmd_check(scn: Scenario, args) -> tuple[dict, int]:
-    model = scn.model()
+    model = build_model(scn.f, scn.order)
     gamma = make_evolve_oracle(model, scn.generator, tol=scn.ode_tol)
     report = check_axioms(model, gamma, scn.t_values, scn.z_values, tol=args.tol)
     return {"command": "check", **report.as_dict()}, 0 if report.passed else 1
@@ -220,7 +213,7 @@ def _cmd_check(scn: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_linearize(scn: Scenario, args) -> tuple[dict, int]:
     order = scn.order if args.order is None else args.order
-    model = scn.model(order=order)
+    model = build_model(scn.f, order)
     outcome = run_linearize(
         model,
         scn.generator,
@@ -232,9 +225,9 @@ def _cmd_linearize(scn: Scenario, args) -> tuple[dict, int]:
 
 
 def _cmd_spectrum(scn: Scenario, args) -> tuple[dict, int]:
-    model = scn.model()
+    model = build_model(scn.f, scn.order)
     if not model.is_interior:
-        raise ScenarioParseError("spectrum needs an interior fixed point")
+        raise NoInteriorFixedPointError("spectrum needs an interior fixed point")
     b0 = scn.generator(model.z0)
     report = condition_check(
         b0, model.rate, resonance_rtol=scn.resonance_tol
@@ -243,7 +236,7 @@ def _cmd_spectrum(scn: Scenario, args) -> tuple[dict, int]:
 
 
 def _cmd_growth(scn: Scenario, args) -> tuple[dict, int]:
-    model = scn.model()
+    model = build_model(scn.f, scn.order)
     ts = [t for t in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0) if t <= args.tmax] or [args.tmax]
     gamma = make_evolve_oracle(model, scn.generator, tol=scn.ode_tol)
     report = growth_report(model, scn.generator, args.radius, t_values=ts, gamma=gamma)
@@ -254,7 +247,7 @@ def _cmd_growth(scn: Scenario, args) -> tuple[dict, int]:
 
 
 def _cmd_extract(scn: Scenario, args) -> tuple[dict, int]:
-    model = scn.model()
+    model = build_model(scn.f, scn.order)
     gamma = make_evolve_oracle(model, scn.generator, tol=scn.ode_tol)
     rows = []
     worst = 0.0

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import integrate as _int
 from .algebra import as_matrix, as_pairs, log_norm, operator_norm
-from .dynamics import RationalMap, SemigroupModel, _disk_guard, _Rational
+from .dynamics import RationalMap, SemigroupModel, _disk_guard, _Rational, _require_disk
 from .errors import (
     NoInteriorFixedPointError,
     NotInvariantError,
@@ -143,6 +143,7 @@ def evolve_grid(
     raised.
     """
     zs = np.asarray(list(z_values), dtype=complex)
+    _require_disk(zs)
     n = _generator_dim(B, complex(zs[0]) if zs.size else 0.0)
     m = zs.shape[0]
     f = model.f
@@ -294,6 +295,7 @@ def extract_generator(
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
+    _require_disk(z)
     radius = 0.1 * (1.0 - abs(z))
     points = np.concatenate([[complex(z)], z + radius * np.exp(1j * _CAUCHY_THETAS)])
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cocycle import CocycleGenerator
-from .dynamics import RationalMap, SemigroupModel, build_boundary_model, build_model
+from .dynamics import RationalMap, SemigroupModel, build_model
 
 BETA_POWER_EXPONENT = 0.5
 BETA_POWER_WEIGHT = 0.3
@@ -40,6 +40,8 @@ def _closed_form(entries):
 
 @dataclass
 class DemoEntry:
+    """A worked example; ``boundary`` (f fixes no point in the disk) asks ``build_model``."""
+
     name: str
     description: str
     dim: int
@@ -47,16 +49,17 @@ class DemoEntry:
     generator: object  # CocycleGenerator or matrix-valued callable
     # Gamma(t, z) with outer-product axes: shape t.shape + z.shape + (n, n)
     oracle: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
-    boundary: bool = False
     expected: dict = field(default_factory=dict)
     # verification grid; entries with fast-growing cocycles choose a region
     # where the closed form stays moderate
     sample_t: tuple = (0.5, 1.0, 2.0)
     sample_z: tuple = (0.3 + 0.0j, -0.2 + 0.25j, 0.5j, 0.55 - 0.1j)
 
+    @property
+    def boundary(self) -> bool:
+        return not build_model(self.f).is_interior
+
     def model(self, order: int = 24) -> SemigroupModel:
-        if self.boundary:
-            return build_boundary_model(self.f)
         return build_model(self.f, order=order)
 
 
@@ -92,7 +95,6 @@ def _affine_scalar() -> DemoEntry:
         f=RationalMap([1.0, -1.0]),
         generator=CocycleGenerator.scalar([1.0], [1.0, -1.0]),
         oracle=_closed_form(entries),
-        boundary=True,
         # F_s(0) = 1 - e^{-s}, so |Gamma_t(F_s 0)| = exp((e^t - 1) e^s): over
         # s in {0, 1, 2, 3} the log-sup is (e^t - 1) e^3
         expected={"trajectory_log_sup": lambda t: (np.exp(t) - 1.0) * np.exp(3.0),

@@ -1,11 +1,11 @@
 """One-parameter semigroups on the unit disk built from rational generators.
 
 A model bundles the generator f, its interior fixed point z0 (the one zero
-of f inside the disk), the rate lambda = -f'(z0), and the Koenigs series h
-solving the Schroeder equation h(F_t(z)) = exp(-lambda t) h(z) with
-h(z0) = 0, h'(z0) = 1.  The flow F_t is always the direct integration of
-du/dt = f(u); the Koenigs series serve the linearization alone, so a model
-builds them on their first read.
+of f inside the disk, or None when f has none: a boundary model), the rate
+lambda = -f'(z0), and the Koenigs series h solving the Schroeder equation
+h(F_t(z)) = exp(-lambda t) h(z) with h(z0) = 0, h'(z0) = 1.  The flow F_t is
+always the direct integration of du/dt = f(u); the Koenigs series serve the
+linearization alone, so a model builds them on their first read.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ import numpy as np
 from . import integrate as _int
 from .errors import (
     DomainEscapeError,
-    NoInteriorFixedPointError,
     OutOfDomainError,
     ZeroRateError,
 )
-from .series import ScalarSeries, _rational_taylor, horner, revert
+from .series import ScalarSeries, _rational_taylor, _shift_poly, horner, revert
 
 #: safety factor applied to the ratio-test estimate of a series radius (read
 #: only by ``reconstruct_error``'s sample guard)
@@ -41,6 +40,12 @@ def _interior_roots(coeffs: np.ndarray) -> np.ndarray:
     polynomial)."""
     roots = np.roots(coeffs[::-1])
     return np.unique(roots[np.abs(roots) < 1.0 - BOUNDARY_MARGIN])
+
+
+def _require_disk(z) -> None:
+    """OutOfDomainError unless every point of ``z`` lies in the open unit disk."""
+    if not (np.abs(z) < 1.0).all():
+        raise OutOfDomainError("point outside the open unit disk")
 
 
 @dataclass
@@ -122,25 +127,24 @@ def _ratio_radius(coeffs: np.ndarray) -> float:
 @dataclass
 class SemigroupModel:
     """Semigroup data around an interior fixed point, or a boundary model
-    with ``z0 is None`` and no Koenigs data.  Both kinds flow by the ODE.
+    with ``z0`` and ``rate`` None, as ``build_model`` decides; both flow by the ODE.
 
     The Koenigs series ``koenigs`` (h about z0), its reversion
     ``koenigs_inv`` and ``koenigs_radius``, the ratio-test estimate of h's
     radius kept for ``reconstruct_error``'s sample guard alone, are built
-    from ``f_taylor``, f's Taylor coefficients about z0 to order + 1, on the
-    first read of any of them; a boundary model reads None, None and 0."""
+    from f's Taylor coefficients about z0 to order + 1, expanded on the
+    first read of any of the three; a boundary model reads None, None and 0."""
 
     f: RationalMap
     z0: Optional[complex]
     rate: Optional[complex]
     order: int
-    f_taylor: Optional[np.ndarray] = field(default=None, repr=False)
 
     @functools.cached_property
     def _koenigs_data(self) -> tuple:
         if self.z0 is None:
             return None, None, 0.0
-        f_c, lam, order = self.f_taylor, self.rate, self.order
+        f_c, lam, order = self.f.taylor(self.z0, self.order + 1).coeffs, self.rate, self.order
         h = np.zeros(order + 1, dtype=complex)
         h[1] = 1.0
         # Schroeder recursion from h' f = -lambda h:
@@ -194,38 +198,27 @@ def flow_ode(f: RationalMap, t, z, *, tol: float = 1e-12):
     ts, zs = np.asarray(t, dtype=float), np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(ts) & (ts >= 0)):
         raise ValueError(f"flow requires a finite t >= 0, got {t!r}")
-    if np.any(np.abs(zs) >= 1.0):
-        raise OutOfDomainError("flow point outside the open unit disk")
+    _require_disk(zs)
     out = _int.integrate_at(lambda _t, y: f(y), ts, zs.ravel(), tol=tol, guard=_disk_guard())
     out = out.reshape(ts.shape + zs.shape)
     return out if out.shape else complex(out)
 
 
 def build_model(f: RationalMap, order: int = 24) -> SemigroupModel:
-    """Take the interior fixed point z0 as the zero of f's numerator inside
-    the disk and the rate lambda = -f'(z0) from f's Taylor series there;
-    the Koenigs series and its reversion wait for their first read.
-
-    Raises ValueError for an order below 1, NoInteriorFixedPointError when
-    f has no zero with |z0| < 1 - BOUNDARY_MARGIN, and ZeroRateError when
-    lambda is numerically zero (f identically zero counts as fixing z0 = 0).
-    """
+    """The one place that decides whether f fixes a point z0 in the disk:
+    f's zero with |z0| < 1 - BOUNDARY_MARGIN, or else a boundary model.  The
+    rate lambda = -f'(z0) is -num'(z0) / den(z0), as num(z0) = 0; the Koenigs
+    series wait for their first read.  Raises ValueError for an order below
+    1 and ZeroRateError when lambda is numerically zero (f identically zero
+    counts as fixing z0 = 0)."""
     if order < 1:
         raise ValueError(f"series order must be at least 1, got {order!r}")
     zeros = _interior_roots(f.num) if np.any(f.num) else np.zeros(1)
     if not zeros.size:
-        raise NoInteriorFixedPointError("f has no zero inside the unit disk")
+        return SemigroupModel(f=f, z0=None, rate=None, order=order)
     z0 = complex(zeros[0])
-    f_c = f.taylor(z0, order + 1).coeffs
-    lam = -f_c[1]
+    # an appended zero leaves the shift bit-identical and gives f = 0 a num'
+    lam = -_shift_poly(np.append(f.num, 0.0), z0)[1] / horner(f.den, z0)
     if abs(lam) < 1e-12:
         raise ZeroRateError("rate -f'(z0) is numerically zero")
-    return SemigroupModel(f=f, z0=z0, rate=lam, order=order, f_taylor=f_c)
-
-
-def build_boundary_model(f: RationalMap) -> SemigroupModel:
-    """Model for a semigroup without an interior fixed point.
-
-    It has no Koenigs data, so the series linearizer is disabled.
-    """
-    return SemigroupModel(f=f, z0=None, rate=None, order=0)
+    return SemigroupModel(f=f, z0=z0, rate=lam, order=order)

@@ -22,8 +22,7 @@ class NotInvertibleError(CocycleLabError):
 
 
 class NoInteriorFixedPointError(CocycleLabError, ValueError):
-    """The generator f has no zero inside the unit disk, or a computation
-    that needs an interior fixed point got a boundary model."""
+    """A computation that needs an interior fixed point got a boundary model."""
 
 
 class ZeroRateError(CocycleLabError):
@@ -60,7 +59,7 @@ class NotResonantError(CocycleLabError):
 
 
 class PoleOnPathError(CocycleLabError):
-    """The generator denominator vanishes on the integration segment."""
+    """The no-fixed-point transfer map got an f with a zero in the disk."""
 
 
 class OutsideConvergenceRegionError(CocycleLabError):

@@ -42,12 +42,11 @@ from .algebra import (
     unvec,
 )
 from .cocycle import _CAUCHY_THETAS, CocycleGenerator, _generator_batch, _generator_dim, evolve_grid
-from .dynamics import SemigroupModel
+from .dynamics import RationalMap, SemigroupModel, _require_disk, build_model
 from .errors import (
     NoInteriorFixedPointError,
     NotAttractingError,
     NotResonantError,
-    OutOfDomainError,
     OutsideConvergenceRegionError,
     PoleOnPathError,
 )
@@ -412,28 +411,32 @@ def commutative_linearize_interior(model: SemigroupModel, B, z: complex) -> comp
         raise NoInteriorFixedPointError("interior fixed point required")
     if model.rate.real <= 0:
         raise NotAttractingError("Re(-f'(z0)) <= 0: no decay toward z0")
-    if abs(z) >= 1.0:
-        raise OutOfDomainError("flow point outside the open unit disk")
+    _require_disk(z)
     if z == model.z0:
         return 1.0 + 0.0j
     b0 = _generator_batch(B, np.array([model.z0]), 1)[0, 0, 0]
     return _segment_transfer(model.f, B, model.z0, b0, z, 1e-10, 0.1 * (1.0 - abs(model.z0)))
 
 
-def commutative_linearize_nofix(f, B, z: complex, *, tol: float = 1e-10) -> complex:
+def commutative_linearize_nofix(f: RationalMap, B, z: complex, *, tol: float = 1e-10) -> complex:
     """Scalar transfer map M(z) = exp(-integral of B/f along [0, z]) for
     semigroups without an interior fixed point.
 
     The cocycle is then the coboundary Gamma_t(z) = M(F_t z)^{-1} M(z).
     ``tol`` is ``_segment_transfer``'s per-step tolerance, relative to
-    1 + |log M|, not an absolute quadrature error.  f must not vanish at 65
-    probes of [0, z].
+    1 + |log M|, not an absolute quadrature error.  A z outside the open
+    disk raises OutOfDomainError, and an f with a zero z0 in the disk, by
+    ``build_model``'s test, PoleOnPathError for any z: Gamma_t(z0) =
+    exp(t B(z0)) is then a coboundary only if B(z0) = 0, which
+    ``commutative_linearize_interior`` covers.
     """
     z = complex(z)
+    _require_disk(z)
+    z0 = build_model(f).z0
+    if z0 is not None:
+        raise PoleOnPathError(f"f has a zero at {z0:.6g} inside the unit disk, a pole of 1/f")
     if _generator_dim(B, z / 2 if z else 0.0) != 1:
         raise ValueError("the closed-form linearizer is scalar-only")
-    if np.min(np.abs(f(np.linspace(0.0, 1.0, 65) * z))) <= 1e-8:
-        raise PoleOnPathError("generator vanishes on the integration segment")
     return _segment_transfer(f, B, 0.0, 0.0, z, tol)
 
 

@@ -6,6 +6,7 @@ and map classes.  A refactor that drops or moves one of those names breaks
 the benchmark, so these checks fail first.
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -121,6 +122,16 @@ def test_demo_oracles_broadcast_bit_equal_to_scalar_calls():
         grid = entry.oracle(ts, zs)
         assert grid.shape == (len(ts), len(zs), n, n), entry.name
         assert np.array_equal(grid, stacked), entry.name
+
+
+def test_demo_boundary_flag_survives_wrapping():
+    # evolve-wide skips the boundary demos by ``entry.boundary``, read after
+    # the harness replaces f and B with counting wrappers
+    counters = counting.Counters()
+    for entry in demos.demo_catalog():
+        wrapped = dataclasses.replace(entry, f=counting.wrap_map(entry.f, counters),
+                                      generator=counting.wrap_generator(entry.generator, counters))
+        assert entry.boundary == wrapped.boundary == (entry.name == "affine-scalar"), entry.name
 
 
 def test_cli_looks_up_its_constructors_per_call(tmp_path, monkeypatch, capsys):

@@ -25,8 +25,10 @@ from cocycle_lab.dynamics import RationalMap, SemigroupModel, _disk_guard, build
 from cocycle_lab.errors import (
     DomainEscapeError,
     NotInvariantError,
+    OutOfDomainError,
     VNotInvertibleError,
 )
+from cocycle_lab.linearize import commutative_linearize_nofix
 from cocycle_lab.series import horner
 
 RNG = np.random.default_rng(424242)
@@ -550,3 +552,22 @@ def test_chain_rule_of_evolve_output():
     fs = LINEAR_MODEL.flow(s, z)
     g_t = evolve(LINEAR_MODEL, gen, t, fs, tol=1e-12)
     assert operator_norm(g_sum - g_t @ g_s) <= 1e-10
+
+
+def _never(*args):
+    raise AssertionError("B or the oracle was called")
+
+
+@pytest.mark.parametrize("z", [1.0, 1.2, -2.0, 1 + 0.5j, 1.5])
+@pytest.mark.parametrize("entry", ["evolve_grid", "extract_generator", "commutative_linearize_nofix"])
+def test_point_outside_the_disk_refused_before_any_call(entry, z):
+    # as flow_ode and commutative_linearize_interior do; a trajectory that
+    # starts inside and leaves still raises DomainEscapeError
+    run = {
+        "evolve_grid": lambda: evolve_grid(LINEAR_MODEL, _never, [0.5], [0.2, z]),
+        "extract_generator": lambda: extract_generator(_never, RationalMap([0.0, -1.0]), z),
+        "commutative_linearize_nofix": lambda: commutative_linearize_nofix(
+            RationalMap([1.0, -1.0]), _never, z),
+    }[entry]
+    with pytest.raises(OutOfDomainError, match="outside the open unit disk"):
+        run()

@@ -525,6 +525,7 @@ class TestCli:
             (["linearize"], "generator", POLE_AT_HALF, "pole inside the unit disk"),
             (["growth", "--radius", "0.5"], "generator", POLE_AT_HALF, "pole inside the unit disk"),
             (["growth", "--radius", "0.5"], "semigroup", F_POLE_AT_HALF, "pole inside the unit disk"),
+            (["spectrum"], "semigroup", NO_FIXED_POINT, "NoInteriorFixedPointError"),
         ],
     )
     def test_scenario_outside_assumptions_is_input_error(

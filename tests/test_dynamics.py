@@ -5,9 +5,9 @@ import pytest
 
 from cocycle_lab import dynamics, integrate
 from cocycle_lab.cocycle import CocycleGenerator, growth_report
+from cocycle_lab.linearize import commutative_linearize_interior, linearize
 from cocycle_lab.dynamics import (
     RationalMap,
-    build_boundary_model,
     build_model,
     flow_ode,
 )
@@ -100,21 +100,28 @@ class TestBuildModel:
         assert np.allclose(m.koenigs.coeffs, h, rtol=1e-14, atol=0.0)
 
     def test_koenigs_data_built_on_first_read(self, monkeypatch):
-        # z0 and the rate come at once; the Schroeder series, its reversion
-        # and the radius estimate on the first read of any of the three
-        reverted = []
-        revert = dynamics.revert
+        # z0 and the rate come at once; f's expansion, the Schroeder series,
+        # its reversion and the radius estimate on the first read of any of
+        # the three
+        reverted, expanded = [], []
+        revert, taylor = dynamics.revert, RationalMap.taylor
 
         def counted(s):
             reverted.append(s)
             return revert(s)
 
+        def counted_taylor(f, center, order):
+            expanded.append((center, order))
+            return taylor(f, center, order)
+
         monkeypatch.setattr(dynamics, "revert", counted)
+        monkeypatch.setattr(RationalMap, "taylor", counted_taylor)
         m = build_model(QUADRATIC, order=16)
         assert m.z0 == 0 and m.rate == 1.0
         m.flow(0.5, 0.3)
-        assert reverted == []
+        assert reverted == [] and expanded == []
         radius = m.koenigs_radius
+        assert expanded == [(0, 17)]
         assert len(reverted) == 1 and reverted[0] is m.koenigs
         assert m.koenigs_inv is m.koenigs_inv and len(reverted) == 1
         inv = revert(m.koenigs)
@@ -122,12 +129,35 @@ class TestBuildModel:
         assert radius == dynamics._ratio_radius(m.koenigs.coeffs)
 
     def test_boundary_model_has_no_koenigs_data(self):
-        m = build_boundary_model(AFFINE)
+        m = build_model(AFFINE)
         assert (m.koenigs, m.koenigs_inv, m.koenigs_radius) == (None, None, 0.0)
 
-    def test_boundary_generator_raises(self):
-        with pytest.raises(NoInteriorFixedPointError):
-            build_model(AFFINE)
+    def test_boundary_generator_gives_boundary_model(self):
+        # build_model decides, and each consumer that needs z0 refuses
+        m = build_model(AFFINE, order=8)
+        assert (m.is_interior, m.z0, m.rate, m.order) == (False, None, None, 8)
+        assert m.flow(1.0, 0.0) == pytest.approx(1 - np.exp(-1), abs=1e-11)
+        gen = CocycleGenerator.scalar([1.0], [1.0, -1.0])
+        for refused in (lambda: linearize(m, gen), lambda: growth_report(m, gen, 0.3),
+                        lambda: commutative_linearize_interior(m, gen, 0.3)):
+            with pytest.raises(NoInteriorFixedPointError):
+                refused()
+
+    @pytest.mark.parametrize("f", [LINEAR, QUADRATIC, RationalMap([0.03, -1.0, 0.4]),
+                                   RationalMap(np.convolve([0.5, -1.0], [1.0, -0.5]) * (0.2 + 1j))])
+    def test_rate_is_the_taylor_coefficient_bit_for_bit(self, f):
+        # polynomial f: -num'(z0) / den(z0) is -f'(z0) from f's Taylor series
+        m = build_model(f)
+        assert m.rate == -f.taylor(m.z0, 2).coeffs[1]
+
+    def test_rate_of_rational_f_within_one_ulp(self):
+        f = RationalMap([0.05, -1.0, 0.3 + 0.2j], [1.0, -0.4j, 0.1])
+        m = build_model(f)
+        ref = -f.taylor(m.z0, 2).coeffs[1]
+        assert abs(m.rate - ref) <= np.spacing(abs(ref))
+
+    def test_constant_generator_gives_boundary_model(self):
+        assert not build_model(RationalMap([0.7 - 0.2j])).is_interior
 
     def test_zero_rate_raises(self):
         with pytest.raises(ZeroRateError):
@@ -140,7 +170,7 @@ class TestBuildModel:
     @pytest.mark.parametrize("order", [0, -2])
     def test_order_below_one_refused(self, order):
         # the order is judged first: AFFINE, which has no interior fixed
-        # point, gets the order's error, not NoInteriorFixedPointError
+        # point, gets the order's error, not a boundary model
         for f in (LINEAR, AFFINE):
             with pytest.raises(ValueError, match=f"order must be at least 1, got {order}$"):
                 build_model(f, order=order)
@@ -170,7 +200,7 @@ class TestFlow:
 
     @pytest.mark.parametrize("t", [-0.5, np.nan, np.inf, -np.inf, [0.5, -0.5], [0.5, np.nan]])
     @pytest.mark.parametrize(
-        "model", [build_model(LINEAR), build_boundary_model(AFFINE)], ids=["koenigs", "ode"]
+        "model", [build_model(LINEAR), build_model(AFFINE)], ids=["koenigs", "ode"]
     )
     def test_bad_time_raises(self, model, t):
         with pytest.raises(ValueError, match="flow requires a finite t"):
@@ -244,7 +274,7 @@ class TestSemigroupInvariants:
                     assert abs(m.flow(t, z)) <= bound * (1 + 1e-9)
 
     def test_boundary_model_flows_by_ode(self):
-        m = build_boundary_model(AFFINE)
+        m = build_model(AFFINE)
         assert not m.is_interior
         assert m.flow(1.0, 0.0) == pytest.approx(1 - np.exp(-1), abs=1e-10)
 
@@ -278,7 +308,7 @@ class TestFlowGrid:
         assert flow(GRID_TS.reshape(5, 1), GRID_ZS.reshape(2, 2)).shape == (5, 1, 2, 2)
         assert flow([], GRID_ZS).shape == (0, 4)
 
-    @pytest.mark.parametrize("model", [build_boundary_model(AFFINE), build_model(QUADRATIC)],
+    @pytest.mark.parametrize("model", [build_model(AFFINE), build_model(QUADRATIC)],
                              ids=["boundary", "interior"])
     def test_ode_grid_is_one_integration(self, monkeypatch, model):
         zs = np.array([0.0, 0.85, -0.6j]) if model.is_interior else GRID_ZS

@@ -19,7 +19,7 @@ from cocycle_lab.algebra import (
 )
 from cocycle_lab.cocycle import CocycleGenerator, evolve
 from cocycle_lab.demos import demo_by_name
-from cocycle_lab.dynamics import RationalMap, build_boundary_model, build_model
+from cocycle_lab.dynamics import RationalMap, build_model
 from cocycle_lab.errors import (
     NoInteriorFixedPointError,
     NotAttractingError,
@@ -351,7 +351,7 @@ class TestLinearize:
             raise AssertionError("conjugated_generator reached")
 
         monkeypatch.setattr(linearize_module, "conjugated_generator", unreachable)
-        for model in (LINEAR_MODEL, build_boundary_model(RationalMap([1.0, -1.0]))):
+        for model in (LINEAR_MODEL, build_model(RationalMap([1.0, -1.0]))):
             with pytest.raises(ValueError, match=f"order must be at least 1, got {order}$"):
                 linearize(model, SCALAR.generator, order=order)
 
@@ -455,7 +455,7 @@ class TestCommutativeInterior:
             commutative_linearize_interior(model, gen, 0.3)
 
     def test_rejects_boundary_model(self):
-        model = build_boundary_model(RationalMap([1.0, -1.0]))
+        model = build_model(RationalMap([1.0, -1.0]))
         with pytest.raises(NoInteriorFixedPointError):
             commutative_linearize_interior(model, SCALAR.generator, 0.3)
 
@@ -503,6 +503,13 @@ class TestCommutativeNoFix:
         gen = CocycleGenerator.scalar([1.0])
         with pytest.raises(PoleOnPathError):
             commutative_linearize_nofix(f, gen, 0.5)
+
+    def test_zero_off_the_segment_refused(self):
+        # f = 0.5i - z fixes 0.5i, off [0, 0.3]; B/f has residue -B(0.5i) there,
+        # so a segment integral would be one branch of a multivalued map
+        gen = CocycleGenerator.scalar([1.0], [1.0, -1.0])
+        with pytest.raises(PoleOnPathError, match=r"zero at -?0\+0\.5j inside the unit disk"):
+            commutative_linearize_nofix(RationalMap([0.5j, -1.0]), gen, 0.3)
 
 
 class TestSharpnessWitness:
@@ -561,9 +568,7 @@ def test_complex_rate_spiral_semigroup():
 
 
 def test_series_pipeline_requires_interior_fixed_point():
-    from cocycle_lab.dynamics import build_boundary_model
-
-    boundary = build_boundary_model(RationalMap([1.0, -1.0]))
+    boundary = build_model(RationalMap([1.0, -1.0]))
     with pytest.raises(ValueError):
         linearize(boundary, SCALAR.generator)
     with pytest.raises(ValueError):
