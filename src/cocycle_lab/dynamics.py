@@ -3,9 +3,9 @@
 A model bundles the generator f, its interior fixed point z0 (the one zero
 of f inside the disk, or None when f has none: a boundary model), the rate
 lambda = -f'(z0), and the Koenigs series h solving the Schroeder equation
-h(F_t(z)) = exp(-lambda t) h(z) with h(z0) = 0, h'(z0) = 1.  The flow F_t is
-always the direct integration of du/dt = f(u); the Koenigs series serve the
-linearization alone, so a model builds them on their first read.
+h(F_t(z)) = exp(-lambda t) h(z) with h(z0) = 0, h'(z0) = 1, and of h^{-1}, each
+built from f.  The flow F_t is always the direct integration of du/dt = f(u);
+the series serve the linearization alone, so a model builds each on its first read.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     OutOfDomainError,
     ZeroRateError,
 )
-from .series import ScalarSeries, _rational_taylor, _shift_poly, horner, revert
+from .series import ScalarSeries, _rational_taylor, _shift_poly, horner
 
 #: safety factor applied to the ratio-test estimate of a series radius (read
 #: only by ``reconstruct_error``'s sample guard)
@@ -92,7 +92,8 @@ class RationalMap(_Rational):
 
     A generator that is not identically zero has at most one zero in the
     disk (Berkson-Porta), so a numerator with more than one distinct root
-    inside it is refused with a ValueError.
+    inside it is refused with a ValueError.  ``zeros`` keeps the roots found
+    here, |z| < 1 - BOUNDARY_MARGIN, for ``build_model`` (0 for f = 0).
     """
 
     _what = "semigroup generator f"
@@ -101,10 +102,10 @@ class RationalMap(_Rational):
     def __post_init__(self):
         self.num = np.atleast_1d(np.asarray(self.num, dtype=complex))
         super().__post_init__()
-        zeros = _interior_roots(self.num)
-        if zeros.size > 1:
+        self.zeros = _interior_roots(self.num) if np.any(self.num) else np.zeros(1, dtype=complex)
+        if self.zeros.size > 1:
             raise ValueError(f"{self._what} has more than one zero inside the unit disk, "
-                             f"at {zeros[0]:.6g} and {zeros[1]:.6g}")
+                             f"at {self.zeros[0]:.6g} and {self.zeros[1]:.6g}")
 
 
 def _ratio_radius(coeffs: np.ndarray) -> float:
@@ -129,11 +130,11 @@ class SemigroupModel:
     """Semigroup data around an interior fixed point, or a boundary model
     with ``z0`` and ``rate`` None, as ``build_model`` decides; both flow by the ODE.
 
-    The Koenigs series ``koenigs`` (h about z0), its reversion
-    ``koenigs_inv`` and ``koenigs_radius``, the ratio-test estimate of h's
-    radius kept for ``reconstruct_error``'s sample guard alone, are built
-    from f's Taylor coefficients about z0 to order + 1, expanded on the
-    first read of any of the three; a boundary model reads None, None and 0."""
+    Three reads, each built on its first and None, None and 0 on a boundary
+    model: ``koenigs`` (h about z0, from f's Taylor coefficients to order + 1),
+    ``koenigs_radius`` (h's ratio-test radius, for ``reconstruct_error``'s
+    sample guard alone) and ``koenigs_inv`` (h^{-1} about w = 0, constant term
+    z0, by its own recursion from f's coefficients to order, not reverting h)."""
 
     f: RationalMap
     z0: Optional[complex]
@@ -141,9 +142,9 @@ class SemigroupModel:
     order: int
 
     @functools.cached_property
-    def _koenigs_data(self) -> tuple:
+    def koenigs(self) -> Optional[ScalarSeries]:
         if self.z0 is None:
-            return None, None, 0.0
+            return None
         f_c, lam, order = self.f.taylor(self.z0, self.order + 1).coeffs, self.rate, self.order
         h = np.zeros(order + 1, dtype=complex)
         h[1] = 1.0
@@ -152,20 +153,28 @@ class SemigroupModel:
         js = np.arange(order + 1)
         for k in range(2, order + 1):
             h[k] = (js[1:k] * h[1:k]) @ f_c[k:1:-1] / (lam * (k - 1))
-        koenigs = ScalarSeries(self.z0, h)
-        return koenigs, revert(koenigs), _ratio_radius(h)
+        return ScalarSeries(self.z0, h)
 
-    @property
-    def koenigs(self) -> Optional[ScalarSeries]:
-        return self._koenigs_data[0]
-
-    @property
+    @functools.cached_property
     def koenigs_inv(self) -> Optional[ScalarSeries]:
-        return self._koenigs_data[1]
+        if self.z0 is None:
+            return None
+        f_c, lam, order = self.f.taylor(self.z0, self.order).coeffs, self.rate, self.order
+        # F_t(g(w)) = g(e^{-lambda t} w) at t = 0 gives -lambda w g' = f(g); with
+        # u = g - z0, f(z0 + u) = sum_j f_j u^j, row j of pw holds u^j (up to
+        # f's last nonzero f_j) and g_k = -sum_{j>1} f_j [u^j]_k / (lambda (k - 1))
+        top = np.flatnonzero(f_c)[-1]
+        pw = np.zeros((top + 1, order + 1), dtype=complex)
+        pw[1, :2] = self.z0, 1.0  # column 0 holds g's constant term and is never read
+        for k in range(2, order + 1):
+            j = min(k, top) + 1
+            pw[2:j, k] = pw[1:j - 1, k - 1:0:-1] @ pw[1, 1:k]
+            pw[1, k] = -(f_c[2:j] @ pw[2:j, k]) / (lam * (k - 1))
+        return ScalarSeries(0.0, pw[1])
 
-    @property
+    @functools.cached_property
     def koenigs_radius(self) -> float:
-        return self._koenigs_data[2]
+        return 0.0 if self.z0 is None else _ratio_radius(self.koenigs.coeffs)
 
     @property
     def is_interior(self) -> bool:
@@ -213,10 +222,9 @@ def build_model(f: RationalMap, order: int = 24) -> SemigroupModel:
     counts as fixing z0 = 0)."""
     if order < 1:
         raise ValueError(f"series order must be at least 1, got {order!r}")
-    zeros = _interior_roots(f.num) if np.any(f.num) else np.zeros(1)
-    if not zeros.size:
+    if not f.zeros.size:
         return SemigroupModel(f=f, z0=None, rate=None, order=order)
-    z0 = complex(zeros[0])
+    z0 = complex(f.zeros[0])
     # an appended zero leaves the shift bit-identical and gives f = 0 a num'
     lam = -_shift_poly(np.append(f.num, 0.0), z0)[1] / horner(f.den, z0)
     if abs(lam) < 1e-12:

@@ -42,7 +42,7 @@ from .algebra import (
     unvec,
 )
 from .cocycle import _CAUCHY_THETAS, CocycleGenerator, _generator_batch, _generator_dim, evolve_grid
-from .dynamics import RationalMap, SemigroupModel, _require_disk, build_model
+from .dynamics import RationalMap, SemigroupModel, _require_disk
 from .errors import (
     NoInteriorFixedPointError,
     NotAttractingError,
@@ -152,8 +152,8 @@ class LinearizationOutcome:
     ``m`` holds the transfer-map coefficients in the Koenigs coordinate
     (m_0 = I; truncated before the failing order when obstructed).
     ``radius_estimate`` is r / (C1 C2 + 1) from ``_certificate``, certified
-    for the computed orders k <= N with the truncated h^{-1} for h^{-1}; it is
-    0 when no certificate applies (resonant or obstructed chains).
+    for the computed orders k <= N, whose b_k come from h^{-1}'s series to
+    order N; it is 0 when no certificate applies (resonant or obstructed chains).
     """
 
     status: str
@@ -425,16 +425,17 @@ def commutative_linearize_nofix(f: RationalMap, B, z: complex, *, tol: float = 1
     The cocycle is then the coboundary Gamma_t(z) = M(F_t z)^{-1} M(z).
     ``tol`` is ``_segment_transfer``'s per-step tolerance, relative to
     1 + |log M|, not an absolute quadrature error.  A z outside the open
-    disk raises OutOfDomainError, and an f with a zero z0 in the disk, by
-    ``build_model``'s test, PoleOnPathError for any z: Gamma_t(z0) =
-    exp(t B(z0)) is then a coboundary only if B(z0) = 0, which
-    ``commutative_linearize_interior`` covers.
+    disk raises OutOfDomainError; f = 0 (1/f defined nowhere) and an f with
+    a zero z0 in the disk (``RationalMap.zeros``) raise PoleOnPathError for
+    any z: Gamma_t(z0) = exp(t B(z0)) is a coboundary only if B(z0) = 0,
+    which ``commutative_linearize_interior`` covers.
     """
     z = complex(z)
     _require_disk(z)
-    z0 = build_model(f).z0
-    if z0 is not None:
-        raise PoleOnPathError(f"f has a zero at {z0:.6g} inside the unit disk, a pole of 1/f")
+    if not np.any(f.num):
+        raise PoleOnPathError("f vanishes identically, so 1/f is defined nowhere")
+    if f.zeros.size:
+        raise PoleOnPathError(f"f has a zero at {f.zeros[0]:.6g} inside the unit disk, a pole of 1/f")
     if _generator_dim(B, z / 2 if z else 0.0) != 1:
         raise ValueError("the closed-form linearizer is scalar-only")
     return _segment_transfer(f, B, 0.0, 0.0, z, tol)

@@ -258,7 +258,8 @@ def revert(s: ScalarSeries) -> ScalarSeries:
     size is at most twice the previous one.  g = w / c_1 starts with 2.
     Each step composes once and takes 1 / s'(g) as g' / (s(g))' (chain
     rule), exact to w^(size-2), past the w^(size-p) that s(g) - w = O(w^p)
-    needs (Brent & Kung, J. ACM 25, 1978).
+    needs (Brent & Kung, J. ACM 25, 1978).  The library no longer reverts
+    h: with geometrically growing coefficients the binomial sums cancel.
     """
     c = s.coeffs
     scale = max(1.0, *np.abs(c[:2]))

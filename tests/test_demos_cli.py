@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocycle_lab import cli, demos, dynamics
+from cocycle_lab import cli, demos
 from cocycle_lab.cli import _build_parser, main, run_demo
 from cocycle_lab.demos import demo_by_name, demo_catalog
 from cocycle_lab.dynamics import RationalMap
@@ -249,20 +249,21 @@ class TestCli:
     @pytest.mark.parametrize("command", ["evolve", "spectrum", "check", "growth", "extract"])
     def test_only_linearize_builds_the_koenigs_series(self, scenario_path, capsys, monkeypatch,
                                                       command):
-        # the model's Koenigs series and reversion wait for their first
-        # read, which no command but linearize makes
-        reverted = []
-        revert = dynamics.revert
+        # the model's Koenigs series wait for their first read, which no
+        # command but linearize makes; linearize builds h^{-1} alone, from one
+        # expansion of f to the series order, and never h (order + 1)
+        expanded = []
+        taylor = RationalMap.taylor
 
-        def counted(s):
-            reverted.append(s.order)
-            return revert(s)
+        def counted(f, center, order):
+            expanded.append(order)
+            return taylor(f, center, order)
 
-        monkeypatch.setattr(dynamics, "revert", counted)
+        monkeypatch.setattr(RationalMap, "taylor", counted)
         assert main([command, "--scenario", scenario_path]) == 0
-        assert reverted == []
+        assert expanded == []
         assert main(["linearize", "--scenario", scenario_path]) == 0
-        assert reverted == [JORDAN_SCENARIO["truncation_order"]]
+        assert expanded == [JORDAN_SCENARIO["truncation_order"]]
 
     def test_demo_command(self, tmp_path):
         out = tmp_path / "demo.json"

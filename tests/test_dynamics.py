@@ -11,6 +11,7 @@ from cocycle_lab.dynamics import (
     build_model,
     flow_ode,
 )
+from cocycle_lab.series import compose, revert
 from cocycle_lab.errors import (
     DomainEscapeError,
     NoInteriorFixedPointError,
@@ -67,6 +68,11 @@ class TestBuildModel:
         m = build_model(f)
         assert abs(f(m.z0)) <= 1e-12
 
+    def test_build_reuses_the_zeros_found_at_construction(self, monkeypatch):
+        f = RationalMap([0.03, -1.0, 0.4])
+        monkeypatch.setattr(dynamics, "_interior_roots", lambda c: pytest.fail("roots re-found"))
+        assert build_model(f).z0 == f.zeros[0]
+
     def test_fixed_point_is_the_interior_zero(self):
         # Berkson-Porta form (tau - z)(1 - conj(tau) z) p with tau = 0.5 and
         # p = 0.2 + i; the zero at 2 lies outside the disk
@@ -79,7 +85,7 @@ class TestBuildModel:
     @pytest.mark.parametrize("tau, order", [(0.9, 24), (0.8, 48)])
     def test_fixed_point_near_the_circle_builds(self, tau, order):
         # the Koenigs coefficients grow like (1/(1 - tau))^k, far above the
-        # linear one that revert divides by; only the build is pinned here
+        # linear one; only the build of h is pinned here
         m = build_model(RationalMap(np.convolve([tau, -1.0], [1.0, -tau])), order=order)
         assert m.z0 == pytest.approx(tau, abs=1e-14)
         assert m.rate == pytest.approx(1.0 - tau**2, abs=1e-13)
@@ -100,33 +106,62 @@ class TestBuildModel:
         assert np.allclose(m.koenigs.coeffs, h, rtol=1e-14, atol=0.0)
 
     def test_koenigs_data_built_on_first_read(self, monkeypatch):
-        # z0 and the rate come at once; f's expansion, the Schroeder series,
-        # its reversion and the radius estimate on the first read of any of
-        # the three
-        reverted, expanded = [], []
-        revert, taylor = dynamics.revert, RationalMap.taylor
-
-        def counted(s):
-            reverted.append(s)
-            return revert(s)
+        # z0 and the rate come at once; f's expansion to the order builds
+        # h^{-1} on its first read, and the one to order + 1 builds h and the
+        # radius estimate on the first read of either
+        expanded = []
+        taylor = RationalMap.taylor
 
         def counted_taylor(f, center, order):
             expanded.append((center, order))
             return taylor(f, center, order)
 
-        monkeypatch.setattr(dynamics, "revert", counted)
         monkeypatch.setattr(RationalMap, "taylor", counted_taylor)
         m = build_model(QUADRATIC, order=16)
         assert m.z0 == 0 and m.rate == 1.0
         m.flow(0.5, 0.3)
-        assert reverted == [] and expanded == []
+        assert expanded == []
+        inv = m.koenigs_inv
+        assert expanded == [(0, 16)] and m.koenigs_inv is inv
+        # h^{-1}(w) = w / (1 + w), exact in binary
+        assert np.array_equal(inv.coeffs, np.append(0.0, (-1.0) ** np.arange(16)))
         radius = m.koenigs_radius
-        assert expanded == [(0, 17)]
-        assert len(reverted) == 1 and reverted[0] is m.koenigs
-        assert m.koenigs_inv is m.koenigs_inv and len(reverted) == 1
-        inv = revert(m.koenigs)
-        assert np.array_equal(m.koenigs_inv.coeffs, inv.coeffs)
+        assert expanded == [(0, 16), (0, 17)] and m.koenigs is m.koenigs
         assert radius == dynamics._ratio_radius(m.koenigs.coeffs)
+
+    @pytest.mark.parametrize("arg", [0.1, 1.3, 2.9])
+    def test_koenigs_inverse_matches_the_closed_form(self, arg):
+        # f = -z (1 - c z) has h^{-1}(w) = w / (1 + c w); reverting h, whose
+        # coefficients are c^{k-1}, cancels binomial sums up to C(63, 31)
+        # and misses (-c)^63 by 2e2 times its size
+        c = 0.6 * np.exp(1j * arg)
+        g = build_model(RationalMap([0.0, -1.0, c]), order=64).koenigs_inv.coeffs
+        exact = (-c) ** np.arange(64)
+        assert g[0] == 0.0
+        assert np.all(np.abs(g[1:] - exact) <= 1e-14 * np.abs(exact))
+
+    def test_koenigs_inverse_inverts_the_koenigs_series(self):
+        # the rational f of the term-by-term test, z0 != 0
+        f = RationalMap([0.05, -1.0, 0.3 + 0.2j], [1.0, -0.4j, 0.1])
+        m = build_model(f, order=64)
+        assert m.z0 != 0 and m.koenigs_inv.coeffs[0] == m.z0
+        hg = compose(m.koenigs, m.koenigs_inv).coeffs
+        hg[1] -= 1.0
+        assert np.max(np.abs(hg)) <= 1e-13
+        m = build_model(f, order=24)
+        assert np.max(np.abs(m.koenigs_inv.coeffs - revert(m.koenigs).coeffs)) <= 1e-14
+
+    @pytest.mark.parametrize("tau, order", [(0.9, 24), (0.8, 48)])
+    def test_koenigs_inverse_conjugates_the_flow_near_the_circle(self, tau, order):
+        # F_t(g(w)) = g(e^{-lambda t} w) for g = h^{-1}, whose pole lies at
+        # w = -(1 - tau^2) / tau; the points sit at a tenth of that radius
+        m = build_model(RationalMap(np.convolve([tau, -1.0], [1.0, -tau])), order=order)
+        g = m.koenigs_inv
+        ws = 0.1 * (1 - tau**2) / tau * np.exp(1j * np.array([0.0, 2.0, 4.0]))
+        ts = np.array([0.5, 2.0])
+        lhs = m.flow(ts, g(ws))
+        rhs = g(np.exp(-m.rate * ts)[:, None] * ws)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_boundary_model_has_no_koenigs_data(self):
         m = build_model(AFFINE)

@@ -504,6 +504,15 @@ class TestCommutativeNoFix:
         with pytest.raises(PoleOnPathError):
             commutative_linearize_nofix(f, gen, 0.5)
 
+    @pytest.mark.parametrize("num, match", [([0.0], "vanishes identically"),
+                                            ([0.0, 0.0, -1.0], "zero at 0")])
+    def test_generator_without_a_rate_refused(self, num, match):
+        # f = 0 has no point where 1/f is defined, and f = -z^2 a double zero
+        # at 0; neither is build_model's ZeroRateError, as no model is built
+        gen = CocycleGenerator.scalar([1.0])
+        with pytest.raises(PoleOnPathError, match=match):
+            commutative_linearize_nofix(RationalMap(num), gen, 0.3)
+
     def test_zero_off_the_segment_refused(self):
         # f = 0.5i - z fixes 0.5i, off [0, 0.3]; B/f has residue -B(0.5i) there,
         # so a segment integral would be one branch of a multivalued map
