@@ -46,9 +46,14 @@ from .errors import (
     VNotInvertibleError,
 )
 
-#: angles of the 64 trapezoid nodes on the small circle of extraction's
-#: Cauchy-integral derivative and of the interior linearizer's ring mean
-_CAUCHY_THETAS = 2.0 * np.pi * np.arange(64) / 64
+#: angles of the N = 16 trapezoid nodes on the ring |w - z| = rho = 0.1 (1 -
+#: |z|) of extraction's Cauchy derivative and of the interior linearizer's
+#: mean about z0.  The rule aliases only Taylor terms of order 1 + mN, m >= 1,
+#: so Cauchy estimates on R' = (1 - |z|) / 2 bound its error by (M(R') / R')
+#: q^N / (1 - q^N), q = rho / R' = 0.2, q^16 = 6.6e-12: below the oracle's
+#: own error amplified by 1 / rho unless V grows steeply toward the rim (at
+#: z = 0.99 affine-scalar reads 1.3e-10 relative, 64 nodes 8e-15)
+_CAUCHY_THETAS = 2.0 * np.pi * np.arange(16) / 16
 
 #: 16-node Gauss-Legendre rule on [-1, 1] for extraction's time average
 #: (geometric convergence, as Gamma_s is analytic in s); 8 nodes would hide
@@ -69,8 +74,8 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 #:     128    7.0 / 41.4  13.1 / 53.9  23.7 / 60.6  42.4 / 77.6
 #:     512   14.6 / 126   31.2 / 138   57.3 / 144    130 / 294
 #:
-#: n = 4 wins at every size; n = 5 wins from 65 points (one extraction) up
-#: but not at 16, so the cut is 4
+#: n = 4 wins at every size; n = 5 wins from 65 points up but not at 16
+#: (about one extraction's 17), so the cut is 4
 _BROADCAST_MAX_DIM = 4
 
 
@@ -278,7 +283,7 @@ def check_axioms(
 def extract_generator(
     gamma,
     f: RationalMap,
-    z: complex,
+    z,
     t0: float = 0.1,
 ) -> np.ndarray:
     """Recover B(z) from samples of a semicocycle.
@@ -287,33 +292,44 @@ def extract_generator(
 
         B(z) = V^{-1} [Gamma_{t0}(z) - I - f(z) dV/dz],
 
-    with V by a 16-node Gauss-Legendre rule on [0, t0] and dV/dz by a
-    Cauchy integral, from one call of the oracle ``gamma`` (see
-    ``gamma_grid``).  Raises VNotInvertibleError when V is numerically
-    singular (sigma_min <= 1e-8 max(sigma_max, t0), the one SVD of V), and
-    callers retry with a smaller t0 (``extract_generator_auto``).
+    with V by a 16-node Gauss-Legendre rule on [0, t0] and dV/dz by the
+    trapezoid rule on the 16-node ring ``_CAUCHY_THETAS`` about z, whose
+    comment bounds its error.  One call of the oracle ``gamma`` (see
+    ``gamma_grid``) covers every point of an array z and their rings; the
+    result has shape z.shape + (n, n).  A t0 that is not positive and finite
+    raises ValueError.  A numerically singular V (sigma_min <= 1e-8
+    max(sigma_max, t0), one SVD per point) raises VNotInvertibleError, whose
+    ``singular`` marks those points and ``partial`` holds B at the others;
+    callers retry them with a smaller t0 (``extract_generator_auto``).
     """
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
+    if not 0.0 < t0 < math.inf:
+        raise ValueError(f"t0 must be positive and finite, got {t0!r}")
     _require_disk(z)
-    radius = 0.1 * (1.0 - abs(z))
-    points = np.concatenate([[complex(z)], z + radius * np.exp(1j * _CAUCHY_THETAS)])
-
+    zs = np.asarray(z, dtype=complex)
+    centers = zs.ravel()
+    # hypot, as abs(complex) takes it, so a scalar z keeps its bits
+    radius = 0.1 * (1.0 - np.hypot(centers.real, centers.imag))[:, None]
+    points = np.append(centers, centers[:, None] + radius * np.exp(1j * _CAUCHY_THETAS))
     half = 0.5 * t0
     s_nodes = np.append(half * (_GAUSS_NODES + 1.0), t0)
-    vals = gamma_grid(gamma, s_nodes, points)  # (17, 65, n, n)
+    vals = gamma_grid(gamma, s_nodes, points)  # (17, Z (1 + N), n, n)
     v_vals = half * (_GAUSS_WEIGHTS @ vals[:-1].reshape(16, -1)).reshape(vals.shape[1:])
-    gamma_t0 = vals[-1, 0]
 
-    v_z = v_vals[0]
+    v_z, eye = v_vals[: centers.size], np.eye(vals.shape[-1], dtype=complex)
     sv = np.linalg.svd(v_z, compute_uv=False)
     # V ~ t0 * I for small t0, so t0 is the natural singularity scale
-    if sv[-1] <= 1e-8 * max(sv[0], t0):
-        raise VNotInvertibleError(f"V(t0={t0}, z={z}) is numerically singular")
-    # dV/dz at the circle center: the trapezoid Cauchy integral on the ring
-    weights = np.exp(-1j * _CAUCHY_THETAS) / (radius * _CAUCHY_THETAS.shape[0])
-    dv = (weights @ v_vals[1:].reshape(64, -1)).reshape(v_vals.shape[1:])
-    return np.linalg.solve(v_z, gamma_t0 - np.eye(len(v_z), dtype=complex) - complex(f(z)) * dv)
+    singular = sv[:, -1] <= 1e-8 * np.maximum(sv[:, 0], t0)
+    # dV/dz at each ring's center: the trapezoid Cauchy integral on the ring
+    weights = np.exp(-1j * _CAUCHY_THETAS) / (radius * _CAUCHY_THETAS.size)
+    dv = (weights[:, None] @ v_vals[len(v_z) :].reshape(weights.shape + (-1,))).reshape(v_z.shape)
+    rhs = vals[-1, : len(v_z)] - eye - np.asarray(f(centers))[:, None, None] * dv
+    out = np.linalg.solve(np.where(singular[:, None, None], eye, v_z), rhs)
+    if singular.any():
+        out[singular] = np.nan
+        raise VNotInvertibleError(f"V(t0={t0}, z={z if zs.ndim == 0 else centers[singular]}) is "
+                                  "numerically singular", out.reshape(zs.shape + eye.shape),
+                                  singular.reshape(zs.shape))
+    return out.reshape(zs.shape + eye.shape)
 
 
 def extract_generator_auto(gamma, f, z):

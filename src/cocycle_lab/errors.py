@@ -42,7 +42,12 @@ class DomainEscapeError(CocycleLabError):
 
 
 class VNotInvertibleError(CocycleLabError):
-    """The time-averaged cocycle V(t0, z) is not invertible; retry with smaller t0."""
+    """V(t0, z) is not invertible at the points ``singular`` marks (``partial``
+    holds B at the others); retry them with a smaller t0."""
+
+    def __init__(self, message, partial=None, singular=None):
+        super().__init__(message)
+        self.partial, self.singular = partial, singular
 
 
 class NotInvariantError(CocycleLabError):

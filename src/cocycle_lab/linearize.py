@@ -378,8 +378,8 @@ def _segment_transfer(f, B, a: complex, c: complex, z: complex, tol: float, ring
     segment u = a + s (z - a), s in [0, 1], by one ``integrate`` call at
     per-step tolerance ``tol``, relative to 1 + |I|.  A ``ring`` > 0 marks a
     removable singularity of g at a = z0: g(a) is then the mean of g over the
-    64 ``_CAUCHY_THETAS`` nodes on the circle of that radius about a, exact by
-    the mean-value property up to an error geometric in the node count.
+    16 ``_CAUCHY_THETAS`` nodes on the circle of that radius about a, exact by
+    the mean-value property up to the aliasing error the constant bounds.
     """
     d = z - a
 

@@ -20,7 +20,7 @@ from cocycle_lab.cocycle import (
     growth_report,
     make_evolve_oracle,
 )
-from cocycle_lab.demos import demo_by_name
+from cocycle_lab.demos import demo_by_name, demo_catalog
 from cocycle_lab.dynamics import RationalMap, SemigroupModel, _disk_guard, build_model
 from cocycle_lab.errors import (
     DomainEscapeError,
@@ -370,8 +370,8 @@ class TestExtractGenerator:
 
     @pytest.mark.parametrize("demo", [SCALAR, JORDAN], ids=["n1", "n2"])
     def test_stack_sums_bit_equal_to_tensordot(self, demo):
-        # the Gauss and Cauchy sums are matmuls on the reshaped 65-point
-        # stacks; the tensordot form they replaced gives the same bits
+        # the Gauss and Cauchy sums are matmuls on the reshaped 17-point
+        # stacks (z and its 16-node ring); the tensordot form gives the same bits
         grids = []
 
         def oracle(t, z):
@@ -388,6 +388,45 @@ class TestExtractGenerator:
         rhs = vals[-1, 0] - np.eye(demo.dim, dtype=complex) - complex(demo.f(z)) * dv
         assert np.array_equal(out, np.linalg.solve(v_vals[0], rhs))
 
+    @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_t0_must_be_positive_and_finite(self, t0):
+        # a nan or infinite t0 used to reach the SVD of V and fail there
+        oracle = CountingOracle(JORDAN.oracle)
+        with pytest.raises(ValueError, match="t0 must be positive and finite"):
+            extract_generator(oracle, JORDAN.f, 0.5, t0=t0)
+        assert oracle.call_times == []
+
+    def test_array_of_points_in_one_oracle_call(self):
+        zs = np.array([[0.5, -0.3j, 0.2 + 0.6j], [0.0, -0.7, 0.45 - 0.45j]])
+        oracle = CountingOracle(JORDAN.oracle)
+        out = extract_generator(oracle, JORDAN.f, zs)
+        [times] = oracle.call_times
+        assert len(times) == 17 and out.shape == (2, 3, 2, 2)
+        for z, batched in zip(zs.ravel(), out.reshape(-1, 2, 2)):
+            alone = extract_generator(JORDAN.oracle, JORDAN.f, z)
+            assert alone.shape == (2, 2)
+            assert operator_norm(batched - alone) <= 1e-12 * operator_norm(alone)
+
+    def test_singular_point_of_a_batch_is_marked(self):
+        # the scalar cocycle of B = beta + kappa z over F_t z = e^{-t} z; at
+        # z = 0 it is exp(20 pi i t), whose V(0.1, 0) is exactly singular
+        beta, kappa = 20j * np.pi, 2.0
+
+        def oracle(t, z):
+            t = np.reshape(t, np.shape(t) + (1,) * np.ndim(z))
+            return np.exp(beta * t + kappa * z * (1.0 - np.exp(-t)))[..., None, None]
+
+        zs = np.array([0.3, 0.0, -0.2 + 0.4j])
+        with pytest.raises(VNotInvertibleError) as caught:
+            extract_generator(oracle, LINEAR_MODEL.f, zs)
+        assert caught.value.singular.tolist() == [False, True, False]
+        partial = caught.value.partial
+        assert partial.shape == (3, 1, 1) and np.isnan(partial[1]).all()
+        for i in (0, 2):
+            alone = extract_generator(oracle, LINEAR_MODEL.f, zs[i])
+            assert abs(partial[i, 0, 0] - alone[0, 0]) <= 1e-12 * abs(alone[0, 0])
+            assert abs(alone[0, 0] - (beta + kappa * zs[i])) <= 1e-6
+
     def test_singular_average_retries(self):
         # exp(t b0) with b0 = 20 pi i makes V(0.1, z) exactly singular
         b0 = np.array([[20j * np.pi]])
@@ -397,6 +436,44 @@ class TestExtractGenerator:
             extract_generator(oracle, LINEAR_MODEL.f, 0.2, t0=0.1)
         out = extract_generator_auto(oracle, LINEAR_MODEL.f, 0.2)
         assert abs(out[0, 0] - b0[0, 0]) <= 1e-6
+
+
+# Rim points: angle 0 points at z = 1, the boundary pole of B in
+# linear-scalar-rational and affine-scalar, where the ring errs most; the
+# other three angles are seeded.
+RIM_ANGLES = np.exp(2j * np.pi * np.concatenate([[0.0], np.random.default_rng(31).random(3)]))
+# Largest relative error of B(z) over the closed-form demos, by |z|.  With 16
+# nodes the worst is 2.9e-14 up to 0.95 and 1.3e-10 at 0.99: affine-scalar
+# at z = 0.99, where 64 nodes read 8e-15, and sqrt-nonexp's closed form
+# reads 8.9e-11 there at every node count.  14 nodes read 2.9e-9 at 0.99,
+# 12 nodes 1.0e-11 at 0.95 and 8 nodes 2.6e-8 at 0.95.
+RIM_TOLS = {0.7: 1e-11, 0.9: 1e-11, 0.95: 1e-11, 0.99: 1e-9}
+
+
+def _worst_relative_error(oracle_of, zs):
+    worst = 0.0
+    for entry in demo_catalog():
+        oracle = oracle_of(entry)
+        if oracle is not None:
+            exact = entry.generator(zs)
+            err = operator_norm(extract_generator(oracle, entry.f, zs) - exact)
+            worst = max(worst, float(np.max(err / operator_norm(exact))))
+    return worst
+
+
+@pytest.mark.parametrize("radius", sorted(RIM_TOLS))
+def test_cauchy_ring_loses_nothing_near_the_rim(radius):
+    worst = _worst_relative_error(lambda entry: entry.oracle, radius * RIM_ANGLES)
+    assert worst <= RIM_TOLS[radius]
+
+
+def test_cauchy_ring_loses_nothing_through_the_evolve_oracle():
+    # 16 nodes read 7.9e-12 (sqrt-nonexp at z = 0.95, as with 64 nodes); 8
+    # nodes read 2.6e-8
+    zs = np.multiply.outer([0.7, 0.9, 0.95], RIM_ANGLES).ravel()
+    worst = _worst_relative_error(
+        lambda entry: make_evolve_oracle(entry.model(), entry.generator, tol=1e-12), zs)
+    assert worst <= 1e-10
 
 
 class TestGrowthReport:

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab import cli, demos
+from cocycle_lab.algebra import operator_norm
 from cocycle_lab.cli import _build_parser, main, run_demo
+from cocycle_lab.cocycle import extract_generator_auto, make_evolve_oracle
 from cocycle_lab.demos import demo_by_name, demo_catalog
-from cocycle_lab.dynamics import RationalMap
+from cocycle_lab.dynamics import RationalMap, build_model
 
 JORDAN_SCENARIO = {
     "semigroup": {"f_num": [[0, 0], [-1, 0]], "f_den": [[1, 0]]},
@@ -244,6 +246,53 @@ class TestCli:
         code = main(["extract", "--scenario", scenario_path, "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
+        assert report["max_error"] <= 1e-6
+
+    def _extract(self, scenario, tmp_path, monkeypatch):
+        """Run ``extract`` on ``scenario``; returns the report and the number
+        of points of each oracle call."""
+        sizes = []
+        make = cli.make_evolve_oracle
+
+        def counting(model, B, tol):
+            oracle = make(model, B, tol=tol)
+
+            def gamma(t, z):
+                sizes.append(np.size(z))
+                return oracle(t, z)
+
+            return gamma
+
+        monkeypatch.setattr(cli, "make_evolve_oracle", counting)
+        path, out = tmp_path / "scenario.json", tmp_path / "extract.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["extract", "--scenario", str(path), "--out", str(out)]) == 0
+        return json.loads(out.read_text()), sizes
+
+    def test_extract_takes_one_oracle_call_and_matches_each_point(self, tmp_path, monkeypatch):
+        scenario = {**JORDAN_SCENARIO, "grid": {"t_values": [0.5], "disk_radius": 0.4, "nodes": 8}}
+        report, sizes = self._extract(scenario, tmp_path, monkeypatch)
+        assert sizes == [8 * 17]
+        scn = cli.Scenario(scenario)
+        oracle = make_evolve_oracle(build_model(scn.f, scn.order), scn.generator, tol=scn.ode_tol)
+        for row, z in zip(report["points"], scn.z_values, strict=True):
+            got = np.array(row["generator"]) @ np.array([1.0, 1j])
+            alone = extract_generator_auto(oracle, scn.f, complex(z))
+            assert operator_norm(got - alone) <= 1e-12 * operator_norm(alone)
+            assert row["error_vs_scenario"] == operator_norm(got - scn.generator(z))
+        assert report["max_error"] == max(row["error_vs_scenario"] for row in report["points"])
+
+    def test_extract_retries_only_the_singular_point(self, tmp_path, monkeypatch):
+        # B = 20 pi i + 2z over f = -z: at z = 0, Gamma_t = exp(20 pi i t) and
+        # V(0.1, 0) is singular, so that point alone retries (t0 = 0.1, 0.05)
+        scenario = {
+            "semigroup": {"f_num": [[0, 0], [-1, 0]]},
+            "generator": {"dim": 1, "num_coeffs": [[[[0, 20 * math.pi]]], [[[2, 0]]]]},
+            "grid": {"z_values": [[0.3, 0], [0, 0], [-0.2, 0.4]]},
+        }
+        report, sizes = self._extract(scenario, tmp_path, monkeypatch)
+        assert sizes == [3 * 17, 17, 17]
+        assert [len(row["generator"]) for row in report["points"]] == [1, 1, 1]
         assert report["max_error"] <= 1e-6
 
     @pytest.mark.parametrize("command", ["evolve", "spectrum", "check", "growth", "extract"])
