@@ -34,15 +34,13 @@ from .cocycle import (
     boundedness_classify,
     check_axioms,
     evolve_grid,
-    extract_generator,
     extract_generator_auto,
     growth_report,
     make_evolve_oracle,
 )
 from .demos import demo_by_name, demo_catalog
 from .dynamics import RationalMap, build_model
-from .errors import (CocycleLabError, NoInteriorFixedPointError, ScenarioParseError,
-                     VNotInvertibleError)
+from .errors import CocycleLabError, NoInteriorFixedPointError, ScenarioParseError
 from .linearize import (
     commutative_linearize_nofix,
     condition_check,
@@ -252,13 +250,7 @@ def _cmd_extract(scn: Scenario, args) -> tuple[dict, int]:
     model = build_model(scn.f, scn.order)
     gamma = make_evolve_oracle(model, scn.generator, tol=scn.ode_tol)
     zs = scn.z_values
-    try:
-        recovered = extract_generator(gamma, scn.f, zs)
-    except VNotInvertibleError as exc:
-        # a point whose V is singular at t0 = 0.1 retries alone
-        recovered = exc.partial
-        for i in np.flatnonzero(exc.singular):
-            recovered[i] = extract_generator_auto(gamma, scn.f, complex(zs[i]))
+    recovered = extract_generator_auto(gamma, scn.f, zs)
     errors = operator_norm(recovered - scn.generator(zs)).tolist()
     rows = [{"z": as_pairs(z), "generator": as_pairs(b), "error_vs_scenario": err}
             for z, b, err in zip(zs, recovered, errors)]

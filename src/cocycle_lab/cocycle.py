@@ -22,9 +22,11 @@ integration makes 2 + steps + accepted + extended B calls.  Neither B nor
 f may keep its argument.  A ``CocycleGenerator`` evaluates with the point
 axis innermost and returns a strided (m, n, n) view.  For n <= 4 the
 state holds G as (n, n, m), the point axis last, and B(u) G is one
-broadcast multiply and one sum, each a contiguous loop over the m points;
-for larger n the state holds G as (m, n, n) and B(u) G is numpy's stacked
-matmul.  Either way the result has shape (T, m, n, n).
+broadcast multiply into a work array made once per call and one sum, each
+a contiguous loop over the m points; for larger n the state holds G as
+(m, n, n) and B(u) G is numpy's stacked matmul.  The fiber's ``shape``
+hands G and its derivative over in that layout, so a stage reshapes
+nothing.  Either way the result has shape (T, m, n, n).
 """
 
 from __future__ import annotations
@@ -145,7 +147,8 @@ def evolve_grid(
     is called on whole batches, the points of every stage of a step at
     once: given an array of points it must return an array of shape
     (len(points), n, n), which may be a strided view, else ValueError is
-    raised.
+    raised.  The integration builds its stage views once (``integrate``'s
+    plan), so no stage allocates an array.
     """
     zs = np.asarray(list(z_values), dtype=complex)
     _require_disk(zs)
@@ -159,25 +162,28 @@ def evolve_grid(
     eye = np.eye(n, dtype=complex).ravel()
     y0 = np.concatenate([zs, np.repeat(eye, m) if broadcast else np.tile(eye, m)])
 
+    # (n, n, n, m): every product B[i, j, p] G[j, k, p] of one stage
+    terms = np.empty((n, n, n, m), dtype=complex) if broadcast else None
+
     def lift(u):
         # B at the base states of every stage at once: a CocycleGenerator
         # returns (r m, n, n) as a view of its point-last (n, n, r m) block
         bu = _generator_batch(B, u.ravel(), n).reshape(u.shape + (n, n))
         if not broadcast:
-            return lambda i, g, out: np.matmul(bu[i], g.reshape(m, n, n), out=out.reshape(m, n, n))
-        bu = bu.transpose(0, 2, 3, 1)
-        terms = np.empty((n, n, n, m), dtype=complex)
+            return lambda i, g, out: np.matmul(bu[i], g, out=out)
+        bu = bu.transpose(0, 2, 3, 1)[:, :, :, None]  # (r, n, n, 1, m)
 
         def times(i, g, out):
             # (B G)[i, k, p] = sum_j B[i, j, p] G[j, k, p]: every product in
             # one loop over p, then the sum over j in order
-            np.multiply(bu[i][:, :, None], g.reshape(1, n, n, m), out=terms)
-            np.add.reduce(terms, axis=1, out=out.reshape(n, n, m))
+            np.multiply(bu[i], g, out=terms)
+            np.add.reduce(terms, axis=1, out=out)
 
         return times
 
+    shape = (n, n, m) if broadcast else (m, n, n)
     states = _int.integrate_at(lambda _t, u: f(u), t_values, y0, tol=tol, guard=_disk_guard(m),
-                               fiber=_int.Fiber(m, lift))[:, m:]
+                               fiber=_int.Fiber(m, lift, shape))[:, m:]
     if broadcast:
         # one copy back to point-major order, so the result is not a
         # transposed view
@@ -333,16 +339,25 @@ def extract_generator(
 
 
 def extract_generator_auto(gamma, f, z):
-    """extract_generator with the halving-t0 retry policy: six tries from
-    t0 = 0.1."""
-    last, t0 = None, 0.1
-    for _ in range(6):
+    """extract_generator with the halving-t0 retry policy: one call over
+    every point of z at t0 = 0.1, then one call over the points still
+    singular at each halving of t0, six tries in all (a scalar z is retried
+    as given).  After the sixth, VNotInvertibleError's ``partial`` holds B
+    at the points found and ``singular`` marks the others."""
+    zs, t0 = np.asarray(z, dtype=complex), 0.1
+    try:
+        return extract_generator(gamma, f, z, t0)
+    except VNotInvertibleError as exc:
+        out, todo, last = exc.partial, exc.singular, exc
+    for _ in range(5):
+        t0 /= 2.0
         try:
-            return extract_generator(gamma, f, z, t0)
+            out[todo] = extract_generator(gamma, f, z if zs.ndim == 0 else zs[todo], t0)
+            return out
         except VNotInvertibleError as exc:
-            last = exc
-            t0 /= 2.0
-    raise last
+            out[todo], last = exc.partial, exc
+            todo[todo] = exc.singular
+    raise VNotInvertibleError(str(last), out, todo)
 
 
 @dataclass

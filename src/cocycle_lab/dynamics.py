@@ -72,14 +72,15 @@ class _Rational:
         poles = _interior_roots(self.den)
         if poles.size:
             raise ValueError(f"{self._what} has a pole inside the unit disk at {poles[0]:.6g}")
+        # a polynomial map skips the division by 1, which would only turn a
+        # -0.0 real part into +0.0
+        self._unit_den = self.den.shape[0] == 1 and bool(self.den[0] == 1)
 
     def __call__(self, z):
         if self.den.shape[0] > 1:
             return horner(self.num, z) / horner(self.den, z)[self._den_axes]
         value = horner(self.num, z)
-        # a polynomial map skips the division by 1, which would only turn a
-        # -0.0 real part into +0.0
-        return value if self.den[0] == 1 else value / self.den[0]
+        return value if self._unit_den else value / self.den[0]
 
     def taylor(self, center: complex, order: int):
         """Taylor series about ``center``, scalar or matrix like ``num`` (the

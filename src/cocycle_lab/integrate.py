@@ -28,17 +28,19 @@ times, and ``rhs`` as often as without a fiber.  Without a fiber the base
 is all of y.
 
 A step's stages live in one complex array of shape (16,) + y.shape: twelve
-for the step, its end stage, and three for the extension; one such array
-serves every step of an integration.  The tableau's
+for the step, its end stage, and three for the extension.  The tableau's
 weights are real, so every stage input, the eighth-order state, the error
 estimates and each interpolated state is one real matrix-vector product of
 a weight row, with the step size folded in, and that array viewed as real
-numbers.  The base stage inputs are the rows of one array, which ``lift``
-receives whole, and a step's fiber stage inputs share one buffer,
-overwritten stage by stage.  The integrator owns all of them, so neither
-``rhs``, nor ``lift``, nor the function ``lift`` returns may keep an array
-argument past its call (returning it is fine: its value is copied into the
-stage array).
+numbers.  An integration builds one plan (``_Plan``) and every step reuses
+it: the stage array, h _A refilled in place, and for each stage row its
+weight-row, stage and input views, for the base and the fiber, so a stage
+builds no view and allocates no array.  The base stage inputs are the rows
+of one array, which ``lift`` receives whole, and the fiber stage inputs
+share one buffer, overwritten stage by stage.  The integrator owns all of
+them, so neither ``rhs``, nor ``lift``, nor the function ``lift`` returns
+may keep an array argument past its call (returning it is fine: its value
+is copied into the stage array).
 """
 
 from __future__ import annotations
@@ -191,10 +193,13 @@ class Fiber(NamedTuple):
     u = y[:size] solves u' = rhs(t, u) alone.  ``lift(u)``, for base states
     stacked in rows of shape (r, size), returns ``times(i, g, out)``, which
     writes B(u[i]) g, a derivative of the fiber state g = y[size:], into
-    ``out``."""
+    ``out``.  ``times`` receives g and out in ``shape`` (flat by default);
+    out is a view of the integration's stage array and g of a buffer the
+    next stage overwrites, so ``times`` keeps neither."""
 
     size: int
     lift: Callable
+    shape: tuple = (-1,)
 
 
 def _combine(w, stages, shape):
@@ -219,77 +224,104 @@ def _derivative(rhs, fiber, t, y, out):
     else:
         m = fiber.size
         out[:m] = rhs(t, y[:m])
-        fiber.lift(y[None, :m])(0, y[m:], out[m:])
+        fiber.lift(y[None, :m])(0, y[m:].reshape(fiber.shape), out[m:].reshape(fiber.shape))
     return out
 
 
-def _stages(rhs, fiber, t, y, h, ha, k, first, stop):
-    """Fill stages first .. stop-1 of ``k``, whose earlier stages are filled;
-    ``ha`` is h _A.  The base stage inputs y + ha[i] . k come first, each
-    passed to rhs, then, with a fiber, one lift call on all of them and the
-    fiber stage inputs in turn, formed in one buffer."""
-    m = len(y) if fiber is None else fiber.size
-    base, rows = y[:m], range(first, stop)
-    k_base = k[:, :m]
-    base_real = k_base.reshape(16, -1).view(float)
-    u = np.empty((len(rows),) + base.shape, dtype=complex)
-    u_real = u.reshape(len(rows), -1).view(float)
-    for r, i in enumerate(rows):
-        np.matmul(ha[i, :i], base_real[:i], out=u_real[r])
-        u[r] += base
-        k_base[i] = rhs(t + _C[i] * h, u[r])
-    if fiber is None:
+class _Plan:
+    """What every step of one integration reuses, built once for states of
+    ``shape``: the stage array ``k``, h _A, refilled in place each step,
+    and for stage rows 1-11 (a step) and 13-15 (the extension) the weight
+    row (h _A)[i, :i], the stages it weights viewed as reals, the buffer
+    the stage input is formed in, the stage it fills and its time c_i, for
+    the base and, with a ``fiber``, for the fiber, whose input buffer and
+    stages are viewed in ``fiber.shape``; and the error test's work arrays."""
+
+    def __init__(self, shape, fiber=None):
+        self.fiber, self.ha = fiber, np.empty_like(_A)
+        self.k = np.empty((16,) + shape, dtype=complex)
+        self.m = m = shape[0] if fiber is None else fiber.size
+        k_base = self.k[:, :m]
+        base_real = k_base.reshape(16, -1).view(float)
+        u = np.empty((14,) + k_base.shape[1:], dtype=complex)
+        u_real = u.reshape(14, -1).view(float)
+        rows = [*range(1, 12), *range(13, 16)]
+        base = [(self.ha[i, :i], base_real[:i], u_real[r], u[r], k_base[i], float(_C[i]))
+                for r, i in enumerate(rows)]
+        self.u, self.base = (u[:11], u[11:]), (base[:11], base[11:])
+        if fiber is not None:
+            k_fiber = self.k[:, m:]
+            fiber_real, g = k_fiber.view(float), np.empty(k_fiber.shape[1:], dtype=complex)
+            self.g_real, self.g = g.view(float), g.reshape(fiber.shape)
+            rows = [(self.ha[i, :i], fiber_real[:i], k_fiber[i].reshape(fiber.shape)) for i in rows]
+            self.fiber_rows = rows[:11], rows[11:]
+        self.scale, self.ratio, self.r = np.empty(shape), np.empty(shape), np.empty((2,) + shape)
+        self.positive = np.empty(shape, dtype=bool)
+
+
+def _stages(rhs, t, y, h, plan, part):
+    """Fill stages 1-11 (``part`` 0) or 13-15 (``part`` 1) of plan.k, whose
+    earlier stages are filled, with plan.ha = h _A.  The base stage inputs
+    y + ha[i] . k come first, each passed to rhs, then, with a fiber, one
+    lift call on all of them and the fiber stage inputs in turn."""
+    base = y[: plan.m]
+    for w, stages, real, state, out, c in plan.base[part]:
+        np.matmul(w, stages, out=real)
+        state += base
+        out[...] = rhs(t + c * h, state)
+    if plan.fiber is None:
         return
-    times, g0 = fiber.lift(u), y[m:]
-    k_fiber = k[:, m:]
-    fiber_real = k_fiber.view(float)
-    g = np.empty_like(g0)
-    g_real = g.view(float)
-    for r, i in enumerate(rows):
-        np.matmul(ha[i, :i], fiber_real[:i], out=g_real)
+    times, g0, g = plan.fiber.lift(plan.u[part]), y[plan.m :].reshape(plan.fiber.shape), plan.g
+    for r, (w, stages, out) in enumerate(plan.fiber_rows[part]):
+        np.matmul(w, stages, out=plan.g_real)
         g += g0
-        times(r, g, k_fiber[i])
+        times(r, g, out)
 
 
-def _step(rhs, t, y, h, k1, fiber=None, k=None):
+def _step(rhs, t, y, h, k1, plan=None):
     """One DOP853 step from (t, y) with first stage k1, the right-hand side
     at (t, y): returns (the eighth-order state, the unscaled fifth- and
     third-order error estimates stacked with shape (2,) + y.shape, the
-    stages stacked in one array of shape (16,) + y.shape, ``k`` when given,
-    which k1 may be a row of).  Stages 0-11 are filled.  Stage 12, at
-    (t + h, y_new), is left to the caller once it accepts y_new, and rows
-    13-15 to ``_extend``.  Stage input i is bit for bit
-    y + (h _A[i, :i]) . k[:i], and no callee may keep its argument."""
-    if k is None:
-        k = np.empty((16,) + y.shape, dtype=complex)
-    k[0] = k1
-    ha = h * _A
-    _stages(rhs, fiber, t, y, h, ha, k, 1, 12)
-    y_new = _combine(ha[12, :12], k, y.shape)
+    stages stacked in one array of shape (16,) + y.shape, plan.k, which k1
+    may be a row of); a fiber-less ``plan`` is made here when None.  Stages
+    0-11 are filled.  Stage 12, at (t + h, y_new), is left to the caller
+    once it accepts y_new, and rows 13-15 to ``_extend``.  Stage input i is
+    bit for bit y + (h _A[i, :i]) . k[:i], and no callee may keep its
+    argument."""
+    if plan is None:
+        plan = _Plan(y.shape)
+    plan.k[0] = k1
+    np.multiply(_A, h, out=plan.ha)
+    _stages(rhs, t, y, h, plan, 0)
+    y_new = _combine(plan.ha[12, :12], plan.k, y.shape)
     y_new += y
-    return y_new, _combine(h * _ERR, k, y.shape), k
+    return y_new, _combine(h * _ERR, plan.k, y.shape), plan.k
 
 
-def _error_norm(err, y_new, tol) -> float:
+def _error_norm(err, y_new, tol, plan) -> float:
     """The largest entry of r5^2 / hypot(r5, 0.1 r3), where r5 and r3 are
-    the fifth- and third-order estimates scaled by tol (1 + |y_new|)."""
-    scale = np.abs(y_new)
+    the fifth- and third-order estimates scaled by tol (1 + |y_new|),
+    formed in ``plan``'s work arrays."""
+    scale, r, ratio = plan.scale, plan.r, plan.ratio
+    np.abs(y_new, out=scale)
     scale += 1.0
     scale *= tol
-    r = np.abs(err)
+    np.abs(err, out=r)
     r /= scale
     r5, r3 = r
     r3 *= 0.1
     den = np.hypot(r5, r3, out=r3)
-    ratio = np.divide(r5, den, out=np.zeros_like(den), where=den > 0.0)
+    ratio.fill(0.0)
+    np.divide(r5, den, out=ratio, where=np.greater(den, 0.0, out=plan.positive))
     ratio *= r5
     return float(np.max(ratio, initial=0.0))
 
 
-def _extend(rhs, t, y, h, k, fiber=None):
-    """Fill stages 13-15 of an accepted step's stack ``k`` (stage 12 filled),
-    the three right-hand-side calls the continuous extension needs."""
-    _stages(rhs, fiber, t, y, h, h * _A, k, 13, 16)
+def _extend(rhs, t, y, h, plan):
+    """Fill stages 13-15 of an accepted step's plan.k (stage 12 filled), the
+    three right-hand-side calls the continuous extension needs."""
+    np.multiply(_A, h, out=plan.ha)
+    _stages(rhs, t, y, h, plan, 1)
 
 
 def _dense(y, h, k, theta):
@@ -386,14 +418,14 @@ def integrate(
         guard(y)
     k1 = _derivative(rhs, fiber, t, y, np.empty_like(y))
     h = _first_step(rhs, t, y, k1, span, tol, guard, fiber)
-    # one stage array for every step: a fresh one per step costs page
-    # faults once the state outgrows the allocator's cached blocks
-    stack = np.empty((16,) + y.shape, dtype=complex)
+    # one stage array and its views for every step: a fresh one per step
+    # costs page faults once the state outgrows the allocator's cached blocks
+    plan = _Plan(y.shape, fiber)
     for _ in range(_MAX_STEPS):
         last = t_end - t <= h
         h_step = t_end - t if last else h
-        y_new, err, k = _step(rhs, t, y, h_step, k1, fiber, stack)
-        err_norm = _error_norm(err, y_new, tol)
+        y_new, err, k = _step(rhs, t, y, h_step, k1, plan)
+        err_norm = _error_norm(err, y_new, tol, plan)
         if err_norm <= 1.0:
             t_new = t_end if last else t + h_step
             if guard is not None:
@@ -403,7 +435,7 @@ def integrate(
             while j < len(times) and times[j] < t_new:
                 j += 1
             if j > i:
-                _extend(rhs, t, y, h_step, k, fiber)
+                _extend(rhs, t, y, h_step, plan)
                 out[i - 1 : j - 1] = _dense(y, h_step, k, (np.array(times[i:j]) - t) / h_step)
                 i = j
             while i < len(times) and times[i] <= t_new + slack:

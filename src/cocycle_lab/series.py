@@ -152,15 +152,6 @@ class ScalarSeries(_Series):
         if self.coeffs.ndim != 1:
             raise ValueError("scalar series needs a flat coefficient list")
 
-    @classmethod
-    def identity(cls, order: int, center=0.0) -> "ScalarSeries":
-        """The identity map z -> z expanded about ``center``."""
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = center
-        if order >= 1:
-            c[1] = 1.0
-        return cls(center, c)
-
     def evaluate(self, z):
         """Horner evaluation; accepts a point or an ndarray of points."""
         acc = horner(self.coeffs, np.asarray(z, dtype=complex) - self.center)
@@ -217,10 +208,6 @@ def _recip_coeffs(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def reciprocal(s: ScalarSeries) -> ScalarSeries:
-    return ScalarSeries(s.center, _recip_coeffs(s.coeffs))
-
-
 def _rational_taylor(num: np.ndarray, den: np.ndarray, center: complex, order: int) -> _Series:
     """Taylor series of num(z) / den(z) about ``center`` from ascending
     polynomial coefficients: ``num`` scalar or matrix, ``den`` scalar.
@@ -238,7 +225,7 @@ def _rational_taylor(num: np.ndarray, den: np.ndarray, center: complex, order: i
 
     num_c = padded(_shift_poly(num, center))
     num_s = (MatrixSeries if num_c.ndim == 3 else ScalarSeries)(center, num_c)
-    return num_s * reciprocal(ScalarSeries(center, padded(den_c)))
+    return num_s * ScalarSeries(center, _recip_coeffs(padded(den_c)))
 
 
 def revert(s: ScalarSeries) -> ScalarSeries:

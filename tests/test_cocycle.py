@@ -427,6 +427,46 @@ class TestExtractGenerator:
             assert abs(partial[i, 0, 0] - alone[0, 0]) <= 1e-12 * abs(alone[0, 0])
             assert abs(alone[0, 0] - (beta + kappa * zs[i])) <= 1e-6
 
+    def test_singular_points_retry_together(self):
+        # the exact cocycle above at two singular points among five: one
+        # call of 5 x 17 points at t0 = 0.1, then one of 2 x 17 at t0 = 0.05
+        beta, kappa = 20j * np.pi, 2.0
+
+        def exact(t, z):
+            t = np.reshape(t, np.shape(t) + (1,) * np.ndim(z))
+            return np.exp(beta * t + kappa * z * (1.0 - np.exp(-t)))[..., None, None]
+
+        sizes = []
+
+        def oracle(t, z):
+            sizes.append(np.size(z))
+            return exact(t, z)
+
+        zs = np.array([0.3, 0.0, -0.2 + 0.4j, 0.0, 0.5j])
+        out = extract_generator_auto(oracle, LINEAR_MODEL.f, zs)
+        assert sizes == [5 * 17, 2 * 17]
+        assert np.max(np.abs(out[:, 0, 0] - (beta + kappa * zs))) <= 1e-6
+        for i in (1, 3):
+            alone = extract_generator(exact, LINEAR_MODEL.f, zs[i], t0=0.05)
+            assert abs(out[i, 0, 0] - alone[0, 0]) <= 1e-12 * abs(alone[0, 0])
+
+    def test_points_still_singular_after_six_tries_are_marked(self):
+        # Gamma = 0 at z = 0, so V(t0, 0) = 0 at every t0; e^t elsewhere (B = 1)
+        sizes = []
+
+        def oracle(t, z):
+            sizes.append(np.size(z))
+            t = np.reshape(t, np.shape(t) + (1,) * np.ndim(z))
+            return np.where(np.asarray(z) == 0.0, 0.0, np.exp(t + 0.0 * z))[..., None, None]
+
+        zs = np.array([0.0, 0.4])
+        with pytest.raises(VNotInvertibleError) as caught:
+            extract_generator_auto(oracle, LINEAR_MODEL.f, zs)
+        assert caught.value.singular.tolist() == [True, False]
+        partial = caught.value.partial
+        assert np.isnan(partial[0]).all() and abs(partial[1, 0, 0] - 1.0) <= 1e-6
+        assert sizes == [2 * 17] + [17] * 5
+
     def test_singular_average_retries(self):
         # exp(t b0) with b0 = 20 pi i makes V(0.1, z) exactly singular
         b0 = np.array([[20j * np.pi]])

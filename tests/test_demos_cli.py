@@ -284,14 +284,14 @@ class TestCli:
 
     def test_extract_retries_only_the_singular_point(self, tmp_path, monkeypatch):
         # B = 20 pi i + 2z over f = -z: at z = 0, Gamma_t = exp(20 pi i t) and
-        # V(0.1, 0) is singular, so that point alone retries (t0 = 0.1, 0.05)
+        # V(0.1, 0) is singular, so that point alone retries, at t0 = 0.05
         scenario = {
             "semigroup": {"f_num": [[0, 0], [-1, 0]]},
             "generator": {"dim": 1, "num_coeffs": [[[[0, 20 * math.pi]]], [[[2, 0]]]]},
             "grid": {"z_values": [[0.3, 0], [0, 0], [-0.2, 0.4]]},
         }
         report, sizes = self._extract(scenario, tmp_path, monkeypatch)
-        assert sizes == [3 * 17, 17, 17]
+        assert sizes == [3 * 17, 17]
         assert [len(row["generator"]) for row in report["points"]] == [1, 1, 1]
         assert report["max_error"] <= 1e-6
 

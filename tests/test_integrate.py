@@ -153,7 +153,8 @@ def test_one_step_is_exact_on_polynomials_up_to_degree_seven(degree):
     rhs, exact = polynomial_case(degree, degree)
     t, h = 0.3, 0.7
     y = np.full(3, exact(t))
-    y_new, err, k = integ._step(rhs, t, y, h, rhs(t, y))
+    plan = integ._Plan(y.shape)
+    y_new, err, k = integ._step(rhs, t, y, h, rhs(t, y), plan)
     scale = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(exact.coef)))
     assert np.allclose(y_new, exact(t + h), rtol=0.0, atol=scale)
     # the fifth-order estimate vanishes up to degree 4, the third-order one up to 2
@@ -163,7 +164,7 @@ def test_one_step_is_exact_on_polynomials_up_to_degree_seven(degree):
     # weights, which reach a few hundred
     if degree <= 6:
         k[12] = rhs(t + h, y_new)
-        integ._extend(rhs, t, y, h, k)
+        integ._extend(rhs, t, y, h, plan)
         dense = integ._dense(y, h, k, THETAS)[:, 0]
         weights = np.abs(EXTENSION_ROWS) @ np.abs(k[:, 0])
         bound = 8 * np.finfo(float).eps * (abs(y[0]) + h * weights)
@@ -283,6 +284,15 @@ def test_stacked_stage_combination_matches_the_explicit_sum(shape):
             assert_sums(w, state)
 
 
+def assert_allocating_inputs(inputs, y, real, h, rows):
+    """Each of ``inputs`` is bit for bit y + (h _A[i, :i]) . k[:i] for its
+    row i, formed in a fresh array from the stages ``real`` viewed as reals."""
+    assert len(inputs) == len(rows)
+    for i, v in zip(rows, inputs):
+        expected = y + ((h * integ._A[i, :i]) @ real[:i]).view(complex).reshape(y.shape)
+        assert v.tobytes() == expected.tobytes()
+
+
 def test_stage_inputs_match_the_allocating_expression():
     # every stage input is formed in place, bit for bit as
     # y + (h _A[i, :i]) . k[:i] in a fresh array: h is folded into the weights
@@ -300,9 +310,65 @@ def test_stage_inputs_match_the_allocating_expression():
     _, _, k = integ._step(rhs, 0.0, y, h, k1)
     real = k.reshape(16, -1).view(float)
     assert len(inputs) == 11
-    for i, v in enumerate(inputs, start=1):
-        expected = y + ((h * integ._A[i, :i]) @ real[:i]).view(complex).reshape(y.shape)
-        assert v.tobytes() == expected.tobytes()
+    assert_allocating_inputs(inputs, y, real, h, range(1, 12))
+
+
+def test_fiber_and_extension_stage_inputs_match_the_allocating_expression():
+    # the same for a skew product, over a step's stages and then the
+    # extension's: the base inputs, and the fiber inputs g0 + (h _A[i, :i])
+    # . k_fiber[:i], which times receives in the fiber's shape
+    rng = np.random.default_rng(29)
+    m, n, h = 4, 2, 0.137
+    y = rng.normal(size=m * (1 + n * n)) + 1j * rng.normal(size=m * (1 + n * n))
+    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    base, fiber_inputs = [], []
+
+    def rhs(_t, u):
+        base.append(u.copy())
+        return 1j * u + 0.5 * u * u
+
+    def lift(u):
+        def times(i, g, out):
+            assert g.shape == out.shape == (m, n, n)
+            fiber_inputs.append(g.copy())
+            np.matmul(u[i][:, None, None] * b, g, out=out)
+
+        return times
+
+    def assert_inputs_since(rows, start):
+        # the base and fiber inputs recorded since ``start``
+        b0, f0 = start
+        assert_allocating_inputs(base[b0:], y[:m], k[:, :m].view(float), h, rows)
+        assert_allocating_inputs(fiber_inputs[f0:], y[m:].reshape(m, n, n),
+                                 k[:, m:].view(float), h, rows)
+
+    fiber = integ.Fiber(m, lift, (m, n, n))
+    plan = integ._Plan(y.shape, fiber)
+    k, start = plan.k, (1, 1)  # after the first stage's calls
+    y_new, _, _ = integ._step(rhs, 0.0, y, h, integ._derivative(rhs, fiber, 0.0, y, k[0]), plan)
+    assert_inputs_since(range(1, 12), start)
+    integ._derivative(rhs, fiber, h, y_new, k[12])  # the end stage, as on acceptance
+    start = len(base), len(fiber_inputs)
+    integ._extend(rhs, 0.0, y, h, plan)
+    assert_inputs_since(range(13, 16), start)
+
+
+def test_one_integration_builds_one_plan(monkeypatch, step_counter):
+    # the stage views are built once per integrate call, not per step
+    plans = []
+    plan = integ._Plan
+
+    def counting(*args):
+        plans.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(integ, "_Plan", counting)
+    times = list(0.5 * (GAUSS_NODES + 1.0)) + [1.0]
+    _, steps = step_counter.run(integ.integrate_at, evolution_rhs, times, Y0, tol=TOL)
+    assert steps > 1 and len(plans) == 1
+    model, B, _ = demo_case("jordan-obstruction")
+    _, steps = step_counter.run(evolve_grid, model, B, (0.5, 1.0), [0.3, -0.2j])
+    assert steps > 1 and len(plans) == 2
 
 
 def test_an_rhs_returning_its_argument():

@@ -9,7 +9,6 @@ from cocycle_lab.series import (
     MatrixSeries,
     ScalarSeries,
     compose,
-    reciprocal,
     revert,
 )
 
@@ -18,6 +17,15 @@ RNG = np.random.default_rng(77)
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
+
+
+def identity_series(order, center=0.0):
+    """The identity map z -> z expanded about ``center``."""
+    c = np.zeros(order + 1, dtype=complex)
+    c[0] = center
+    if order >= 1:
+        c[1] = 1.0
+    return ScalarSeries(center, c)
 
 
 def geometric_series(order):
@@ -91,7 +99,7 @@ def test_product_matches_double_loop(left, right):
 class TestCompose:
     def test_identity_outer(self):
         s = ScalarSeries(0.0, RNG.standard_normal(7) + 1j * RNG.standard_normal(7))
-        out = compose(ScalarSeries.identity(6, center=s.coeffs[0]), s)
+        out = compose(identity_series(6, center=s.coeffs[0]), s)
         assert np.allclose(out.coeffs, s.coeffs)
 
     def test_square_outer(self):
@@ -104,7 +112,7 @@ class TestCompose:
         # matrix-coefficient polynomial composed with the identity is itself
         coeffs = np.stack([np.diag([1.0, 2.0]).astype(complex), E12, np.zeros((2, 2))])
         outer = MatrixSeries(0.0, coeffs)
-        out = compose(outer, ScalarSeries.identity(2))
+        out = compose(outer, identity_series(2))
         assert np.allclose(out.coeffs, coeffs)
 
     def test_constant_term_must_match_center(self):
@@ -116,8 +124,8 @@ class TestCompose:
 
 class TestRevert:
     def test_identity(self):
-        out = revert(ScalarSeries.identity(8))
-        assert np.allclose(out.coeffs, ScalarSeries.identity(8).coeffs)
+        out = revert(identity_series(8))
+        assert np.allclose(out.coeffs, identity_series(8).coeffs)
 
     def test_geometric(self):
         # z/(1-z) reverts to w/(1+w)
@@ -142,7 +150,7 @@ class TestRevert:
             c[1] = 1.0
             s = ScalarSeries(0.0, c)
             ident = compose(s, revert(s))
-            target = ScalarSeries.identity(10).coeffs
+            target = identity_series(10).coeffs
             assert np.max(np.abs(ident.coeffs - target)) <= 1e-10
 
     # the Newton sizes change shape here: none at order 1, one step at 2-3,
@@ -159,7 +167,7 @@ class TestRevert:
         c[0], c[1] = 0.0, -1.0 + 0.2j
         s = ScalarSeries(0.0, c)
         g = revert(s)
-        residual = np.abs(compose(s, g).coeffs - ScalarSeries.identity(order).coeffs)
+        residual = np.abs(compose(s, g).coeffs - identity_series(order).coeffs)
         terms = compose(ScalarSeries(0.0, np.abs(c)), ScalarSeries(0.0, np.abs(g.coeffs)))
         assert residual[0] == 0.0
         assert np.all(residual[1:] <= 1e-14 * terms.coeffs.real[1:])
@@ -282,7 +290,7 @@ def test_reciprocal_inverts():
     c = RNG.standard_normal(8) + 1j * RNG.standard_normal(8)
     c[0] = 1.5
     s = ScalarSeries(0.0, c)
-    prod = s * reciprocal(s)
+    prod = s * ScalarSeries(s.center, series._recip_coeffs(s.coeffs))
     target = np.zeros(8)
     target[0] = 1.0
     assert np.max(np.abs(prod.coeffs - target)) <= 1e-10
