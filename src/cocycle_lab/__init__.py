@@ -17,7 +17,6 @@ from .cocycle import (
     GrowthReport,
     boundedness_classify,
     check_axioms,
-    evolve,
     evolve_grid,
     extract_generator,
     extract_generator_auto,
@@ -67,7 +66,6 @@ __all__ = [
     "conjugated_generator",
     "demo_by_name",
     "demo_catalog",
-    "evolve",
     "evolve_grid",
     "extract_generator",
     "extract_generator_auto",

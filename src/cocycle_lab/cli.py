@@ -10,9 +10,10 @@ runs the series pipeline, ``spectrum`` reports the resonance condition,
 Each subcommand accepts only the flags it reads; argparse refuses any
 other flag with exit status 2.  Scenario files are JSON; complex numbers are
 ``[re, im]`` pairs and matrices are row-major nested arrays.  Exit status: 0
-on success, 1 when a verification check fails, 2 on input errors, an output
-path that cannot be written among them; a CSV written before a report that
-cannot be written is removed.
+on success, 1 when a verification check fails or the integrator does not
+converge, 2 on input errors, among them an output path that cannot be
+written and a trajectory that leaves the disk; a CSV written before a report
+that cannot be written is removed.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .cocycle import (
 )
 from .demos import demo_by_name, demo_catalog
 from .dynamics import RationalMap, build_model
-from .errors import CocycleLabError, NoInteriorFixedPointError, ScenarioParseError
+from .errors import CocycleLabError, NoConvergenceError, NoInteriorFixedPointError, ScenarioParseError
 from .linearize import (
     commutative_linearize_nofix,
     condition_check,
@@ -476,7 +477,7 @@ def main(argv=None) -> int:
         return status
     except (CocycleLabError, OSError) as exc:  # an OSError: an --out or --csv path not written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, NoConvergenceError) else 2
 
 
 if __name__ == "__main__":

@@ -191,11 +191,6 @@ def evolve_grid(
     return states.reshape(len(states), m, n, n)
 
 
-def evolve(model: SemigroupModel, B, t: float, z: complex, tol: float = 1e-11) -> np.ndarray:
-    """Solve the evolution problem up to time t at the point z."""
-    return evolve_grid(model, B, [float(t)], [complex(z)], tol=tol)[0, 0]
-
-
 def make_evolve_oracle(model: SemigroupModel, B, tol: float = 1e-11):
     """Wrap (model, B) as an oracle Gamma(t, z) (see ``gamma_grid``): one
     ``evolve_grid`` call over the times (nonnegative, in any order, repeats

@@ -2,16 +2,16 @@
 
 A model bundles the generator f, its interior fixed point z0 (the one zero
 of f inside the disk, or None when f has none: a boundary model), the rate
-lambda = -f'(z0), and the Koenigs series h solving the Schroeder equation
-h(F_t(z)) = exp(-lambda t) h(z) with h(z0) = 0, h'(z0) = 1, and of h^{-1}, each
-built from f.  The flow F_t is always the direct integration of du/dt = f(u);
-the series serve the linearization alone, so a model builds each on its first read.
+lambda = -f'(z0), and the series of h^{-1}, the inverse of the Koenigs map h
+that solves the Schroeder equation h(F_t(z)) = exp(-lambda t) h(z) with
+h(z0) = 0, h'(z0) = 1, built from f.  The flow F_t is always the direct
+integration of du/dt = f(u); the series serves the linearization alone, so a
+model builds it on its first read.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,10 +24,6 @@ from .errors import (
     ZeroRateError,
 )
 from .series import ScalarSeries, _rational_taylor, _shift_poly, horner
-
-#: safety factor applied to the ratio-test estimate of a series radius (read
-#: only by ``reconstruct_error``'s sample guard)
-RADIUS_SAFETY = 0.8
 
 #: how close to the unit circle a fixed point (or a generator's pole) stops
 #: counting as interior
@@ -109,52 +105,20 @@ class RationalMap(_Rational):
                              f"at {self.zeros[0]:.6g} and {self.zeros[1]:.6g}")
 
 
-def _ratio_radius(coeffs: np.ndarray) -> float:
-    """RADIUS_SAFETY / limsup |c_k|^(1/k), estimated from the high-order
-    coefficients; infinite when they all vanish.  An estimate, not a bound:
-    it sets ``koenigs_radius``, which only ``reconstruct_error``'s sample
-    guard reads."""
-    n = coeffs.shape[0] - 1
-    lo = max(2, n // 2)
-    best = 0.0
-    for k in range(lo, n + 1):
-        a = abs(coeffs[k])
-        if a > 1e-250:
-            best = max(best, a ** (1.0 / k))
-    if best == 0.0:
-        return math.inf
-    return RADIUS_SAFETY / best
-
-
 @dataclass
 class SemigroupModel:
     """Semigroup data around an interior fixed point, or a boundary model
     with ``z0`` and ``rate`` None, as ``build_model`` decides; both flow by the ODE.
 
-    Three reads, each built on its first and None, None and 0 on a boundary
-    model: ``koenigs`` (h about z0, from f's Taylor coefficients to order + 1),
-    ``koenigs_radius`` (h's ratio-test radius, for ``reconstruct_error``'s
-    sample guard alone) and ``koenigs_inv`` (h^{-1} about w = 0, constant term
-    z0, by its own recursion from f's coefficients to order, not reverting h)."""
+    ``koenigs_inv`` is the one Koenigs series, h^{-1} about w = 0 with
+    constant term z0, by its own recursion from f's Taylor coefficients to
+    ``order``; it is built on its first read, and None on a boundary model.
+    ``reconstruct_error`` gets h(z) from it by Newton steps."""
 
     f: RationalMap
     z0: Optional[complex]
     rate: Optional[complex]
     order: int
-
-    @functools.cached_property
-    def koenigs(self) -> Optional[ScalarSeries]:
-        if self.z0 is None:
-            return None
-        f_c, lam, order = self.f.taylor(self.z0, self.order + 1).coeffs, self.rate, self.order
-        h = np.zeros(order + 1, dtype=complex)
-        h[1] = 1.0
-        # Schroeder recursion from h' f = -lambda h:
-        # h_k = sum_{0<j<k} j h_j f_{k+1-j} / (lambda (k - 1))
-        js = np.arange(order + 1)
-        for k in range(2, order + 1):
-            h[k] = (js[1:k] * h[1:k]) @ f_c[k:1:-1] / (lam * (k - 1))
-        return ScalarSeries(self.z0, h)
 
     @functools.cached_property
     def koenigs_inv(self) -> Optional[ScalarSeries]:
@@ -172,10 +136,6 @@ class SemigroupModel:
             pw[2:j, k] = pw[1:j - 1, k - 1:0:-1] @ pw[1, 1:k]
             pw[1, k] = -(f_c[2:j] @ pw[2:j, k]) / (lam * (k - 1))
         return ScalarSeries(0.0, pw[1])
-
-    @functools.cached_property
-    def koenigs_radius(self) -> float:
-        return 0.0 if self.z0 is None else _ratio_radius(self.koenigs.coeffs)
 
     @property
     def is_interior(self) -> bool:
@@ -218,7 +178,7 @@ def build_model(f: RationalMap, order: int = 24) -> SemigroupModel:
     """The one place that decides whether f fixes a point z0 in the disk:
     f's zero with |z0| < 1 - BOUNDARY_MARGIN, or else a boundary model.  The
     rate lambda = -f'(z0) is -num'(z0) / den(z0), as num(z0) = 0; the Koenigs
-    series wait for their first read.  Raises ValueError for an order below
+    series h^{-1} waits for its first read.  Raises ValueError for an order below
     1 and ZeroRateError when lambda is numerically zero (f identically zero
     counts as fixing z0 = 0)."""
     if order < 1:

@@ -278,18 +278,16 @@ def _stages(rhs, t, y, h, plan, part):
         times(r, g, out)
 
 
-def _step(rhs, t, y, h, k1, plan=None):
+def _step(rhs, t, y, h, k1, plan):
     """One DOP853 step from (t, y) with first stage k1, the right-hand side
     at (t, y): returns (the eighth-order state, the unscaled fifth- and
     third-order error estimates stacked with shape (2,) + y.shape, the
     stages stacked in one array of shape (16,) + y.shape, plan.k, which k1
-    may be a row of); a fiber-less ``plan`` is made here when None.  Stages
-    0-11 are filled.  Stage 12, at (t + h, y_new), is left to the caller
-    once it accepts y_new, and rows 13-15 to ``_extend``.  Stage input i is
+    may be a row of); ``plan`` is a ``_Plan`` for y's shape.  Stages 0-11
+    are filled.  Stage 12, at (t + h, y_new), is left to the caller once it
+    accepts y_new, and rows 13-15 to ``_extend``.  Stage input i is
     bit for bit y + (h _A[i, :i]) . k[:i], and no callee may keep its
     argument."""
-    if plan is None:
-        plan = _Plan(y.shape)
     plan.k[0] = k1
     np.multiply(_A, h, out=plan.ha)
     _stages(rhs, t, y, h, plan, 0)

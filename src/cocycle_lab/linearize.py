@@ -51,10 +51,13 @@ from .errors import (
     PoleOnPathError,
 )
 from .integrate import integrate
-from .series import MatrixSeries, compose
+from .series import MatrixSeries, compose, horner
 
 #: scaled singular-value band that is solved but flagged as ill-conditioned
 NEAR_RESONANCE_RTOL = 1e-3
+
+#: cap on the Newton steps ``reconstruct_error`` takes toward w = h(z)
+_NEWTON_STEPS = 40
 
 
 @dataclass
@@ -133,7 +136,7 @@ def condition_check(
 
 
 def conjugated_generator(model: SemigroupModel, B, order: int) -> MatrixSeries:
-    """Series of b(w) = B(h^{-1}(w)) about w = 0; b_0 equals B(z0)."""
+    """b(w) = B(h^{-1}(w)) about w = 0 to ``order`` (``compose`` truncates h^{-1}); b_0 = B(z0)."""
     if not model.is_interior:
         raise NoInteriorFixedPointError("conjugation requires an interior fixed point")
     if order > model.order:
@@ -141,7 +144,7 @@ def conjugated_generator(model: SemigroupModel, B, order: int) -> MatrixSeries:
             f"model series order {model.order} is below the requested {order}"
         )
     outer = B.taylor(model.z0, order)
-    return compose(outer, model.koenigs_inv.truncate(order))
+    return compose(outer, model.koenigs_inv)
 
 
 @dataclass
@@ -327,6 +330,26 @@ def linearize(
     )
 
 
+def _koenigs_coordinate(model: SemigroupModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, settled): w = h(z) at the points ``z`` as a root of g(w) = z, g the
+    model's truncated h^{-1}, by Newton steps from w = z - z0 (g' from the
+    coefficients k g_k), up to ``_NEWTON_STEPS`` and one past the step at
+    which every |g(w) - z| is within Horner's rounding bound
+    4 (N + 1) eps (sum_k |g_k| |w|^k + |z|), where that point has settled."""
+    c = model.koenigs_inv.coeffs
+    slope = c[1:] * np.arange(1, c.shape[0])
+    tol = 4 * c.shape[0] * np.finfo(float).eps
+    w = z - model.z0
+    with np.errstate(all="ignore"):  # a diverging point overflows to inf or nan
+        for _ in range(_NEWTON_STEPS):
+            residual = horner(c, w) - z
+            settled = np.abs(residual) <= tol * (horner(np.abs(c), np.abs(w)).real + np.abs(z))
+            w = w - residual / horner(slope, w)
+            if settled.all():
+                break
+    return w, settled
+
+
 def reconstruct_error(
     model: SemigroupModel,
     B,
@@ -335,40 +358,39 @@ def reconstruct_error(
     *,
     guard_radius: Optional[float] = None,
 ) -> float:
-    """Max over samples (t, z) of ||Gamma_t(z) - M(F_t z)^{-1} e^{t B0} M(z)||.
+    """Max over samples (t, z) of ||Gamma_t(z) - M(F_t z)^{-1} e^{t B0} M(z)||,
+    with M(z) = m(w) and M(F_t z) = m(e^{-lam t} w) at w = h(z).
 
-    Gamma comes from one ``evolve_grid`` call over the sample times, as they
-    come, and the distinct points, independent of the series being tested.
-    That call is made once every sample passes the guard: |z - z0| <=
-    ``model.koenigs_radius`` and |h(z)|, |e^{-lam t} h(z)| <= 0.8 * radius.
-    ``koenigs_radius`` is a ratio-test estimate, not a bound, so the guard
-    does not prove that the truncated h converges at z.  An empty
-    ``samples`` raises ValueError.
+    w comes from ``_koenigs_coordinate`` at the distinct points, Gamma from
+    one ``evolve_grid`` call over the sample times, as they come, and those
+    points.  That call is made once every sample passes the guard, else
+    OutsideConvergenceRegionError: the Newton steps settle, and |w| <= 0.8 *
+    radius, which bounds |e^{-lam t} w| too (Re lam > 0, t >= 0).  The guard
+    is no convergence proof: a settled w solves the truncated h^{-1}, which
+    can have roots that h^{-1} lacks, and the radius is certified only for
+    the computed orders.  An empty ``samples`` raises ValueError.
     """
     if outcome.status == "obstructed":
         raise ValueError("obstructed outcomes cannot be reconstructed")
     if not samples:
         raise ValueError("reconstruct_error needs at least one sample")
     radius = outcome.radius_estimate if guard_radius is None else guard_radius
-    lam = model.rate
 
-    checked = []
-    for t, z in samples:
-        t, z = float(t), complex(z)
-        hz = model.koenigs.evaluate(z)
-        wt = np.exp(-lam * t) * hz
-        if abs(z - model.z0) > model.koenigs_radius or max(abs(hz), abs(wt)) > 0.8 * radius:
-            raise OutsideConvergenceRegionError(
-                f"sample (t={t}, z={z}) leaves the certified region"
-            )
-        checked.append((t, z, hz, wt))
-    ts = [t for t, _, _, _ in checked]
-    zs, where = np.unique([z for _, z, _, _ in checked], return_inverse=True)
+    ts = [float(t) for t, _ in samples]
+    zs, where = np.unique([complex(z) for _, z in samples], return_inverse=True)
+    w, settled = _koenigs_coordinate(model, zs)
+    refused = np.flatnonzero(~(settled & (np.abs(w) <= 0.8 * radius))[where])
+    if refused.size:
+        t, z = samples[refused[0]]
+        raise OutsideConvergenceRegionError(
+            f"sample (t={float(t)}, z={complex(z)}) leaves the certified region"
+        )
     gammas = evolve_grid(model, B, ts, zs)
     exp_tb0 = {t: mat_exp(t * outcome.b0) for t in ts}
     err = 0.0
-    for gamma_t, j, (t, _, hz, wt) in zip(gammas, where, checked):
-        recon = mat_inv(outcome.m.evaluate(wt)) @ exp_tb0[t] @ outcome.m.evaluate(hz)
+    for gamma_t, j, t in zip(gammas, where, ts):
+        wt = np.exp(-model.rate * t) * w[j]
+        recon = mat_inv(outcome.m.evaluate(wt)) @ exp_tb0[t] @ outcome.m.evaluate(w[j])
         err = max(err, operator_norm(gamma_t[j] - recon))
     return err
 

@@ -116,8 +116,7 @@ def _shift_poly(coeffs: np.ndarray, center: complex) -> np.ndarray:
 
 
 class _Series:
-    """Shared storage, truncation and product of scalar- and
-    matrix-coefficient series."""
+    """Shared storage and product of scalar- and matrix-coefficient series."""
 
     def __init__(self, center, coeffs):
         self.center = complex(center)
@@ -128,14 +127,6 @@ class _Series:
     @property
     def order(self) -> int:
         return self.coeffs.shape[0] - 1
-
-    def _wrap(self, coeffs):
-        return type(self)(self.center, coeffs)
-
-    def truncate(self, order: int):
-        if order >= self.order:
-            return self
-        return self._wrap(self.coeffs[: order + 1])
 
     def __mul__(self, other):
         if abs(self.center - other.center) > _CENTER_ATOL:

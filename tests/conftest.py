@@ -1,11 +1,30 @@
 """Shared test fixtures."""
 
 import collections
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 from cocycle_lab import integrate, series
+from cocycle_lab.dynamics import RationalMap
+
+
+class KoenigsPair(NamedTuple):
+    """A generator f with its exact Koenigs map h and inverse h^{-1}."""
+
+    f: RationalMap
+    h: Callable
+    h_inv: Callable
+
+
+def koenigs_pair(c) -> KoenigsPair:
+    """f = -z (1 - c z), fixed point 0 and rate 1: h(z) = z / (1 - c z)
+    solves h' f = -h, and h^{-1}(w) = w / (1 + c w) has its pole at
+    w = -1/c, so its series converges for |w| < 1/|c|."""
+    return KoenigsPair(
+        RationalMap([0.0, -1.0, c]), lambda z: z / (1 - c * z), lambda w: w / (1 + c * w)
+    )
 
 
 class SvdCounter:

@@ -12,7 +12,6 @@ from cocycle_lab.cocycle import (
     CocycleGenerator,
     boundedness_classify,
     check_axioms,
-    evolve,
     evolve_grid,
     extract_generator,
     extract_generator_auto,
@@ -155,14 +154,14 @@ class TestEvolve:
                 assert operator_norm(vals[i, j] - JORDAN.oracle(t, z)) <= 1e-8
 
     def test_scalar_rational_closed_form(self):
-        out = evolve(LINEAR_MODEL, SCALAR.generator, 1.0, 0.3, tol=1e-12)
+        out = evolve_grid(LINEAR_MODEL, SCALAR.generator, [1.0], [0.3], tol=1e-12)[0, 0]
         assert abs(out[0, 0] - (np.e - 0.3) / 0.7) <= 1e-10
 
     def test_constant_generator_is_z_independent(self):
         b0 = np.array([[0.3, 1.0], [0.0, -0.2j]], dtype=complex)
         gen = CocycleGenerator.constant(b0)
-        g1 = evolve(LINEAR_MODEL, gen, 1.3, 0.5)
-        g2 = evolve(LINEAR_MODEL, gen, 1.3, -0.4j)
+        g1 = evolve_grid(LINEAR_MODEL, gen, [1.3], [0.5])[0, 0]
+        g2 = evolve_grid(LINEAR_MODEL, gen, [1.3], [-0.4j])[0, 0]
         target = mat_exp(1.3 * b0)
         assert operator_norm(g1 - target) <= 1e-9
         assert operator_norm(g2 - target) <= 1e-9
@@ -199,7 +198,7 @@ class TestEvolve:
         repelling = build_model(RationalMap([0.0, 1.0]), order=2)
         gen = CocycleGenerator.constant(np.array([[0.5]]))
         with pytest.raises(DomainEscapeError):
-            evolve(repelling, gen, 3.0, 0.5)
+            evolve_grid(repelling, gen, [3.0], [0.5])
 
     def test_generator_of_wrong_shape_refused(self):
         # B must map m points to (m, n, n); this one ignores the batch
@@ -231,7 +230,7 @@ class TestOracleProtocol:
         grid = oracle(ts, zs)
         assert grid.shape == (2, 3, 2, 2)
         assert np.array_equal(grid, evolve_grid(LINEAR_MODEL, JORDAN.generator, ts, zs))
-        assert np.array_equal(oracle(1.0, 0.3), evolve(LINEAR_MODEL, JORDAN.generator, 1.0, 0.3))
+        assert np.array_equal(oracle(1.0, 0.3), evolve_grid(LINEAR_MODEL, JORDAN.generator, [1.0], [0.3])[0, 0])
         assert oracle(ts, []).shape == (2, 0, 2, 2)
 
     def test_evolve_oracle_is_one_evolve_grid_call(self, monkeypatch):
@@ -664,10 +663,10 @@ def test_chain_rule_of_evolve_output():
     # semicocycle property of the solver itself, not of a closed form
     gen = JORDAN.generator
     t, s, z = 0.7, 0.4, 0.3 - 0.2j
-    g_sum = evolve(LINEAR_MODEL, gen, t + s, z, tol=1e-12)
-    g_s = evolve(LINEAR_MODEL, gen, s, z, tol=1e-12)
+    g_sum = evolve_grid(LINEAR_MODEL, gen, [t + s], [z], tol=1e-12)[0, 0]
+    g_s = evolve_grid(LINEAR_MODEL, gen, [s], [z], tol=1e-12)[0, 0]
     fs = LINEAR_MODEL.flow(s, z)
-    g_t = evolve(LINEAR_MODEL, gen, t, fs, tol=1e-12)
+    g_t = evolve_grid(LINEAR_MODEL, gen, [t], [fs], tol=1e-12)[0, 0]
     assert operator_norm(g_sum - g_t @ g_s) <= 1e-10
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocycle_lab import cli, demos
+from cocycle_lab import cli, demos, integrate
 from cocycle_lab.algebra import operator_norm
 from cocycle_lab.cli import _build_parser, main, run_demo
 from cocycle_lab.cocycle import extract_generator_auto, make_evolve_oracle
@@ -298,9 +298,10 @@ class TestCli:
     @pytest.mark.parametrize("command", ["evolve", "spectrum", "check", "growth", "extract"])
     def test_only_linearize_builds_the_koenigs_series(self, scenario_path, capsys, monkeypatch,
                                                       command):
-        # the model's Koenigs series wait for their first read, which no
-        # command but linearize makes; linearize builds h^{-1} alone, from one
-        # expansion of f to the series order, and never h (order + 1)
+        # the model's one Koenigs series, h^{-1}, waits for its first read,
+        # which no command but linearize makes; linearize builds it from one
+        # expansion of f to the series order, and a demo that also checks
+        # the reconstruction takes h from that series, expanding f no more
         expanded = []
         taylor = RationalMap.taylor
 
@@ -313,6 +314,11 @@ class TestCli:
         assert expanded == []
         assert main(["linearize", "--scenario", scenario_path]) == 0
         assert expanded == [JORDAN_SCENARIO["truncation_order"]]
+        capsys.readouterr()
+        assert main(["demo", "diagonal-linearizable"]) == 0
+        checks = [c["check"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert "reconstruction" in checks
+        assert expanded == [JORDAN_SCENARIO["truncation_order"], 24]
 
     def test_demo_command(self, tmp_path):
         out = tmp_path / "demo.json"
@@ -421,6 +427,33 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text('{"semigroup": {"f_num": "oops"}}')
         assert main(["evolve", "--scenario", str(path)]) == 2
+
+    def test_integrator_step_cap_exits_one(self, scenario_path, tmp_path, capsys, monkeypatch):
+        # NoConvergenceError is a failure to verify, not bad input: exit 1,
+        # one stderr line and no report (a real step-cap run takes ~40 s)
+        monkeypatch.setattr(integrate, "_MAX_STEPS", 3)
+        out = tmp_path / "r.json"
+        assert main(["evolve", "--scenario", scenario_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            "error: NoConvergenceError: adaptive integrator exceeded the step cap"
+        ]
+
+    def test_trajectory_leaving_the_disk_exits_two(self, tmp_path, capsys):
+        # f = z pushes every point out of the disk: it generates no disk
+        # self-maps, so the run is an input error
+        data = json.loads(json.dumps(JORDAN_SCENARIO))
+        data["semigroup"] = {"f_num": [[0, 0], [1, 0]]}
+        data["grid"]["t_values"] = [3.0]
+        path = tmp_path / "repelling.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: DomainEscapeError: ")
 
     def test_spectrum_needs_interior_point(self, tmp_path, capsys):
         data = dict(JORDAN_SCENARIO)
@@ -772,9 +805,13 @@ def test_scenario_commands_keep_the_exit_contract(tmp_path_factory, mutations):
     path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
     path.write_text(json.dumps(data))  # non-finite values as NaN/Infinity tokens
     for command in SCENARIO_COMMANDS:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, "--scenario", str(path)])
+        if err.getvalue().startswith("error: NoConvergenceError: "):
+            # the integrator's step cap or step-size underflow: 1, no report
+            assert code == 1 and out.getvalue() == ""
+            continue
         assert code in ((0, 1, 2) if command in ("check", "growth", "extract") else (0, 2))
         if code != 2:
             strict_json(out.getvalue())

@@ -5,25 +5,37 @@ import pytest
 
 from cocycle_lab import dynamics, integrate
 from cocycle_lab.cocycle import CocycleGenerator, growth_report
-from cocycle_lab.linearize import commutative_linearize_interior, linearize
+from cocycle_lab.linearize import _koenigs_coordinate, commutative_linearize_interior, linearize
 from cocycle_lab.dynamics import (
     RationalMap,
     build_model,
     flow_ode,
 )
-from cocycle_lab.series import compose, revert
+from cocycle_lab.series import ScalarSeries, compose, revert
 from cocycle_lab.errors import (
     DomainEscapeError,
     NoInteriorFixedPointError,
     OutOfDomainError,
     ZeroRateError,
 )
+from conftest import koenigs_pair
 
 RNG = np.random.default_rng(5150)
 
 LINEAR = RationalMap([0.0, -1.0])         # f(z) = -z
 QUADRATIC = RationalMap([0.0, -1.0, 1.0])  # f(z) = z^2 - z
 AFFINE = RationalMap([1.0, -1.0])          # f(z) = 1 - z
+
+
+def schroeder_series(m):
+    """h about z0 to the model's order, summed term by term from h' f = -lambda h:
+    h_k = sum_{0<j<k} j h_j f_{k+1-j} / (lambda (k - 1))."""
+    f_c = m.f.taylor(m.z0, m.order + 1).coeffs
+    h = np.zeros(m.order + 1, dtype=complex)
+    h[1] = 1.0
+    for k in range(2, m.order + 1):
+        h[k] = sum(j * h[j] * f_c[k + 1 - j] for j in range(1, k)) / (m.rate * (k - 1))
+    return ScalarSeries(m.z0, h)
 
 
 class TestRationalMap:
@@ -49,19 +61,20 @@ class TestBuildModel:
         m = build_model(LINEAR)
         assert m.z0 == pytest.approx(0.0)
         assert m.rate == pytest.approx(1.0)
-        assert np.allclose(m.koenigs.coeffs[2:], 0.0)
-        assert m.koenigs.coeffs[1] == pytest.approx(1.0)
+        assert np.allclose(m.koenigs_inv.coeffs[2:], 0.0)
+        assert m.koenigs_inv.coeffs[1] == pytest.approx(1.0)
 
     def test_quadratic_koenigs_is_geometric(self):
-        # h' (z^2 - z) = -h forces every coefficient to 1: h(z) = z/(1-z)
+        # h(z) = z/(1-z) solves h' (z^2 - z) = -h, and h^{-1}(w) = w/(1+w)
+        # has the coefficients (-1)^(k-1)
         m = build_model(QUADRATIC)
-        assert np.allclose(m.koenigs.coeffs[1:], 1.0)
+        assert np.allclose(m.koenigs_inv.coeffs[1:], (-1.0) ** np.arange(24))
         assert m.rate == pytest.approx(1.0)
 
     def test_rescaled_linear(self):
         m = build_model(RationalMap([0.0, -2.0]))
         assert m.rate == pytest.approx(2.0)
-        assert np.allclose(m.koenigs.coeffs[2:], 0.0)
+        assert np.allclose(m.koenigs_inv.coeffs[2:], 0.0)
 
     def test_fixed_point_residual(self):
         f = RationalMap([0.03, -1.0, 0.4])
@@ -84,31 +97,17 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("tau, order", [(0.9, 24), (0.8, 48)])
     def test_fixed_point_near_the_circle_builds(self, tau, order):
-        # the Koenigs coefficients grow like (1/(1 - tau))^k, far above the
-        # linear one; only the build of h is pinned here
+        # h^{-1} has its pole at w = -(1 - tau^2) / tau, so its coefficients
+        # grow like (tau / (1 - tau^2))^k, far above the linear one; only the
+        # build is pinned here
         m = build_model(RationalMap(np.convolve([tau, -1.0], [1.0, -tau])), order=order)
         assert m.z0 == pytest.approx(tau, abs=1e-14)
         assert m.rate == pytest.approx(1.0 - tau**2, abs=1e-13)
-        assert np.max(np.abs(m.koenigs.coeffs)) > 1e15
-
-    def test_schroeder_recursion_matches_the_term_by_term_sum(self):
-        # a rational f has a Taylor term at every order, so each order of
-        # the recursion sums over every j
-        f = RationalMap([0.05, -1.0, 0.3 + 0.2j], [1.0, -0.4j, 0.1])
-        order = 64
-        m = build_model(f, order=order)
-        f_c = f.taylor(m.z0, order + 1).coeffs
-        assert np.all(f_c[2:] != 0.0)
-        h = np.zeros(order + 1, dtype=complex)
-        h[1] = 1.0
-        for k in range(2, order + 1):
-            h[k] = sum(j * h[j] * f_c[k + 1 - j] for j in range(1, k)) / (m.rate * (k - 1))
-        assert np.allclose(m.koenigs.coeffs, h, rtol=1e-14, atol=0.0)
+        assert np.max(np.abs(m.koenigs_inv.coeffs)) > 1e15
 
     def test_koenigs_data_built_on_first_read(self, monkeypatch):
-        # z0 and the rate come at once; f's expansion to the order builds
-        # h^{-1} on its first read, and the one to order + 1 builds h and the
-        # radius estimate on the first read of either
+        # z0 and the rate come at once; f's one expansion, to the order,
+        # builds h^{-1} on its first read
         expanded = []
         taylor = RationalMap.taylor
 
@@ -125,9 +124,6 @@ class TestBuildModel:
         assert expanded == [(0, 16)] and m.koenigs_inv is inv
         # h^{-1}(w) = w / (1 + w), exact in binary
         assert np.array_equal(inv.coeffs, np.append(0.0, (-1.0) ** np.arange(16)))
-        radius = m.koenigs_radius
-        assert expanded == [(0, 16), (0, 17)] and m.koenigs is m.koenigs
-        assert radius == dynamics._ratio_radius(m.koenigs.coeffs)
 
     @pytest.mark.parametrize("arg", [0.1, 1.3, 2.9])
     def test_koenigs_inverse_matches_the_closed_form(self, arg):
@@ -141,15 +137,17 @@ class TestBuildModel:
         assert np.all(np.abs(g[1:] - exact) <= 1e-14 * np.abs(exact))
 
     def test_koenigs_inverse_inverts_the_koenigs_series(self):
-        # the rational f of the term-by-term test, z0 != 0
+        # a rational f, z0 != 0, with a Taylor term at every order, against
+        # the Schroeder series h summed term by term
         f = RationalMap([0.05, -1.0, 0.3 + 0.2j], [1.0, -0.4j, 0.1])
         m = build_model(f, order=64)
         assert m.z0 != 0 and m.koenigs_inv.coeffs[0] == m.z0
-        hg = compose(m.koenigs, m.koenigs_inv).coeffs
+        h = schroeder_series(m)
+        hg = compose(h, m.koenigs_inv).coeffs
         hg[1] -= 1.0
         assert np.max(np.abs(hg)) <= 1e-13
         m = build_model(f, order=24)
-        assert np.max(np.abs(m.koenigs_inv.coeffs - revert(m.koenigs).coeffs)) <= 1e-14
+        assert np.max(np.abs(m.koenigs_inv.coeffs - revert(schroeder_series(m)).coeffs)) <= 1e-14
 
     @pytest.mark.parametrize("tau, order", [(0.9, 24), (0.8, 48)])
     def test_koenigs_inverse_conjugates_the_flow_near_the_circle(self, tau, order):
@@ -165,7 +163,7 @@ class TestBuildModel:
 
     def test_boundary_model_has_no_koenigs_data(self):
         m = build_model(AFFINE)
-        assert (m.koenigs, m.koenigs_inv, m.koenigs_radius) == (None, None, 0.0)
+        assert m.koenigs_inv is None
 
     def test_boundary_generator_gives_boundary_model(self):
         # build_model decides, and each consumer that needs z0 refuses
@@ -291,13 +289,18 @@ class TestSemigroupInvariants:
                     assert abs(lhs - rhs) <= 1e-7
 
     def test_schroeder_equation(self):
-        m = build_model(QUADRATIC)
-        guard = 0.5 * m.koenigs_radius
-        for z in (guard * 0.9, guard * 0.7j, -guard * 0.5):
-            hz = m.koenigs.evaluate(z)
-            for t in (0.4, 1.2):
-                lhs = m.koenigs.evaluate(m.flow(t, z))
-                assert abs(lhs - np.exp(-m.rate * t) * hz) <= 1e-9
+        # h by Newton steps on h^{-1}, as reconstruct_error takes it, solves
+        # h(F_t z) = e^{-lambda t} h(z) and matches h(z) = z / (1 - c z)
+        pair = koenigs_pair(0.6)
+        m = build_model(pair.f)
+        zs = np.array([0.35, 0.3j, -0.35, 0.2 + 0.2j])
+        ts = np.array([0.4, 1.2])
+        hz, settled = _koenigs_coordinate(m, zs)
+        h_flow, settled_flow = _koenigs_coordinate(m, m.flow(ts, zs).ravel())
+        assert settled.all() and settled_flow.all()
+        assert np.max(np.abs(hz - pair.h(zs))) <= 1e-13
+        rhs = np.exp(-m.rate * ts)[:, None] * hz
+        assert np.max(np.abs(h_flow.reshape(rhs.shape) - rhs)) <= 1e-9
 
     def test_interior_decay_estimate(self):
         for f in (LINEAR, QUADRATIC):

@@ -307,7 +307,7 @@ def test_stage_inputs_match_the_allocating_expression():
 
     k1 = rhs(0.0, y)
     inputs.clear()
-    _, _, k = integ._step(rhs, 0.0, y, h, k1)
+    _, _, k = integ._step(rhs, 0.0, y, h, k1, integ._Plan(y.shape))
     real = k.reshape(16, -1).view(float)
     assert len(inputs) == 11
     assert_allocating_inputs(inputs, y, real, h, range(1, 12))
@@ -383,7 +383,7 @@ def test_an_rhs_returning_its_argument():
 
 def test_empty_state_steps_and_integrates():
     y = np.zeros(0, dtype=complex)
-    y_new, err, k = integ._step(lambda _t, v: -v, 0.0, y, 0.1, y)
+    y_new, err, k = integ._step(lambda _t, v: -v, 0.0, y, 0.1, y, integ._Plan(y.shape))
     assert y_new.shape == (0,) and err.shape == (2, 0) and k.shape == (16, 0)
     assert integ.integrate(lambda _t, v: -v, (0.0, 0.5, 1.0), y).shape == (2, 0)
 

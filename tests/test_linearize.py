@@ -3,6 +3,7 @@ quadrature linearizers, reconstruction, gauge freedom, sharpness."""
 
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from cocycle_lab.algebra import (
     unvec,
     vec,
 )
-from cocycle_lab.cocycle import CocycleGenerator, evolve
+from cocycle_lab.cocycle import CocycleGenerator
 from cocycle_lab.demos import demo_by_name
 from cocycle_lab.dynamics import RationalMap, build_model
 from cocycle_lab.errors import (
@@ -36,7 +37,7 @@ from cocycle_lab.linearize import (
     reconstruct_error,
     sharpness_witness,
 )
-from conftest import non_normal_b0
+from conftest import koenigs_pair, non_normal_b0
 
 RNG = np.random.default_rng(91)
 
@@ -242,13 +243,14 @@ class TestLinearize:
         assert out.diagnostics["C1"] == math.inf
 
     def test_resonant_polynomial_transfer_map_reconstructs(self):
-        # the resonant demo's transfer map is exactly I + z E21 / 2
+        # the resonant demo's transfer map is exactly I + z E21 / 2, and h
+        # is the identity for f = -z
         entry = demo_by_name("resonant-solvable")
         out = linearize(LINEAR_MODEL, entry.generator)
         assert np.allclose(out.m.coeffs[2:], 0.0, atol=1e-12)
         for t in (0.5, 1.5):
             for z in (0.4, -0.3 + 0.2j):
-                m_z = out.m.evaluate(LINEAR_MODEL.koenigs.evaluate(z))
+                m_z = out.m.evaluate(z)
                 m_ftz = out.m.evaluate(np.exp(-t) * z)
                 recon = mat_inv(m_ftz) @ mat_exp(t * out.b0) @ m_z
                 assert operator_norm(recon - entry.oracle(t, z)) <= 1e-12
@@ -418,19 +420,69 @@ class TestReconstruction:
             reconstruct_error(LINEAR_MODEL, SCALAR.generator, out, [])
 
     def test_gauge_covariance(self):
-        # conjugating (M, B0) by any invertible A leaves the cocycle unchanged
+        # conjugating (M, B0) by any invertible A leaves the cocycle
+        # unchanged; h is the identity for the demo's f = -z
         entry = demo_by_name("diagonal-linearizable")
         model = entry.model()
         out = linearize(model, entry.generator)
         a = np.array([[1.2, 0.4 - 0.2j], [0.1j, 0.9]], dtype=complex)
         b0_t = a @ out.b0 @ mat_inv(a)
-        for t, z in ((0.6, 0.25), (1.2, -0.2 + 0.1j)):
-            hz = model.koenigs.evaluate(z)
+        for t, hz in ((0.6, 0.25), (1.2, -0.2 + 0.1j)):
             wt = np.exp(-model.rate * t) * hz
             m_z, m_ftz = out.m.evaluate(hz), out.m.evaluate(wt)
             plain = mat_inv(m_ftz) @ mat_exp(t * out.b0) @ m_z
             gauged = mat_inv(a @ m_ftz) @ mat_exp(t * b0_t) @ (a @ m_z)
             assert operator_norm(plain - gauged) <= 1e-8
+
+
+class TestKoenigsCoordinate:
+    """reconstruct_error's h(z): Newton steps on the model's h^{-1} series,
+    against the exact pair of f = -z (1 - c z)."""
+
+    @pytest.mark.parametrize("order", [24, 64])
+    @pytest.mark.parametrize("c", [0.6, 0.6j, -0.6])
+    def test_newton_h_is_exact_where_the_guard_accepts(self, c, order):
+        # 400 points over the disk, the guard at the demos' radius cap 0.6
+        pair = koenigs_pair(c)
+        model = build_model(pair.f, order=order)
+        rng = np.random.default_rng(33)
+        z = 0.99 * np.sqrt(rng.random(400)) * np.exp(2j * np.pi * rng.random(400))
+        w, settled = linearize_module._koenigs_coordinate(model, z)
+        accepted = settled & (np.abs(w) <= 0.8 * 0.6)
+        assert accepted.sum() >= 100
+        assert np.max(np.abs(w - pair.h(z))[accepted]) <= 1e-13
+
+    def test_spurious_root_of_the_truncated_series_is_refused(self):
+        # at order 24 the truncated h^{-1} of c = 0.6 has a root of modulus
+        # 1.55 over z = 0.95 e^{0.3i}, where |h(z)| = 1.96: Newton settles on
+        # it, and the radius test refuses it even at 1/|c|, the radius of
+        # convergence of h^{-1}'s series
+        pair = koenigs_pair(0.6)
+        model = build_model(pair.f, order=24)
+        z = 0.95 * np.exp(0.3j)
+        w, settled = linearize_module._koenigs_coordinate(model, np.array([z]))
+        assert settled[0] and abs(w[0]) == pytest.approx(1.552, abs=1e-3)
+        assert abs(pair.h(z)) == pytest.approx(1.956, abs=1e-3)
+        gen = CocycleGenerator.scalar([0.2, 0.1])
+        out = linearize(model, gen)
+        assert out.status == "linearizable"
+        with pytest.raises(OutsideConvergenceRegionError, match=r"z=\(0\.907"):
+            reconstruct_error(model, gen, out, [(0.5, 0.1), (0.5, z)], guard_radius=1 / 0.6)
+
+    def test_unsettled_point_is_refused_at_any_radius(self):
+        # tau = 0.9 puts the pole of h^{-1} at w = -0.21; from z = -0.5 the
+        # Newton steps on its order-24 truncation do not settle.  A constant
+        # B has an infinite radius, so only the settling test refuses
+        model = build_model(RationalMap(np.convolve([0.9, -1.0], [1.0, -0.9])))
+        _, settled = linearize_module._koenigs_coordinate(model, np.array([0.0, -0.5]))
+        assert settled.tolist() == [True, False]
+        gen = CocycleGenerator.constant(np.array([[0.3]]))
+        out = linearize(model, gen)
+        assert out.radius_estimate == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutsideConvergenceRegionError, match=r"z=\(-0\.5"):
+                reconstruct_error(model, gen, out, [(0.5, -0.5)])
 
 
 class TestCommutativeInterior:
@@ -440,7 +492,7 @@ class TestCommutativeInterior:
 
     def test_matches_series_pipeline(self):
         out = linearize(LINEAR_MODEL, SCALAR.generator)
-        m_series = out.m.evaluate(LINEAR_MODEL.koenigs.evaluate(0.3))[0, 0]
+        m_series = out.m.evaluate(0.3)[0, 0]  # h is the identity for f = -z
         m_quad = commutative_linearize_interior(LINEAR_MODEL, SCALAR.generator, 0.3)
         assert abs(m_series - m_quad) <= 1e-6
         assert m_quad == pytest.approx(1.0 / 0.7, abs=1e-7)
@@ -470,11 +522,11 @@ class TestCommutativeInterior:
         def plain(u):
             return (1.0 / (2.0 - np.asarray(u, dtype=complex)))[..., None, None]
 
-        for z in (model.z0 + 1e-3, 0.1, 0.3 + 0.25j, -0.5, 0.9j):
-            hz = model.koenigs.evaluate(z)
-            assert abs(z - model.z0) <= model.koenigs_radius
-            assert abs(hz) <= 0.8 * out.radius_estimate
-            m_series = out.m.evaluate(hz)[0, 0]
+        zs = np.array([model.z0 + 1e-3, 0.1, 0.3 + 0.25j, -0.5, 0.9j])
+        hz, settled = linearize_module._koenigs_coordinate(model, zs)
+        assert settled.all() and np.all(np.abs(hz) <= 0.8 * out.radius_estimate)
+        for z, w in zip(zs, hz):
+            m_series = out.m.evaluate(w)[0, 0]
             assert abs(commutative_linearize_interior(model, plain, z) - m_series) <= 1e-8
 
 
