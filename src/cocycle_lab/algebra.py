@@ -179,20 +179,36 @@ def schur(a) -> tuple[np.ndarray, np.ndarray]:
 def _sweeper(t: np.ndarray, lam: complex, orders):
     """The column sweep for upper-triangular t: a function of (k, rhs), k one
     of ``orders``, that solves ``k lam x - (x t - t x) = rhs`` one column at
-    a time, (k lam + t - t_jj) x_j = rhs_j + sum_{i<j} t_ij x_i.  The n
-    triangular blocks of every order are inverted here, in one batched call
-    (order n^3 complex values), so a singular block must not be among them."""
+    a time, x_j = (k lam + t - t_jj)^-1 (rhs_j + sum_{i<j} t_ij x_i).
+
+    The blocks k lam + t - t_jj of every order and column share t's strictly
+    upper part and differ only in their diagonals, so their inverses come from
+    one back substitution over t's rows, n batched products for all orders
+    and columns at once (order n^3 complex values).  The products of one
+    order do not depend on the other orders, so a batched sweep equals a
+    one-order sweep bit for bit.  An exactly zero diagonal entry, a singular
+    block, raises ``np.linalg.LinAlgError`` before any division."""
     n = t.shape[0]
-    eye = np.eye(n)
-    shifted = t - np.diagonal(t)[:, None, None] * eye
     kls = np.asarray(orders) * complex(lam)
-    invs = dict(zip(orders, np.linalg.inv(shifted + kls[:, None, None, None] * eye)))
+    d = np.diagonal(t)
+    diag = kls[:, None, None] + (d - d[:, None])  # [order, j, i] = k lam + t_ii - t_jj
+    if not diag.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    recip = 1.0 / diag
+    eye = np.eye(n)
+    inv = np.empty((len(kls), n, n, n), dtype=complex)  # [order, i, j, :] = row i of block j
+    rows = inv.reshape(len(kls), n, n * n)
+    for i in range(n - 1, -1, -1):
+        upper = (t[i, i + 1 :] @ rows[:, i + 1 :]).reshape(len(kls), n, n)
+        inv[:, i] = (eye[i] - upper) * recip[..., i, None]
+    invs = dict(zip(orders, inv))
+    coefs = [np.append(t[:j, j], 1.0) for j in range(n)]  # t_0j, ..., t_{j-1,j}, 1
 
     def sweep(k: int, rhs: np.ndarray) -> np.ndarray:
         inv = invs[k]
-        x = np.empty_like(rhs)  # row j holds x_j, so each step reads whole rows
-        for j, r_j in enumerate(rhs.T):
-            x[j] = inv[j] @ (r_j + t[:j, j] @ x[:j])
+        x = np.array(rhs.T, dtype=complex)  # row j holds r_j until x_j overwrites it
+        for j, coef in enumerate(coefs):
+            x[j] = inv[:, j] @ (coef @ x[: j + 1])
         return x.T
 
     return sweep
@@ -280,7 +296,8 @@ def sylvester_resolve(
     zeroed), "resonant_solvable" if its defect in the factored system is at
     most tol * max(1, ||rhs||_F), else "obstructed".  Every other order gets
     the unique solution from the column sweep in the Schur basis of b0
-    (``schur``, and ``_sweeper`` for the one order k).  Callers solving many
+    (``schur``, and ``_sweeper`` for the one order k: its n triangular
+    blocks inverted by back substitution, n^3 values).  Callers solving many
     orders pass ad_B0 and its 2-norm as ``ad``, ``ad_norm``.
     """
     if k < 1:

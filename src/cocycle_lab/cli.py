@@ -68,6 +68,15 @@ def _as_complex(value) -> complex:
     raise ScenarioParseError(f"expected a number or [re, im] pair, got {value!r}")
 
 
+def _as_int(section: dict, key: str, default=None) -> int:
+    """``section[key]`` (or ``default`` when given and the key is absent),
+    which must be a JSON integer: a bool, a string or a float is refused."""
+    value = section[key] if default is None else section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioParseError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _as_tolerance(tols: dict, key: str, default: float) -> float:
     x = _as_real(tols.get(key, default))
     if x <= 0.0:
@@ -105,14 +114,14 @@ class Scenario:
             )
 
             gen = _section(data, "generator")
-            self.dim = int(gen["dim"])
+            self.dim = _as_int(gen, "dim")
             num = np.stack(
                 [_as_matrix(rows, self.dim) for rows in gen["num_coeffs"]]
             )
             den = _complex_list(gen.get("den_coeffs", [1.0]))
             self.generator = CocycleGenerator(num, den)
 
-            self.order = int(data.get("truncation_order", 24))
+            self.order = _as_int(data, "truncation_order", 24)
             if self.order < 1:
                 raise ScenarioParseError("truncation_order must be a positive integer")
             grid = _section(data, "grid", {})
@@ -125,7 +134,7 @@ class Scenario:
                 self.z_values = _complex_list(grid["z_values"])
             else:
                 radius = _as_real(grid.get("disk_radius", 0.4))
-                nodes = int(grid.get("nodes", 8))
+                nodes = _as_int(grid, "nodes", 8)
                 angles = 2.0 * np.pi * np.arange(nodes) / nodes
                 self.z_values = radius * np.exp(1j * angles)
             if self.z_values.size == 0:

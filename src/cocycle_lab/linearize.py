@@ -219,13 +219,14 @@ def linearize(
     move into its basis in one product, and m back in one at the end.  An
     order in ``violated_k`` is one ``sylvester_resolve`` call, the only full
     SVD of k lam - ad_B0; every other order is one column sweep (``_sweeper``:
-    the n triangular n x n blocks of all those orders are inverted in one
-    batched call before the loop).  C1 = max 1 / sigma_min(k lam - ad_B0)
-    takes ``condition_check``'s batched sigma_min up to k_bound, and beyond
-    it singular values only where the floor |k lam| - ||ad_B0|| could raise
-    C1.  One batch of ||b_k|| serves the choice of C2 and r (``_certificate``)
-    and the "coboundary" test ||B0|| <= 1e-10.  ``tail_ratio`` is
-    ||m_N|| radius^N.  An order below 1 raises ValueError.
+    the inverses of the n triangular n x n blocks of all those orders come
+    from one back substitution before the loop, order n^3 values).
+    C1 = max 1 / sigma_min(k lam - ad_B0) takes ``condition_check``'s
+    batched sigma_min up to k_bound, and beyond it singular values only
+    where the floor |k lam| - ||ad_B0|| could raise C1.  One batch of
+    ||b_k|| serves the choice of C2 and r (``_certificate``) and the
+    "coboundary" test ||B0|| <= 1e-10.  ``tail_ratio`` is ||m_N|| radius^N.
+    An order below 1 raises ValueError.
     """
     if order < 1:
         raise ValueError(f"series order must be at least 1, got {order!r}")

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from cocycle_lab import integrate, series
+from cocycle_lab.algebra import mat_exp
+from cocycle_lab.cocycle import CocycleGenerator
 from cocycle_lab.dynamics import RationalMap
 
 
@@ -25,6 +27,67 @@ def koenigs_pair(c) -> KoenigsPair:
     return KoenigsPair(
         RationalMap([0.0, -1.0, c]), lambda z: z / (1 - c * z), lambda w: w / (1 + c * w)
     )
+
+
+class Manufactured(NamedTuple):
+    """A semicocycle known in closed form: its generator, the flow of f and
+    Gamma, each of the last two a function of (t, z) for one t and an array
+    of points."""
+
+    generator: CocycleGenerator
+    flow: Callable
+    gamma: Callable
+
+
+def matrix_poly(coeffs, z) -> np.ndarray:
+    """sum_k coeffs[k] z^k at each point of the 1-d array z: (len(z), n, n)."""
+    return np.einsum("pk,kij->pij", np.power.outer(z, np.arange(len(coeffs))), coeffs)
+
+
+def manufactured(f_coeffs, b0, m_coeffs) -> Manufactured:
+    """The method of manufactured solutions for f = a + b z + c z^2 (given as
+    [a, b, c]), any n x n B0 and a polynomial M (ascending n x n coefficients)
+    with M(z0) = I and det M != 0 on the closed disk: B = adj(M) (B0 M - f M')
+    / det M generates Gamma_t(z) = M(F_t z)^-1 e^{t B0} M(z).  F_t is the
+    Moebius map of the Riccati flow; B's polynomials are read off exact
+    samples at roots of unity."""
+    a, b, c = f_coeffs
+    b0, m_coeffs = np.asarray(b0, dtype=complex), np.asarray(m_coeffs, dtype=complex)
+    n, deg = b0.shape[0], len(m_coeffs) - 1
+    samples = np.exp(2j * np.pi * np.arange(n * deg + 2) / (n * deg + 2))  # above both degrees
+    m_z = matrix_poly(m_coeffs, samples)
+    dm_z = matrix_poly(np.arange(1, deg + 1)[:, None, None] * m_coeffs[1:], samples)
+    f_z = (a + b * samples + c * samples**2)[:, None, None]
+    det = np.linalg.det(m_z)
+    num = det[:, None, None] * np.linalg.solve(m_z, b0 @ m_z - f_z * dm_z)
+    den = np.fft.fft(det)[: n * deg + 1] / samples.size
+    generator = CocycleGenerator(np.fft.fft(num, axis=0) / samples.size, den)
+    mobius = np.array([[b / 2, a], [-c, -b / 2]], dtype=complex)
+
+    def flow(t, z):
+        (alpha, beta), (gamma, delta) = mat_exp(t * mobius)
+        return (alpha * z + beta) / (gamma * z + delta)
+
+    def cocycle(t, z):
+        z = np.asarray(z, dtype=complex)
+        m_flow, m_z = matrix_poly(m_coeffs, flow(t, z)), matrix_poly(m_coeffs, z)
+        return np.linalg.solve(m_flow, mat_exp(t * b0) @ m_z)
+
+    return Manufactured(generator, flow, cocycle)
+
+
+def manufactured_case():
+    """The manufactured case of f = -z + 0.3 z^2: B0 = [[0.2, 0.3], [0, 0.65]],
+    M = I + M1 z + M2 z^2 with M1, M2 each 0.25 times a complex normal 2x2;
+    the roots of det M have modulus 1.59 or more.  Returns (Koenigs pair of
+    f, M's coefficients, the ``Manufactured``)."""
+    rng = np.random.default_rng(7)
+    m_coeffs = np.empty((3, 2, 2), dtype=complex)
+    m_coeffs[0] = np.eye(2)
+    m_coeffs[1:] = 0.25 * (rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)))
+    pair = koenigs_pair(0.3)
+    b0 = np.array([[0.2, 0.3], [0.0, 0.65]])
+    return pair, m_coeffs, manufactured([0.0, -1.0, 0.3], b0, m_coeffs)
 
 
 class SvdCounter:

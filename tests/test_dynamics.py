@@ -18,7 +18,7 @@ from cocycle_lab.errors import (
     OutOfDomainError,
     ZeroRateError,
 )
-from conftest import koenigs_pair
+from conftest import koenigs_pair, manufactured_case
 
 RNG = np.random.default_rng(5150)
 
@@ -276,6 +276,16 @@ class TestFlowOde:
     def test_repelling_generator_escapes(self):
         with pytest.raises(DomainEscapeError):
             flow_ode(RationalMap([0.0, 1.0]), 3.0, 0.5)
+
+    def test_matches_the_moebius_flow_of_a_quadratic_f(self):
+        # f = -z + 0.3 z^2 flows by a Moebius map (a Riccati equation); read
+        # 6.6e-13 at most
+        pair, _, exact = manufactured_case()
+        rng = np.random.default_rng(14)
+        zs = 0.7 * np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
+        ts = np.linspace(0.0, 2.5, 11)
+        reference = np.array([exact.flow(t, zs) for t in ts])
+        assert np.max(np.abs(flow_ode(pair.f, ts, zs) - reference)) <= 1e-12
 
 
 class TestSemigroupInvariants:

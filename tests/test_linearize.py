@@ -37,7 +37,7 @@ from cocycle_lab.linearize import (
     reconstruct_error,
     sharpness_witness,
 )
-from conftest import koenigs_pair, non_normal_b0
+from conftest import koenigs_pair, manufactured_case, matrix_poly, non_normal_b0
 
 RNG = np.random.default_rng(91)
 
@@ -784,14 +784,27 @@ def test_schur_recursion_matches_kronecker_recursion(case, n, status):
         assert out.diagnostics["C1"] == pytest.approx(1.0 / min(sigmas), rel=1e-12)
 
 
+def test_manufactured_m_is_m_of_h_inverse():
+    # Gamma_t(z) = M(F_t z)^-1 e^{t B0} M(z) with M(0) = I, so m = M o h^-1
+    # exactly: its Taylor coefficients by FFT of M(h^-1(w)) on |w| = 1, 128
+    # nodes (h^-1's pole at |w| = 1/0.3 aliases below 1e-60); read 2.3e-16
+    pair, m_coeffs, exact = manufactured_case()
+    out = linearize(build_model(pair.f, order=40), exact.generator, order=40)
+    assert out.status == "linearizable"
+    w = np.exp(2j * np.pi * np.arange(128) / 128)
+    reference = np.fft.fft(matrix_poly(m_coeffs, pair.h_inv(w)), axis=0)[:41] / 128
+    assert np.max(np.abs(out.m.coeffs - reference)) <= 1e-14
+
+
 # Work-counter gate: SVDs with singular vectors in one order-64 linearize of
 # a generic 4x4 generator.  Only the orders in violated_k take the full
 # n^2-sized factorization; every other order is a column sweep in the Schur
 # basis of B0, whose deflation takes one full SVD of each size n ... 2.
 # Measured: 0 full 16x16 SVDs (65 when every order took one), and no 16x16
 # solve or inverse at any order (64 when every order took an LU solve).  The
-# n triangular 4x4 blocks of all 64 orders are inverted in one batched call
-# (64 calls when each order inverted its own).
+# n triangular 4x4 blocks of all 64 orders are inverted by one back
+# substitution, with no 4x4 inverse (1 when a batched LAPACK call inverted
+# them, 64 when each order inverted its own).
 def test_full_svds_only_at_orders_that_may_resonate(svd_counter, solve_counter):
     rng = np.random.default_rng(64)
     n = 4
@@ -807,7 +820,7 @@ def test_full_svds_only_at_orders_that_may_resonate(svd_counter, solve_counter):
     assert svd_counter.full[n * n] == len(out.violated_k) == 0
     assert [svd_counter.full[size] for size in (4, 3, 2)] == [1, 1, 1]
     assert solve_counter.by_size[n * n] == 0
-    assert solve_counter.by_size[n] - inverses == 1
+    assert solve_counter.by_size[n] == inverses
 
 
 # Work-counter gate on a 16x16 generator at order 64 (f = -z + 0.3 z^2, B0
@@ -839,13 +852,14 @@ def test_large_svds_only_where_c1_may_rise(svd_counter, solve_counter):
 
 
 class TestBatchedSweep:
-    """``linearize`` inverts the triangular blocks of every order it sweeps in
-    one batched call before the recursion, and never those of an order in
-    ``violated_k``, whose blocks may be exactly singular."""
+    """``linearize`` inverts the triangular blocks of every order it sweeps by
+    one back substitution before the recursion, and never those of an order
+    in ``violated_k``, whose blocks may be exactly singular."""
 
     def test_jordan_blocks_singular_at_the_violated_order(self):
         # B0 = diag(1, 2) and lam = 1: the block 1 + t - t_jj of order 1 is
-        # singular, so inverting it in the batch would raise for every order
+        # singular, so inverting it in the batch would raise for every order;
+        # the zero diagonal is refused before any division would warn
         _, t = algebra.schur(JORDAN.generator(0.0))
         with pytest.raises(np.linalg.LinAlgError):
             algebra._sweeper(t, 1.0, [1, 2])
