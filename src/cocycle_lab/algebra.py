@@ -1,6 +1,7 @@
 """Dense complex matrix kernel: inverses, exponentials, norms, the
-commutator matrix, the complex Schur form, and the commutator-resolvent
-solve behind the linearization recursion.
+commutator matrix, the complex Schur form, the kernel ``Commutator`` that
+keeps both for one B0, and the commutator-resolvent solve behind the
+linearization recursion.
 
 Matrices are plain ``numpy.ndarray`` values of shape ``(n, n)`` and dtype
 complex; scalars are Python ``complex``.  The ambient norm is the spectral
@@ -11,6 +12,7 @@ eigenvalue of its Hermitian part.  All functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -176,51 +178,10 @@ def schur(a) -> tuple[np.ndarray, np.ndarray]:
     return q, np.triu(t)
 
 
-def _sweeper(t: np.ndarray, lam: complex, orders):
-    """The column sweep for upper-triangular t: a function of (k, rhs), k one
-    of ``orders``, that solves ``k lam x - (x t - t x) = rhs`` one column at
-    a time, x_j = (k lam + t - t_jj)^-1 (rhs_j + sum_{i<j} t_ij x_i).
-
-    The blocks k lam + t - t_jj of every order and column share t's strictly
-    upper part and differ only in their diagonals, so their inverses come from
-    one back substitution over t's rows, n batched products for all orders
-    and columns at once (order n^3 complex values).  The products of one
-    order do not depend on the other orders, so a batched sweep equals a
-    one-order sweep bit for bit.  An exactly zero diagonal entry, a singular
-    block, raises ``np.linalg.LinAlgError`` before any division."""
-    n = t.shape[0]
-    kls = np.asarray(orders) * complex(lam)
-    d = np.diagonal(t)
-    diag = kls[:, None, None] + (d - d[:, None])  # [order, j, i] = k lam + t_ii - t_jj
-    if not diag.all():
-        raise np.linalg.LinAlgError("Singular matrix")
-    recip = 1.0 / diag
-    eye = np.eye(n)
-    inv = np.empty((len(kls), n, n, n), dtype=complex)  # [order, i, j, :] = row i of block j
-    rows = inv.reshape(len(kls), n, n * n)
-    for i in range(n - 1, -1, -1):
-        upper = (t[i, i + 1 :] @ rows[:, i + 1 :]).reshape(len(kls), n, n)
-        inv[:, i] = (eye[i] - upper) * recip[..., i, None]
-    invs = dict(zip(orders, inv))
-    coefs = [np.append(t[:j, j], 1.0) for j in range(n)]  # t_0j, ..., t_{j-1,j}, 1
-
-    def sweep(k: int, rhs: np.ndarray) -> np.ndarray:
-        inv = invs[k]
-        x = np.array(rhs.T, dtype=complex)  # row j holds r_j until x_j overwrites it
-        for j, coef in enumerate(coefs):
-            x[j] = inv[:, j] @ (coef @ x[: j + 1])
-        return x.T
-
-    return sweep
-
-
 class _Resolvent(NamedTuple):
-    """``k*lam*I - ad_matrix(b0)`` with its SVD and resonance cutoff.
-
-    Fields are stacked along the leading axes of the orders they were built
-    for; ``u`` and ``vh`` are None when only singular values were taken.
-    ``scale`` and ``cutoff`` are those of ``_cutoff``.
-    """
+    """k lam - ad_B0 at the orders of one ``Commutator.resolvent`` call (the
+    leading axes), its SVD (``u`` and ``vh`` None when only singular values
+    were taken) and the ``scale`` and ``cutoff`` of ``Commutator.cutoff``."""
 
     lhs: np.ndarray
     u: Optional[np.ndarray]
@@ -234,31 +195,80 @@ class _Resolvent(NamedTuple):
         return self.sv[..., -1] <= self.cutoff
 
 
-def _cutoff(orders, lam: complex, ad_norm: float, resonance_rtol: float):
-    """The one resonance rule: order k (an int or an array of ints) is resonant
-    when sigma_min(k lam - ad_B0) <= cutoff = resonance_rtol * scale, where
-    scale = |k lam| + ||ad_B0||.  Returns ``(scale, cutoff)``; a tolerance
-    outside the rule's domain [0, 1), NaN included, raises ValueError."""
-    if not 0.0 <= resonance_rtol < 1.0:
-        raise ValueError(f"resonance_rtol must lie in [0, 1), got {resonance_rtol!r}")
-    scale = np.abs(np.asarray(orders) * complex(lam)) + ad_norm
-    return scale, resonance_rtol * np.maximum(scale, 1e-300)
+class Commutator:
+    """The commutator map ad_B0: m -> m b0 - b0 m of a copy of one b0, built
+    once for every order k lam - ad_B0 of the recursion: its n^2 x n^2
+    ``matrix`` (``ad_matrix``, capped at MAX_AD_DIM), that matrix's 2-norm
+    ``norm`` and b0's Schur form ``schur_form`` (``schur``'s q, t)."""
 
+    def __init__(self, b0):
+        self.b0 = as_matrix(b0).copy()
+        self.matrix = ad_matrix(self.b0)
+        self.norm = float(np.linalg.norm(self.matrix, 2))
 
-def _resolvent(
-    orders, lam: complex, ad: np.ndarray, ad_norm: float, resonance_rtol: float, *,
-    vectors: bool = True,
-) -> _Resolvent:
-    """Build and factor the resolvent matrix of the linearization recursion
-    at each order in ``orders`` (an int or an array of ints), given
-    ``ad = ad_matrix(b0)`` and its 2-norm ``ad_norm``; with
-    ``vectors=False`` only the singular values are computed."""
-    lhs = (np.asarray(orders) * complex(lam))[..., None, None] * np.eye(ad.shape[0]) - ad
-    if vectors:
-        u, sv, vh = np.linalg.svd(lhs)
-    else:
-        u, sv, vh = None, np.linalg.svd(lhs, compute_uv=False), None
-    return _Resolvent(lhs, u, sv, vh, *_cutoff(orders, lam, ad_norm, resonance_rtol))
+    @cached_property
+    def schur_form(self) -> tuple[np.ndarray, np.ndarray]:
+        return schur(self.b0)  # taken on first use: resonant-only solves need none
+
+    def cutoff(self, orders, lam, resonance_rtol):
+        """The one resonance rule: order k (an int or an array of ints) is
+        resonant when sigma_min(k lam - ad_B0) <= cutoff = resonance_rtol *
+        scale, where scale = |k lam| + ||ad_B0||.  Returns ``(scale, cutoff)``;
+        a tolerance outside the rule's domain [0, 1), NaN included, raises
+        ValueError."""
+        if not 0.0 <= resonance_rtol < 1.0:
+            raise ValueError(f"resonance_rtol must lie in [0, 1), got {resonance_rtol!r}")
+        scale = np.abs(np.asarray(orders) * complex(lam)) + self.norm
+        return scale, resonance_rtol * np.maximum(scale, 1e-300)
+
+    def resolvent(self, orders, lam, resonance_rtol, *, vectors=True) -> _Resolvent:
+        """k lam - ad_B0 at each order in ``orders`` (an int or an array of
+        ints), factored by one SVD batched over the orders; with
+        ``vectors=False`` only the singular values are computed."""
+        ad = self.matrix
+        lhs = (np.asarray(orders) * complex(lam))[..., None, None] * np.eye(ad.shape[0]) - ad
+        if vectors:
+            u, sv, vh = np.linalg.svd(lhs)
+        else:
+            u, sv, vh = None, np.linalg.svd(lhs, compute_uv=False), None
+        return _Resolvent(lhs, u, sv, vh, *self.cutoff(orders, lam, resonance_rtol))
+
+    def sweeper(self, lam, orders):
+        """The column sweep for t, the triangle of ``schur_form``: a function
+        of (k, rhs), k one of ``orders``, that solves k lam x - (x t - t x) =
+        rhs one column at a time, x_j = (k lam + t - t_jj)^-1 (rhs_j +
+        sum_{i<j} t_ij x_i).  The blocks k lam + t - t_jj of every order and
+        column share t's strictly upper part and differ only in their
+        diagonals, so their inverses come from one back substitution over t's
+        rows, n batched products for all of them (order n^3 values); those of
+        one order do not depend on the others, so a batched sweep equals a
+        one-order sweep bit for bit.  An exactly zero diagonal entry, a
+        singular block, raises ``np.linalg.LinAlgError`` before any division."""
+        t = self.schur_form[1]
+        n = t.shape[0]
+        kls = np.asarray(orders) * complex(lam)
+        d = np.diagonal(t)
+        diag = kls[:, None, None] + (d - d[:, None])  # [order, j, i] = k lam + t_ii - t_jj
+        if not diag.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        recip = 1.0 / diag
+        eye = np.eye(n)
+        inv = np.empty((len(kls), n, n, n), dtype=complex)  # [order, i, j, :] = row i of block j
+        rows = inv.reshape(len(kls), n, n * n)
+        for i in range(n - 1, -1, -1):
+            upper = (t[i, i + 1 :] @ rows[:, i + 1 :]).reshape(len(kls), n, n)
+            inv[:, i] = (eye[i] - upper) * recip[..., i, None]
+        invs = dict(zip(orders, inv))
+        coefs = [np.append(t[:j, j], 1.0) for j in range(n)]  # t_0j, ..., t_{j-1,j}, 1
+
+        def sweep(k: int, rhs: np.ndarray) -> np.ndarray:
+            inv = invs[k]
+            x = np.array(rhs.T, dtype=complex)  # row j holds r_j until x_j overwrites it
+            for j, coef in enumerate(coefs):
+                x[j] = inv[:, j] @ (coef @ x[: j + 1])
+            return x.T
+
+        return sweep
 
 
 @dataclass(frozen=True)
@@ -285,31 +295,27 @@ def sylvester_resolve(
     tol: float = 1e-10,
     *,
     resonance_rtol: float = RESONANCE_RTOL,
-    ad: Optional[np.ndarray] = None, ad_norm: Optional[float] = None,
 ) -> SylvesterOutcome:
-    """Solve ``k*lam*m - (m b0 - b0 m) = rhs`` for m.
+    """Solve ``k*lam*m - (m b0 - b0 m) = rhs`` for m; ``b0`` is a matrix or
+    its ``Commutator``, which callers solving many orders build once.
 
     Every order first takes the singular values of k lam - ad_B0, which the
-    resonance rule's ``_cutoff`` (which refuses a bad ``resonance_rtol``)
+    resonance rule ``Commutator.cutoff`` (it refuses a bad ``resonance_rtol``)
     judges.  Only a resonant order then takes the full SVD and gets the
     minimum-norm least-squares solution from it (null-space components
     zeroed), "resonant_solvable" if its defect in the factored system is at
     most tol * max(1, ||rhs||_F), else "obstructed".  Every other order gets
-    the unique solution from the column sweep in the Schur basis of b0
-    (``schur``, and ``_sweeper`` for the one order k: its n triangular
-    blocks inverted by back substitution, n^3 values).  Callers solving many
-    orders pass ad_B0 and its 2-norm as ``ad``, ``ad_norm``.
+    the unique solution from ``Commutator.sweeper`` for the one order k in
+    the Schur basis of b0 (n triangular blocks, n^3 values).
     """
     if k < 1:
         raise ValueError("order k must be a positive integer")
-    b, r = as_matrix(b0), as_matrix(rhs)
-    kl = k * complex(lam)
-    ad = ad_matrix(b) if ad is None else ad
-    ad_norm = float(np.linalg.norm(ad, 2)) if ad_norm is None else ad_norm
-    res = _resolvent(k, lam, ad, ad_norm, resonance_rtol, vectors=False)
+    ad = b0 if isinstance(b0, Commutator) else Commutator(b0)
+    b, r = ad.b0, as_matrix(rhs)
+    res = ad.resolvent(k, lam, resonance_rtol, vectors=False)
     sigma_min = float(res.sv[-1])
     if res.resonant:  # singular system: pseudo-inverse solve with the same cutoff
-        res = _resolvent(k, lam, ad, ad_norm, resonance_rtol)
+        res = ad.resolvent(k, lam, resonance_rtol)
         keep = res.sv > res.cutoff
         inv_sv = np.where(keep, 1.0 / np.where(keep, res.sv, 1.0), 0.0)
         x = res.vh.conj().T @ (inv_sv * (res.u.conj().T @ vec(r)))
@@ -317,7 +323,7 @@ def sylvester_resolve(
         if residual > tol * max(1.0, np.linalg.norm(r)):
             return SylvesterOutcome("obstructed", None, residual, sigma_min)
         return SylvesterOutcome("resonant_solvable", unvec(x, b.shape[0]), residual, sigma_min)
-    q, t = schur(b)
-    m = q @ _sweeper(t, lam, [k])(k, q.conj().T @ r @ q) @ q.conj().T
-    residual = float(np.linalg.norm(kl * m - (m @ b - b @ m) - r))
+    q = ad.schur_form[0]
+    m = q @ ad.sweeper(lam, [k])(k, q.conj().T @ r @ q) @ q.conj().T
+    residual = float(np.linalg.norm(k * complex(lam) * m - (m @ b - b @ m) - r))
     return SylvesterOutcome("unique", m, residual, sigma_min)

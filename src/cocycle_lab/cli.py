@@ -54,6 +54,8 @@ ODE_TOL = 1e-11
 
 
 def _as_real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioParseError(f"expected a JSON number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ScenarioParseError(f"non-finite number {value!r}")

@@ -28,16 +28,11 @@ import numpy as np
 
 from .algebra import (
     RESONANCE_RTOL,
-    _cutoff,
-    _resolvent,
-    _sweeper,
-    ad_matrix,
-    as_matrix,
+    Commutator,
     as_pairs,
     mat_exp,
     mat_inv,
     operator_norm,
-    schur,
     sylvester_resolve,
     unvec,
 )
@@ -65,8 +60,8 @@ class ConditionReport:
     """Spectral solvability check for the linearization recursion.
 
     ``violated_k`` lists the orders k <= k_bound at which k*lam lies in the
-    spectrum of ad_B0: the smallest singular value of k*lam - ad_matrix is
-    at most ``_cutoff``.  This is the one test of the condition; it asks
+    spectrum of ad_B0: the smallest singular value of k*lam - ad_B0 is at
+    most ``Commutator.cutoff``.  This is the one test of the condition; it asks
     nothing of sigma(B0) - sigma(B0), which in a Banach algebra only
     contains sigma(ad_B0).  ``spectrum_b0`` is reported alongside.
     """
@@ -98,36 +93,34 @@ def condition_check(
     lam: complex,
     *,
     resonance_rtol: float = RESONANCE_RTOL,
-    ad: Optional[np.ndarray] = None, ad_norm: Optional[float] = None,
 ) -> ConditionReport:
-    """Test whether any k*lam (k = 1 ... k_bound) is resonant for ad_B0.
+    """Test whether any k*lam (k = 1 ... k_bound) is resonant for ad_B0;
+    ``b0`` is a matrix or its ``Commutator``.
 
     k_bound is the larger of ceil(||ad_B0|| / |lam|), past which |k lam|
     exceeds the spectral radius of ad_B0, and the last order whose floor
-    |k lam| - ||ad_B0|| on sigma_min does not clear ``_cutoff``, which is
-    floor(||ad_B0|| (1 + rtol) / (|lam| (1 - rtol))).  ``_cutoff`` refuses a
-    ``resonance_rtol`` outside [0, 1) before any use.  Orders 1 ... k_bound
-    take one values-only batched SVD; ``ad`` and ``ad_norm`` may be passed in.
+    |k lam| - ||ad_B0|| on sigma_min does not clear ``Commutator.cutoff``,
+    which is floor(||ad_B0|| (1 + rtol) / (|lam| (1 - rtol))).  The cutoff
+    refuses a ``resonance_rtol`` outside [0, 1) before any use.  Orders
+    1 ... k_bound take one values-only batched SVD (``Commutator.resolvent``).
     """
     lam = complex(lam)
     if lam.real <= 0:
         raise NotAttractingError("condition_check requires Re(lam) > 0")
-    b = as_matrix(b0)
-    ad = ad_matrix(b) if ad is None else ad
-    ad_norm = float(np.linalg.norm(ad, 2)) if ad_norm is None else ad_norm
+    ad = b0 if isinstance(b0, Commutator) else Commutator(b0)
     # the floor crosses the affine cutoff at the last open order, checked one order either side
-    c0, c1 = _cutoff(np.arange(2), lam, ad_norm, resonance_rtol)[1]
-    last = math.floor((ad_norm + c0) / (abs(lam) - (c1 - c0)))
+    c0, c1 = ad.cutoff(np.arange(2), lam, resonance_rtol)[1]
+    last = math.floor((ad.norm + c0) / (abs(lam) - (c1 - c0)))
     edge = np.arange(max(last - 1, 0), last + 2)
-    left_open = np.abs(edge * lam) - ad_norm <= _cutoff(edge, lam, ad_norm, resonance_rtol)[1]
-    k_bound = max(math.ceil(ad_norm / abs(lam)), int(edge[left_open].max()))
+    left_open = np.abs(edge * lam) - ad.norm <= ad.cutoff(edge, lam, resonance_rtol)[1]
+    k_bound = max(math.ceil(ad.norm / abs(lam)), int(edge[left_open].max()))
     orders = np.arange(1, k_bound + 1)
-    res = _resolvent(orders, lam, ad, ad_norm, resonance_rtol, vectors=False)
+    res = ad.resolvent(orders, lam, resonance_rtol, vectors=False)
     sigma_mins = res.sv[:, -1]
     near = ~res.resonant & (sigma_mins <= NEAR_RESONANCE_RTOL * res.scale)
     return ConditionReport(
         lam=lam,
-        spectrum_b0=np.linalg.eigvals(b),
+        spectrum_b0=np.linalg.eigvals(ad.b0),
         violated_k=orders[res.resonant].tolist(),
         k_bound=k_bound,
         near_resonant_k=orders[near].tolist(),
@@ -214,13 +207,13 @@ def linearize(
 
     Halts at the first genuinely obstructed order; passes through resonant
     orders whose right-hand side stays in range using the minimum-norm
-    solution (reported without a convergence certificate).  ad_B0 and its
-    norm are computed once, and so is the Schur form B0 = Q T Q^H: the b_k
-    move into its basis in one product, and m back in one at the end.  An
-    order in ``violated_k`` is one ``sylvester_resolve`` call, the only full
-    SVD of k lam - ad_B0; every other order is one column sweep (``_sweeper``:
-    the inverses of the n triangular n x n blocks of all those orders come
-    from one back substitution before the loop, order n^3 values).
+    solution (reported without a convergence certificate).  One
+    ``Commutator`` of B0, passed as b0 to ``condition_check`` and to each
+    ``sylvester_resolve``, takes ad_B0, its norm and the Schur form
+    B0 = Q T Q^H once: the b_k move into that basis in one product, and m
+    back in one at the end.  An order in ``violated_k`` is one
+    ``sylvester_resolve`` call, the only full SVD of k lam - ad_B0; every
+    other order is one column sweep (``Commutator.sweeper``, n^3 values).
     C1 = max 1 / sigma_min(k lam - ad_B0) takes ``condition_check``'s
     batched sigma_min up to k_bound, and beyond it singular values only
     where the floor |k lam| - ||ad_B0|| could raise C1.  One batch of
@@ -239,17 +232,16 @@ def linearize(
     b = conjugated_generator(model, B, order)
     b0 = b.coeffs[0]
     n = b.dim
-    ad = ad_matrix(b0)
-    ad_norm = float(np.linalg.norm(ad, 2))
-    cond = condition_check(b0, lam, resonance_rtol=resonance_rtol, ad=ad, ad_norm=ad_norm)
+    ad = Commutator(b0)
+    cond = condition_check(ad, lam, resonance_rtol=resonance_rtol)
 
     # the recursion runs in the Schur basis of B0, where m'_0 = I too.  The
     # m'_l sit side by side in one n x (N+1)n array and b'_N ... b'_1 are
     # stacked, so each sum_{l<k} m'_l b'_{k-l} is one matrix product
-    q, t = schur(b0)
+    q = ad.schur_form[0]
     qh = q.conj().T
     b_stack = (qh @ b.coeffs[:0:-1] @ q).reshape(-1, n)
-    sweep = _sweeper(t, lam, [k for k in range(1, order + 1) if k not in cond.violated_k])
+    sweep = ad.sweeper(lam, [k for k in range(1, order + 1) if k not in cond.violated_k])
     m_row = np.zeros((n, (order + 1) * n), dtype=complex)
     m_row[:, :n] = np.eye(n)
     resonant_passed = False
@@ -263,14 +255,13 @@ def linearize(
             # sigma_min is taken only where that bound tops C1
             if k <= cond.k_bound:
                 c1 = max(c1, 1.0 / cond.smallest_singular_values[k - 1])
-            elif 1.0 / (abs(k * lam) - ad_norm) > c1:
-                res = _resolvent(k, lam, ad, ad_norm, resonance_rtol, vectors=False)
+            elif 1.0 / (abs(k * lam) - ad.norm) > c1:
+                res = ad.resolvent(k, lam, resonance_rtol, vectors=False)
                 c1 = max(c1, 1.0 / float(res.sv[-1]))
             m_row[:, k * n : (k + 1) * n] = sweep(k, rhs)
             continue
         out = sylvester_resolve(
-            k, lam, b0, q @ rhs @ qh, tol=sylvester_tol, resonance_rtol=resonance_rtol,
-            ad=ad, ad_norm=ad_norm,
+            k, lam, ad, q @ rhs @ qh, tol=sylvester_tol, resonance_rtol=resonance_rtol
         )
         if out.kind == "obstructed":
             obstructed_at = k
@@ -471,22 +462,21 @@ def sharpness_witness(
 ) -> CocycleGenerator:
     """Generator B(z) = B0 + z^k A whose recursion is obstructed at order k.
 
-    ``A`` is a left singular vector (reshaped) of k*lam - ad_matrix(B0) for
-    a zero singular value, hence orthogonal to, and outside of, the range.
+    ``A`` is a left singular vector (reshaped) of k*lam - ad_B0
+    (``Commutator.resolvent``) for a zero singular value, hence orthogonal
+    to, and outside of, the range.
     Intended for the linear semigroup with rate lam (identity Koenigs map),
     where the conjugated series is exactly B0 + A w^k.  Raises
     NotResonantError when order k is not resonant.
     """
     if k < 1:
         raise ValueError("order k must be a positive integer")
-    b = as_matrix(b0)
-    ad = ad_matrix(b)
-    res = _resolvent(k, lam, ad, float(np.linalg.norm(ad, 2)), RESONANCE_RTOL)
+    ad = Commutator(b0)
+    res = ad.resolvent(k, lam, RESONANCE_RTOL)
     if not res.resonant:
         raise NotResonantError(f"k*lam = {k * complex(lam)} is not in the spectrum of ad_B0")
-    n = b.shape[0]
-    a = unvec(res.u[:, -1], n)
+    n = ad.b0.shape[0]
     num = np.zeros((k + 1, n, n), dtype=complex)
-    num[0] = b
-    num[k] = a
+    num[0] = ad.b0
+    num[k] = unvec(res.u[:, -1], n)
     return CocycleGenerator(num)

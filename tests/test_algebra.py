@@ -7,8 +7,7 @@ import pytest
 
 from cocycle_lab.algebra import (
     RESONANCE_RTOL,
-    _resolvent,
-    _sweeper,
+    Commutator,
     ad_matrix,
     log_norm,
     mat_exp,
@@ -23,6 +22,7 @@ from cocycle_lab.errors import DimensionTooLargeError, SingularMatrixError
 from conftest import non_normal_b0
 
 RNG = np.random.default_rng(20240811)
+E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 def random_matrix(n, scale=1.0):
@@ -248,13 +248,12 @@ class TestSylvesterResolve:
 
 
 def resolvent(k, lam, b0):
-    """``_resolvent`` at order k, with its own ad_B0 and norm."""
-    ad = ad_matrix(b0)
-    return _resolvent(k, lam, ad, np.linalg.norm(ad, 2), RESONANCE_RTOL)
+    """The resolvent at order k, from a kernel of its own."""
+    return Commutator(b0).resolvent(k, lam, RESONANCE_RTOL)
 
 
 def reference_solve(k, lam, b0, rhs):
-    """The resolvent factored by ``_resolvent`` and solved directly."""
+    """The resolvent factored by ``Commutator.resolvent`` and solved directly."""
     res = resolvent(k, lam, b0)
     return res, unvec(np.linalg.solve(res.lhs, vec(rhs)), b0.shape[0])
 
@@ -346,6 +345,51 @@ class TestSylvesterFastPath:
             assert_close(out.solution, reference_solve(1, 1.0, b0, rhs)[1])
 
 
+class TestCommutator:
+    """The kernel of k lam - ad_B0: ad_B0, its norm and B0's Schur form,
+    built from B0 alone, which ``sylvester_resolve`` takes in place of b0."""
+
+    def test_dimension_cap(self, monkeypatch):
+        # refused when the kernel is built, before any n^2 x n^2 array
+        monkeypatch.setattr(np, "kron", None)
+        with pytest.raises(DimensionTooLargeError, match="dimension 33 exceeds the cap 32"):
+            Commutator(np.eye(33, dtype=complex))
+
+    def test_holds_a_copy_of_b0(self):
+        b0 = np.diag([0.0, 1.0]).astype(complex)
+        ad = Commutator(b0)
+        b0[0, 0] = 5.0
+        assert np.array_equal(ad.b0, np.diag([0.0, 1.0]))
+        assert np.array_equal(ad.matrix, ad_matrix(np.diag([0.0, 1.0])))
+        assert ad.norm == 1.0
+
+    def test_sylvester_resolve_same_bytes_for_a_matrix_or_its_kernel(self):
+        # one kernel shared by every call, in an order that takes the Schur
+        # form before and after the resonant solves, against fresh matrix calls
+        # (B0's eigenvalues 0 and 1 resonate at order 1 with lam = 1; the
+        # right-hand side in range is the image of m, E12 leaves it)
+        b0 = np.diag([0.0, 1.0]).astype(complex) + 0.25 * E12
+        ad = Commutator(b0)
+        m = np.array([[0.3, 0.2], [-0.1, 0.4j]])
+        in_range = m - (m @ b0 - b0 @ m)
+        cases = [
+            (2, in_range + E12, "unique"),
+            (1, in_range, "resonant_solvable"),
+            (1, in_range + E12, "obstructed"),
+            (3, np.array([[0.1, -1.0], [2.0, 0.5]]), "unique"),
+        ]
+        for k, rhs, kind in cases:
+            via_matrix, via_kernel = (sylvester_resolve(k, 1.0, b, rhs) for b in (b0, ad))
+            assert via_matrix.kind == via_kernel.kind == kind
+            for field in ("residual", "smallest_singular_value"):
+                got = np.float64(getattr(via_kernel, field))
+                assert got.tobytes() == np.float64(getattr(via_matrix, field)).tobytes()
+            if kind == "obstructed":
+                assert via_matrix.solution is via_kernel.solution is None
+            else:
+                assert via_kernel.solution.tobytes() == via_matrix.solution.tobytes()
+
+
 class TestSchur:
     """q unitary, q^H b0 q upper triangular to rounding, and the diagonal of
     t the spectrum of b0, each to the accuracy its case allows."""
@@ -396,11 +440,11 @@ def test_batched_sweep_bit_equal_to_single_order_sweeps():
     lam = complex(0.9, 0.2)
     orders = [1, 2, 3, 7, 16, 33, 64]
     for n in (2, 3, 8, 16, 17):
-        _, t = schur(non_normal_b0(n, 0.5)[1][0])
-        sweep = _sweeper(t, lam, orders)
+        ad = Commutator(non_normal_b0(n, 0.5)[1][0])
+        sweep = ad.sweeper(lam, orders)
         for k in orders:
             rhs = random_matrix(n)
-            assert sweep(k, rhs).tobytes() == _sweeper(t, lam, [k])(k, rhs).tobytes()
+            assert sweep(k, rhs).tobytes() == ad.sweeper(lam, [k])(k, rhs).tobytes()
 
 
 @pytest.mark.parametrize("n_scale", [0.5, 3.0])
@@ -408,10 +452,11 @@ def test_batched_sweep_bit_equal_to_single_order_sweeps():
 def test_sweep_backward_residual(n, n_scale):
     # ||k lam X - (X T - T X) - R||_F against the rounding of the operator,
     # at every order 1..64 of one batch; read 1.2e-16 at most
-    _, t = schur(non_normal_b0(n, n_scale)[1][0])
+    ad = Commutator(non_normal_b0(n, n_scale)[1][0])
+    t = ad.schur_form[1]
     lam = complex(0.9, 0.2)
     orders = range(1, 65)
-    sweep = _sweeper(t, lam, orders)
+    sweep = ad.sweeper(lam, orders)
     t_norm = operator_norm(t)
     for k in orders:
         rhs = random_matrix(n)

@@ -574,6 +574,13 @@ class TestCli:
             (None, "truncation_order", "24", "truncation_order must be a JSON integer, got '24'"),
             ("generator", "dim", 2.0, "dim must be a JSON integer, got 2.0"),
             (None, "grid", {"t_values": [0.5], "nodes": 3.9}, "nodes must be a JSON integer"),
+            ("semigroup", "f_num", [0, [True, "-1"]], "expected a JSON number, got True"),
+            ("semigroup", "f_num", [0, [-1, "0"]], "expected a JSON number, got '0'"),
+            (None, "grid", {"t_values": [0.5], "disk_radius": "0.3"}, "got '0.3'"),
+            ("grid", "t_values", [True, 2.5], "expected a JSON number, got True"),
+            ("grid", "t_values", [0.5, "2.5"], "expected a JSON number, got '2.5'"),
+            ("tolerances", "ode", "1e-9", "expected a JSON number, got '1e-9'"),
+            ("tolerances", "sylvester", True, "expected a JSON number, got True"),
         ],
     )
     def test_bad_number_or_time_is_input_error(

@@ -1,8 +1,11 @@
 """Linearization pipeline tests: condition checks, the recursion, the
 quadrature linearizers, reconstruction, gauge freedom, sharpness."""
 
+import collections
 import importlib
+import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -61,8 +64,7 @@ def difference_set_orders(rep, b0, eigs):
     eigenvalues ``eigs``: in finite dimensions, the violated orders."""
     diffs = (eigs[:, None] - eigs[None, :]).ravel()
     orders = np.arange(1, rep.k_bound + 1)
-    ad_norm = float(np.linalg.norm(ad_matrix(b0), 2))
-    cutoff = algebra._cutoff(orders, rep.lam, ad_norm, algebra.RESONANCE_RTOL)[1]
+    cutoff = algebra.Commutator(b0).cutoff(orders, rep.lam, algebra.RESONANCE_RTOL)[1]
     hit = np.min(np.abs(orders[:, None] * rep.lam - diffs), axis=1) <= cutoff
     return orders[hit].tolist()
 
@@ -174,7 +176,6 @@ class TestConditionCheck:
             return norm(a, ord, *args, **kwargs)
 
         monkeypatch.setattr(algebra, "ad_matrix", counting)
-        monkeypatch.setattr(linearize_module, "ad_matrix", counting)
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
         rep = condition_check(b0, 1.0)
         assert len(calls) == len(ad_norms) == 1
@@ -189,13 +190,78 @@ class TestConditionCheck:
         assert solve_counter.by_size[9] == 0
         monkeypatch.undo()
         orders = np.arange(1, rep.k_bound + 1)
-        ad = ad_matrix(b0)
-        res = algebra._resolvent(
-            orders, 1.0, ad, np.linalg.norm(ad, 2), algebra.RESONANCE_RTOL, vectors=False
+        res = algebra.Commutator(b0).resolvent(
+            orders, 1.0, algebra.RESONANCE_RTOL, vectors=False
         )
         assert rep.k_bound >= 3
         assert rep.smallest_singular_values == res.sv[:, -1].tolist()
         assert rep.violated_k == orders[res.resonant].tolist() == [1]
+
+
+def count_library_calls(monkeypatch, counts, name):
+    """Count the calls of ``algebra.<name>`` through every module binding."""
+    fn = getattr(algebra, name)
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "cocycle_lab" and getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, counting)
+
+
+class TestCommutatorKernel:
+    """``linearize`` builds one ``Commutator`` of B0 and passes it as b0 to
+    ``condition_check`` and each ``sylvester_resolve``; both take a matrix or
+    its kernel alike."""
+
+    @pytest.mark.parametrize(
+        "name", ["jordan-obstruction", "resonant-solvable", "diagonal-linearizable"]
+    )
+    def test_one_kernel_per_linearize(self, monkeypatch, name):
+        entry = demo_by_name(name)
+        counts, norm = collections.Counter(), np.linalg.norm
+
+        def counting_norm(a, ord=None, *args, **kwargs):
+            if ord == 2 and np.shape(a) == (4, 4):
+                counts["ad norm"] += 1
+            return norm(a, ord, *args, **kwargs)
+
+        for fn in ("ad_matrix", "schur"):
+            count_library_calls(monkeypatch, counts, fn)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        out = linearize(entry.model(order=24), entry.generator, order=24)
+        assert out.status == entry.expected["status"]
+        assert counts == {"ad_matrix": 1, "ad norm": 1, "schur": 1}
+
+    @pytest.mark.parametrize(
+        "b0, lam, violated",
+        [
+            (np.diag([0.0, 1.0]), 1.0, [1]),
+            (np.array([[0.2, 0.5, 0.0], [0.0, 2.2, 0.3], [0.0, 0.0, 1.2]]), 1.0, [1, 2]),
+            (np.diag([0.3 - 0.2j, 0.8 - 0.2j]), 1.0 + 0.5j, []),
+        ],
+    )
+    def test_condition_check_same_bytes_for_a_matrix_or_its_kernel(self, b0, lam, violated):
+        via_matrix, via_kernel = (
+            condition_check(b, lam) for b in (b0, algebra.Commutator(b0))
+        )
+        assert via_matrix.violated_k == violated
+        assert json.dumps(via_kernel.as_dict()) == json.dumps(via_matrix.as_dict())
+        for field in ("spectrum_b0", "smallest_singular_values"):
+            got, expected = getattr(via_kernel, field), getattr(via_matrix, field)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("k, lam", [(1, 2.0), (2, 1.0), (3, 2.0 / 3.0)])
+    def test_sharpness_witness_is_the_left_singular_vector(self, k, lam):
+        # B0 + z^k A, A the left singular vector of k lam - ad_B0 for its
+        # smallest singular value, bit for bit as one direct SVD gives it
+        b0 = np.array([[0.2, 0.5], [0.0, 2.2]], dtype=complex)
+        u = np.linalg.svd(k * complex(lam) * np.eye(4) - ad_matrix(b0))[0]
+        expected = np.zeros((k + 1, 2, 2), dtype=complex)
+        expected[0], expected[k] = b0, unvec(u[:, -1], 2)
+        assert sharpness_witness(b0, lam, k).num.tobytes() == expected.tobytes()
 
 
 class TestConjugatedGenerator:
@@ -860,19 +926,18 @@ class TestBatchedSweep:
         # B0 = diag(1, 2) and lam = 1: the block 1 + t - t_jj of order 1 is
         # singular, so inverting it in the batch would raise for every order;
         # the zero diagonal is refused before any division would warn
-        _, t = algebra.schur(JORDAN.generator(0.0))
         with pytest.raises(np.linalg.LinAlgError):
-            algebra._sweeper(t, 1.0, [1, 2])
+            algebra.Commutator(JORDAN.generator(0.0)).sweeper(1.0, [1, 2])
         out = linearize(LINEAR_MODEL, JORDAN.generator, order=24)
         assert (out.status, out.obstructed_at, out.violated_k) == ("obstructed", 1, [1])
 
     def test_resonant_chain_sweeps_all_but_its_violated_order(self, monkeypatch):
         built, swept, resolved = [], [], []
-        sweeper, resolve = linearize_module._sweeper, linearize_module.sylvester_resolve
+        sweeper, resolve = algebra.Commutator.sweeper, linearize_module.sylvester_resolve
 
-        def recording_sweeper(t, lam, orders):
+        def recording_sweeper(kernel, lam, orders):
             built.append(list(orders))
-            sweep = sweeper(t, lam, orders)
+            sweep = sweeper(kernel, lam, orders)
 
             def recording(k, rhs):
                 swept.append(k)
@@ -884,7 +949,7 @@ class TestBatchedSweep:
             resolved.append(k)
             return resolve(k, *args, **kwargs)
 
-        monkeypatch.setattr(linearize_module, "_sweeper", recording_sweeper)
+        monkeypatch.setattr(algebra.Commutator, "sweeper", recording_sweeper)
         monkeypatch.setattr(linearize_module, "sylvester_resolve", recording_resolve)
         out = linearize(LINEAR_MODEL, demo_by_name("resonant-solvable").generator, order=24)
         assert (out.status, out.violated_k) == ("resonant_solvable", [1])
